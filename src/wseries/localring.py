@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import PreconditionError
 from .series import Series, _check_index
 
 
@@ -17,12 +17,13 @@ def solve_implicit(f: Series, k: int) -> Series:
     ``k`` shifted down) with ``phi(0) = 0`` and ``f(x', phi(x')) = 0``
     through the certified degree of ``f``.
 
-    Computed by successive substitution in the total-degree filtration:
-    writing ``f = c*x_k + rest``, iterate ``phi <- -(1/c) * rest(x', phi)``.
-    The update gains one degree of agreement per pass because ``rest`` has
-    no constant or linear-x_k term, so the stored table stabilises within
-    ``trunc + 2`` passes; the fixpoint satisfies the equation exactly
-    through the truncation.
+    Computed one total degree at a time: writing ``f = c*x_k + rest``,
+    ``phi`` is the unique truncated solution of ``phi = -(1/c) * rest(x',
+    phi)``.  ``rest`` has no constant term and no term that is ``x_k``
+    alone, so the degree-``D`` part of ``rest(x', phi)`` reads only the part
+    of ``phi`` below degree ``D``.  Pass ``D`` therefore evaluates the step
+    truncated at ``D`` on the previous pass's ``phi`` and is exact through
+    ``D``; after ``trunc`` passes the equation holds through the truncation.
     """
     _check_index(k, f.nvars)
     if f.constant_term() != 0:
@@ -34,13 +35,10 @@ def solve_implicit(f: Series, k: int) -> Series:
             f"implicit solve requires a nonzero linear coefficient in x{k}")
     rest = f - Series.monomial(linear, f.nvars, f.trunc, c)
     scale = Fraction(-1) / c
-    phi = Series.zero(f.nvars - 1, f.trunc)
-    for _ in range(f.trunc + 2):
-        nxt = rest.substitute(k, phi) * scale
-        if nxt.same_data(phi):
-            return phi.with_guarantee(f.guaranteed_degree)
-        phi = nxt
-    raise InternalInvariantError("implicit iteration did not converge")
+    phi = Series.zero(f.nvars - 1, 0)
+    for degree in range(1, f.trunc + 1):
+        phi = rest.substitute(k, Series(f.nvars - 1, degree, phi.terms)) * scale
+    return phi.with_guarantee(f.guaranteed_degree)
 
 
 def divide_by_variable(f: Series, k: int) -> Series:

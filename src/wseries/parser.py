@@ -201,15 +201,24 @@ class _Parser:
         return Lit(Fraction(numerator))
 
 
+#: the parser recurses once per nesting level and the tree walkers also once
+#: per term of a sum, so input past the interpreter's recursion limit is
+#: rejected as malformed text
+_TOO_DEEP = "expression is nested too deeply"
+
+
 def parse_expression(text: str, nvars: int):
     """Parse ``text`` into a syntax tree, checking variable indices
     against ``nvars``."""
     parser = _Parser(text)
-    node = parser.expr()
-    kind, value, pos = parser.peek()
-    if kind is not None:
-        raise ExpressionError(f"trailing input {value!r}", pos)
-    _check_vars(node, nvars, text)
+    try:
+        node = parser.expr()
+        kind, value, pos = parser.peek()
+        if kind is not None:
+            raise ExpressionError(f"trailing input {value!r}", pos)
+        _check_vars(node, nvars, text)
+    except RecursionError:
+        raise ExpressionError(_TOO_DEEP) from None
     return node
 
 
@@ -255,4 +264,8 @@ def evaluate(node, nvars: int, trunc: int) -> Series:
 def parse_series(text: str, nvars: int, trunc: int) -> Series:
     """Parse and evaluate an expression to a series with the given
     variable count and truncation order."""
-    return evaluate(parse_expression(text, nvars), nvars, trunc)
+    node = parse_expression(text, nvars)
+    try:
+        return evaluate(node, nvars, trunc)
+    except RecursionError:
+        raise ExpressionError(_TOO_DEEP) from None

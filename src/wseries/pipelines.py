@@ -71,7 +71,8 @@ def split_square(f: Series, k: int, *, trace: list | None = None) -> SquareSplit
     Requires the restriction of ``f`` to the ``x_k`` axis to have
     coefficients 0, 0, 1, 1 in degrees 0..3.  Four degrees of certainty
     are reserved (two order-2 preparations and one monomial division, plus
-    slack), so the result is certified through ``trunc - 4``.
+    slack), so the result is certified four degrees below the certified
+    degree of ``f``.
 
     When ``trace`` is a list, each internal preparation is appended to it
     as a ``(F, PreparationResult)`` pair for external auditing.
@@ -88,7 +89,7 @@ def split_square(f: Series, k: int, *, trace: list | None = None) -> SquareSplit
     g0, g1 = even_odd_split(f, k)
     f0 = _descend_even_square(g0, k, trace)
     f1 = _descend_even_square(divide_by_variable(g1, k), k, trace)
-    gd = max(f.trunc - 4, 0)
+    gd = max(f.guaranteed_degree - 4, 0)
     return SquareSplit(f0.with_guarantee(gd), f1.with_guarantee(gd), gd)
 
 

@@ -22,6 +22,7 @@ returns a new Series.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
@@ -331,33 +332,57 @@ class Series:
         return NotImplemented
 
     def __pow__(self, exponent: int):
+        """Power by repeated squaring.  A power whose every term lies past
+        the truncation is zero without any product being formed."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a natural number")
+        order = min(map(sum, self._terms), default=None)
+        if exponent and (order is None or exponent * order > self.trunc):
+            return Series(self.nvars, self.trunc, None, self.guaranteed_degree)
         result = Series.constant(1, self.nvars, self.trunc)
         result = result.with_guarantee(self.guaranteed_degree)
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term).
 
-        Computed as the geometric series of the augmentation part in Horner
-        form; exact through the truncation, so the certified degree is
-        preserved.
+        Built one total degree at a time.  Writing ``self = c + s_1 + s_2 +
+        ...`` with ``s_j`` homogeneous of degree ``j``, the degree-``D`` part
+        of the inverse is ``-(1/c) * sum_{j>=1} s_j * inv_{D-j}``, which
+        reads only parts of lower degree.  Every pair of terms is multiplied
+        once, so the cost is that of one product.  The result is exact
+        through the truncation, so the certified degree is preserved.
         """
         c = self.constant_term()
         if c == 0:
             raise PreconditionError("series is not a unit: constant term is zero")
-        m = self._scaled(Fraction(1) / c) - 1  # order >= 1
-        one = Series.constant(1, self.nvars, self.trunc)
-        acc = one
-        for _ in range(self.trunc):
-            nxt = one - m * acc
-            if nxt.same_data(acc):
-                break
-            acc = nxt
-        return acc._scaled(Fraction(1) / c).with_guarantee(self.guaranteed_degree)
+        scale = Fraction(-1) / c
+        graded: list[list] = [[] for _ in range(self.trunc + 1)]
+        for e, v in self._terms.items():
+            degree = sum(e)
+            if degree:
+                graded[degree].append((e, v * scale))
+        parts = [{(0,) * self.nvars: 1 / c}]
+        for degree in range(1, self.trunc + 1):
+            acc: dict = {}
+            for j in range(1, degree + 1):
+                lower = parts[degree - j]
+                for ea, ca in graded[j]:
+                    for eb, cb in lower.items():
+                        key = tuple(map(add, ea, eb))
+                        v = acc.get(key)
+                        p = ca * cb
+                        acc[key] = p if v is None else v + p
+            parts.append({e: v for e, v in acc.items() if v})
+        terms = {e: v for part in parts for e, v in part.items()}
+        return Series(self.nvars, self.trunc, terms, self.guaranteed_degree)
 
     def compose(self, gs: Sequence["Series"]) -> "Series":
         """Substitute ``gs[i]`` for ``x_{i+1}``.

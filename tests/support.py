@@ -170,3 +170,47 @@ def naive_member(target, generators):
         return seen[t]
 
     return go(tuple(target))
+
+
+# ----------------------------------------------------------------------
+# reference implementations
+# ----------------------------------------------------------------------
+
+def reference_inverse(s):
+    """Inverse of a unit by the whole-series fixpoint ``acc <- 1 - m*acc``
+    on the augmentation ``m = s/c - 1``, iterated until the stored table
+    stops changing.  The degree-graded :meth:`Series.inverse` must match
+    it table for table."""
+    c = s.constant_term()
+    m = s * (Fraction(1) / c) - 1
+    one = Series.constant(1, s.nvars, s.trunc)
+    acc = one
+    for _ in range(s.trunc):
+        nxt = one - m * acc
+        if nxt.same_data(acc):
+            break
+        acc = nxt
+    return (acc * (Fraction(1) / c)).with_guarantee(s.guaranteed_degree)
+
+
+def reference_solve_implicit(f, k):
+    """Implicit solution by whole-series successive substitution
+    ``phi <- -(1/c) * rest(x', phi)`` at the full truncation, iterated until
+    the stored table stops changing (at most ``trunc + 2`` passes)."""
+    linear = tuple(1 if i == k - 1 else 0 for i in range(f.nvars))
+    c = f.coefficient(linear)
+    rest = f - Series.monomial(linear, f.nvars, f.trunc, c)
+    scale = Fraction(-1) / c
+    phi = Series.zero(f.nvars - 1, f.trunc)
+    for _ in range(f.trunc + 2):
+        nxt = rest.substitute(k, phi) * scale
+        if nxt.same_data(phi):
+            return phi.with_guarantee(f.guaranteed_degree)
+        phi = nxt
+    raise AssertionError("reference implicit iteration did not converge")
+
+
+def identical(a, b):
+    """Same stored table, truncation and certificate."""
+    return (a.same_data(b) and a.trunc == b.trunc
+            and a.guaranteed_degree == b.guaranteed_degree)

@@ -1,8 +1,12 @@
 """Expression language and the command-line front end."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,17 @@ def test_grammar_odds_and_ends():
     assert parse_series("inv(inv(1 + x1))", 1, 4) == S("1 + x1", 1, 4)
     assert parse_series("2 - -3", 1, 4).same_data(S("5", 1, 4))
     assert parse_series("(1 + x1)^2", 1, 4).same_data(S("1 + 2*x1 + x1^2", 1, 4))
+
+
+def test_deep_nesting_is_an_expression_error():
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_series("(" * 5000 + "x1" + ")" * 5000, 1, 4)
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_series("inv(" * 5000 + "1 + x1" + ")" * 5000, 1, 4)
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_series(" + ".join(["x1"] * 5000), 1, 4)
+    assert parse_series("(" * 100 + "x1" + ")" * 100, 1, 4).same_data(
+        S("x1", 1, 4))
 
 
 def test_parse_inverts_canonical_printing():
@@ -218,6 +233,25 @@ def test_cli_math_precondition_errors(capsys):
                    "--var", "2", "-e", "1 + x2")[0] == 3
     assert run_cli(capsys, "lemma", "--vars", "2", "--trunc", "8",
                    "--var", "2", "-e", "x2^2")[0] == 3
+
+
+def test_cli_deep_nesting_exits_2(capsys):
+    code, out, err = run_cli(capsys, "split", "--vars", "2", "--trunc", "4",
+                             "--var", "1", "-e",
+                             "(" * 5000 + "x1 + x2" + ")" * 5000)
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_cli_huge_exponent_finishes_quickly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "wseries.cli", "prepare", "--vars", "2",
+         "--trunc", "8", "--var", "2", "-e", "x2 + x1^2000000000"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert "P = x2" in done.stdout
 
 
 def test_cli_help_exits_cleanly(capsys):

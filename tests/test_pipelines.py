@@ -83,6 +83,15 @@ def test_descent_flags_surviving_odd_coefficient(monkeypatch):
         split_square(S("x2^2 + x2^3", 2, 8), 2)
 
 
+def test_descent_certificate_follows_the_input():
+    f = S("x2^2 + x2^3 + x1*x2^2 - 2*x1^3", 2, 12)
+    assert split_square(f, 2).guaranteed_degree == 8
+    sp = split_square(f.with_guarantee(5), 2)
+    assert sp.guaranteed_degree == 1
+    assert sp.f0.guaranteed_degree == sp.f1.guaranteed_degree == 1
+    assert split_square(f.with_guarantee(3), 2).guaranteed_degree == 0
+
+
 def test_split_serialization():
     sp = split_square(S("x2^2 + x2^3", 2, 8), 2)
     doc = sp.to_dict()
@@ -201,6 +210,14 @@ def test_extension_restricts_to_input_on_the_axis():
     ext = holomorphic_extension(h)
     assert ext.u.coefficient_series(2, 0) == h.with_guarantee(8)
     assert ext.v.coefficient_series(2, 0).is_zero()
+
+
+def test_extension_certificate_follows_the_input():
+    h = S("x1^2 + x1^3 - 2*x1^5", 1, 12)
+    assert holomorphic_extension(h).guaranteed_degree == 8
+    ext = holomorphic_extension(h.with_guarantee(6))
+    assert ext.guaranteed_degree == 2
+    assert ext.u.guaranteed_degree == ext.v.guaranteed_degree == 2
 
 
 def test_extension_requires_normalized_input():

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from support import (S, agree_through, nonzero_rational, random_series,
-                     random_unit)
+from support import (S, agree_through, identical, nonzero_rational,
+                     random_exponent, random_series, random_unit,
+                     reference_inverse)
 from wseries import FLAT, PreconditionError, Series, term_sort_key
 
 
@@ -131,6 +132,30 @@ def test_pow():
         S("x1", 1, 4) ** -1
 
 
+def test_pow_matches_repeated_products():
+    rng = random.Random(409)
+    for _ in range(20):
+        nvars = rng.choice((1, 2, 3))
+        trunc = rng.randint(0, 9)
+        s = random_series(rng, nvars, trunc, nterms=4)
+        s = s.with_guarantee(rng.randint(0, trunc))
+        for exponent in range(7):
+            expected = Series.constant(1, nvars, trunc).with_guarantee(
+                s.guaranteed_degree)
+            for _ in range(exponent):
+                expected = expected * s
+            assert identical(s ** exponent, expected)
+
+
+def test_pow_past_the_truncation_is_zero_at_once():
+    big = 2_000_000_000
+    s = S("x1 + x1*x2", 2, 8).with_guarantee(5)
+    assert identical(s ** big, Series(2, 8, None, 5))
+    assert identical(Series(2, 8, None, 5) ** 3, Series(2, 8, None, 5))
+    assert identical(S("x1^2", 1, 8) ** 4, S("x1^8", 1, 8))
+    assert (S("x1^2", 1, 8) ** 5).is_zero()
+
+
 def test_ring_axioms_on_random_triples():
     rng = random.Random(20260814)
     for _ in range(30):
@@ -176,6 +201,27 @@ def test_inverse_multiplies_back_to_one():
         u = random_unit(rng, 2, 9)
         prod = u * u.inverse()
         assert (prod - one).vanishes_through(prod.guaranteed_degree)
+
+
+def test_inverse_matches_fixpoint_reference():
+    """Graded recurrence against the whole-series fixpoint: rational
+    constant terms, dense and sparse high-order augmentations, and
+    certificates below the truncation."""
+    rng = random.Random(3301)
+    for nvars in range(1, 5):
+        for trunc in range(13):
+            if trunc:
+                dense = random_unit(rng, nvars, trunc, nterms=10)
+                high = random_exponent(rng, nvars, max(trunc // 2, 1), trunc)
+                sparse = Series(nvars, trunc,
+                                {(0,) * nvars: nonzero_rational(rng),
+                                 high: nonzero_rational(rng)})
+            else:
+                dense = sparse = Series.constant(nonzero_rational(rng),
+                                                 nvars, 0)
+            for u in (dense, sparse):
+                u = u.with_guarantee(rng.randint(0, trunc))
+                assert identical(u.inverse(), reference_inverse(u)), u
 
 
 # ----------------------------------------------------------------------
