@@ -11,9 +11,10 @@ Eight subcommands drive the library:
     cr-check   Cauchy-Riemann residuals of a (u, v) pair
     semigroup  support membership of a prepared polynomial
 
-Exit codes: 0 success, 2 parse or usage error, 3 mathematical
-precondition violation (flat order, non-unit inverse), 4 internal
-invariant breach.  Results go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 2 parse or usage error (or a coefficient of more
+than 4300 digits), 3 mathematical precondition violation (flat order,
+non-unit inverse), 4 internal invariant breach.  Results go to stdout,
+diagnostics to stderr.
 
 Variable renumbering: outputs that live in one variable fewer than the
 input (implicit solutions, distinguished coefficients a_i) drop the
@@ -362,11 +363,14 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 2
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # Python's limit on integer <-> decimal string conversion
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: coefficient too large: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,24 +46,20 @@ def divide_by_variable(f: Series, k: int) -> Series:
     positive ``x_k`` exponent.  One degree of certainty is spent (a result
     term of degree D reads a source term of degree D + 1)."""
     _check_index(k, f.nvars)
-    acc = {}
-    for e, c in f.terms.items():
-        if e[k - 1] == 0:
-            raise PreconditionError(
-                f"term {e} has no x{k} factor: monomial division is inexact")
-        acc[e[:k - 1] + (e[k - 1] - 1,) + e[k:]] = c
-    return Series(f.nvars, f.trunc, acc, max(f.guaranteed_degree - 1, 0))
+    bad = next((e for e in f.terms if e[k - 1] == 0), None)
+    if bad is not None:
+        raise PreconditionError(
+            f"term {bad} has no x{k} factor: monomial division is inexact")
+    return f._remap(lambda e, c: (e[:k - 1] + (e[k - 1] - 1,) + e[k:], c),
+                    loss=1)
 
 
 def even_odd_split(f: Series, k: int) -> tuple[Series, Series]:
     """Split by parity of the ``x_k`` exponent; the parts sum to ``f``
     exactly and keep its certification."""
     _check_index(k, f.nvars)
-    even, odd = {}, {}
-    for e, c in f.terms.items():
-        (even if e[k - 1] % 2 == 0 else odd)[e] = c
-    return (Series(f.nvars, f.trunc, even, f.guaranteed_degree),
-            Series(f.nvars, f.trunc, odd, f.guaranteed_degree))
+    return (f._remap(lambda e, c: None if e[k - 1] % 2 else (e, c)),
+            f._remap(lambda e, c: (e, c) if e[k - 1] % 2 else None))
 
 
 def halve_exponents(f: Series, k: int) -> Series:
@@ -75,10 +71,8 @@ def halve_exponents(f: Series, k: int) -> Series:
     result's coefficient at ``(a', j)`` is the source's at ``(a', 2j)``).
     """
     _check_index(k, f.nvars)
-    acc = {}
-    for e, c in f.terms.items():
-        if e[k - 1] % 2:
-            raise PreconditionError(
-                f"term {e} has odd x{k} exponent: cannot halve")
-        acc[e[:k - 1] + (e[k - 1] // 2,) + e[k:]] = c
-    return Series(f.nvars, f.trunc, acc, f.guaranteed_degree)
+    bad = next((e for e in f.terms if e[k - 1] % 2), None)
+    if bad is not None:
+        raise PreconditionError(
+            f"term {bad} has odd x{k} exponent: cannot halve")
+    return f._remap(lambda e, c: (e[:k - 1] + (e[k - 1] // 2,) + e[k:], c))

@@ -201,9 +201,9 @@ class _Parser:
         return Lit(Fraction(numerator))
 
 
-#: the parser recurses once per nesting level and the tree walkers also once
-#: per term of a sum, so input past the interpreter's recursion limit is
-#: rejected as malformed text
+#: the parser and ``evaluate`` recurse once per level of parentheses or
+#: ``inv`` (not per term of a sum), so input nested past the interpreter's
+#: recursion limit is rejected as malformed text
 _TOO_DEEP = "expression is nested too deeply"
 
 
@@ -216,27 +216,27 @@ def parse_expression(text: str, nvars: int):
         kind, value, pos = parser.peek()
         if kind is not None:
             raise ExpressionError(f"trailing input {value!r}", pos)
-        _check_vars(node, nvars, text)
+        _check_vars(node, nvars)
     except RecursionError:
         raise ExpressionError(_TOO_DEEP) from None
     return node
 
 
-def _check_vars(node, nvars: int, text: str):
-    if isinstance(node, Var):
-        if node.index > nvars:
+def _check_vars(node, nvars: int):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var) and node.index > nvars:
             raise ExpressionError(
                 f"variable x{node.index} exceeds the declared {nvars} variables")
-    elif isinstance(node, (Sum, Diff)):
-        _check_vars(node.left, nvars, text)
-        _check_vars(node.right, nvars, text)
-    elif isinstance(node, Prod):
-        for f in node.factors:
-            _check_vars(f, nvars, text)
-    elif isinstance(node, Pow):
-        _check_vars(node.base, nvars, text)
-    elif isinstance(node, Inv):
-        _check_vars(node.arg, nvars, text)
+        if isinstance(node, (Sum, Diff)):
+            stack += (node.right, node.left)
+        elif isinstance(node, Prod):
+            stack.extend(reversed(node.factors))
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+        elif isinstance(node, Inv):
+            stack.append(node.arg)
 
 
 def evaluate(node, nvars: int, trunc: int) -> Series:
@@ -245,10 +245,16 @@ def evaluate(node, nvars: int, trunc: int) -> Series:
         return Series.constant(node.value, nvars, trunc)
     if isinstance(node, Var):
         return Series.variable(node.index, nvars, trunc)
-    if isinstance(node, Sum):
-        return evaluate(node.left, nvars, trunc) + evaluate(node.right, nvars, trunc)
-    if isinstance(node, Diff):
-        return evaluate(node.left, nvars, trunc) - evaluate(node.right, nvars, trunc)
+    if isinstance(node, (Sum, Diff)):
+        chain = []  # walked in a loop: a flat sum must not recurse per term
+        while isinstance(node, (Sum, Diff)):
+            chain.append(node)
+            node = node.left
+        result = evaluate(node, nvars, trunc)
+        for step in reversed(chain):
+            right = evaluate(step.right, nvars, trunc)
+            result = result + right if isinstance(step, Sum) else result - right
+        return result
     if isinstance(node, Prod):
         result = evaluate(node.factors[0], nvars, trunc)
         for f in node.factors[1:]:

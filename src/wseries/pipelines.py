@@ -65,6 +65,21 @@ class SquareSplit:
         }
 
 
+#: coefficients of x_k^0 .. x_k^3 on the x_k axis: the profile x_k^2 + x_k^3
+_AXIS_PROFILE = (0, 0, 1, 1)
+
+
+def _profile_mismatch(f: Series, k: int) -> str | None:
+    """The first coefficient on the ``x_k`` axis that departs from
+    :data:`_AXIS_PROFILE`, described, or ``None`` when none does."""
+    for j, want in enumerate(_AXIS_PROFILE):
+        have = f.coefficient(tuple(j if i == k - 1 else 0
+                                   for i in range(f.nvars)))
+        if have != want:
+            return f"coefficient of x{k}^{j} is {have}, want {want}"
+    return None
+
+
 def split_square(f: Series, k: int, *, trace: list | None = None) -> SquareSplit:
     """Split ``f`` as ``f0(x', x_k^2) + x_k * f1(x', x_k^2)``.
 
@@ -80,12 +95,10 @@ def split_square(f: Series, k: int, *, trace: list | None = None) -> SquareSplit
     _check_index(k, f.nvars)
     if f.trunc < 4:
         raise PreconditionError("truncation below 4 cannot hold the profile")
-    for j, want in ((0, 0), (1, 0), (2, 1), (3, 1)):
-        expo = tuple(j if i == k - 1 else 0 for i in range(f.nvars))
-        if f.coefficient(expo) != want:
-            raise PreconditionError(
-                f"axis profile must start x{k}^2 + x{k}^3: "
-                f"coefficient of x{k}^{j} is {f.coefficient(expo)}, want {want}")
+    mismatch = _profile_mismatch(f, k)
+    if mismatch is not None:
+        raise PreconditionError(
+            f"axis profile must start x{k}^2 + x{k}^3: {mismatch}")
     g0, g1 = even_odd_split(f, k)
     f0 = _descend_even_square(g0, k, trace)
     f1 = _descend_even_square(divide_by_variable(g1, k), k, trace)
@@ -320,35 +333,16 @@ def normalize_cubic(h: Series) -> tuple[Series, Series]:
         raise ValueError("normalization applies to univariate series")
     if h.trunc < 3:
         raise PreconditionError("truncation below 3 cannot hold the profile")
-    correction = {}
-    for j, want in ((0, 0), (1, 0), (2, 1), (3, 1)):
-        delta = want - h.coefficient((j,))
-        if delta:
-            correction[(j,)] = delta
-    q = Series(1, h.trunc, correction)
+    q = Series(1, h.trunc, {(j,): want - h.coefficient((j,))
+                            for j, want in enumerate(_AXIS_PROFILE)})
     return h + q, q
-
-
-def _require_normalized(h: Series):
-    if h.nvars != 1:
-        raise ValueError("expected a univariate series")
-    for j, want in ((0, 0), (1, 0), (2, 1), (3, 1)):
-        if h.coefficient((j,)) != want:
-            raise PreconditionError(
-                "series must be normalized to the x^2 + x^3 profile "
-                "(apply normalize_cubic first)")
 
 
 def _negate_square(s: Series) -> Series:
     """Substitute ``t -> -x^2`` in the last variable: flip the sign by the
     old exponent's parity, then double it."""
-    acc = {}
-    for e, c in s.terms.items():
-        j = e[-1]
-        key = e[:-1] + (2 * j,)
-        if sum(key) <= s.trunc:
-            acc[key] = c if j % 2 == 0 else -c
-    return Series(s.nvars, s.trunc, acc, s.guaranteed_degree)
+    return s._remap(lambda e, c: (e[:-1] + (2 * e[-1],),
+                                  -c if e[-1] % 2 else c))
 
 
 def holomorphic_extension(h: Series, *, trace: list | None = None) -> ComplexExtension:
@@ -360,7 +354,12 @@ def holomorphic_extension(h: Series, *, trace: list | None = None) -> ComplexExt
     The restriction to ``x2 = 0`` returns ``h`` and the pair satisfies the
     Cauchy-Riemann equations through the certified degree.
     """
-    _require_normalized(h)
+    if h.nvars != 1:
+        raise ValueError("expected a univariate series")
+    if _profile_mismatch(h, 1) is not None:
+        raise PreconditionError(
+            "series must be normalized to the x^2 + x^3 profile "
+            "(apply normalize_cubic first)")
     if h.trunc < 4:
         raise PreconditionError("truncation below 4 cannot run the pipeline")
     n2 = h.trunc

@@ -93,6 +93,34 @@ class Series:
         object.__setattr__(self, "guaranteed_degree", gd)
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _make(cls, nvars: int, trunc: int, terms: dict, gd: int) -> "Series":
+        """Wrap ``terms`` without checking or copying it.  The caller holds
+        the invariant :meth:`__init__` enforces: exponents are int tuples of
+        length ``nvars`` with total degree <= ``trunc``, coefficients are
+        nonzero ``Fraction``s, and ``0 <= gd <= trunc``."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "nvars", nvars)
+        object.__setattr__(s, "trunc", trunc)
+        object.__setattr__(s, "guaranteed_degree", gd)
+        object.__setattr__(s, "_terms", terms)
+        return s
+
+    def _remap(self, fn, nvars: int | None = None, loss: int = 0) -> "Series":
+        """The one loop that rewrites exponents.  ``fn(expo, coeff)``
+        returns the new pair, or ``None`` to drop the term; it keeps the
+        :meth:`_make` invariant for ``nvars`` (default: unchanged) variables
+        and sends distinct terms to distinct exponents.  Terms pushed past
+        the truncation are dropped; ``loss`` degrees of certainty are spent."""
+        acc = {}
+        for e, c in self._terms.items():
+            new = fn(e, c)
+            if new is not None and sum(new[0]) <= self.trunc:
+                acc[new[0]] = new[1]
+        gd = min(max(self.guaranteed_degree - loss, 0), self.trunc)
+        return Series._make(self.nvars if nvars is None else nvars,
+                            self.trunc, acc, gd)
+
     def __setattr__(self, name, value):
         raise AttributeError("Series instances are immutable")
 
@@ -238,7 +266,7 @@ class Series:
         range).  Used by operations whose loss analysis is sharper than the
         generic minimum rule."""
         gd = max(0, min(degree, self.trunc))
-        return Series(self.nvars, self.trunc, self._terms, gd)
+        return Series._make(self.nvars, self.trunc, self._terms, gd)
 
     def truncate(self, trunc: int) -> "Series":
         if trunc == self.trunc:
@@ -271,14 +299,14 @@ class Series:
                 acc.pop(e, None)
             else:
                 acc[e] = s
-        return Series(self.nvars, trunc, acc, min(gd, trunc))
+        if self.trunc != other.trunc:
+            acc = {e: c for e, c in acc.items() if sum(e) <= trunc}
+        return Series._make(self.nvars, trunc, acc, min(gd, trunc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.nvars, self.trunc,
-                      {e: -c for e, c in self._terms.items()},
-                      self.guaranteed_degree)
+        return self._scaled(-1)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
@@ -292,11 +320,9 @@ class Series:
 
     def _scaled(self, value) -> "Series":
         c = _coeff(value)
-        if c == 0:
-            return Series(self.nvars, self.trunc, None, self.guaranteed_degree)
-        return Series(self.nvars, self.trunc,
-                      {e: c * v for e, v in self._terms.items()},
-                      self.guaranteed_degree)
+        terms = {e: c * v for e, v in self._terms.items()} if c else {}
+        return Series._make(self.nvars, self.trunc, terms,
+                            self.guaranteed_degree)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -322,7 +348,8 @@ class Series:
                 v = acc.get(key)
                 p = ca * cb
                 acc[key] = p if v is None else v + p
-        return Series(self.nvars, trunc, acc, gd)
+        return Series._make(self.nvars, trunc,
+                            {e: v for e, v in acc.items() if v}, gd)
 
     __rmul__ = __mul__
 
@@ -382,7 +409,8 @@ class Series:
                         acc[key] = p if v is None else v + p
             parts.append({e: v for e, v in acc.items() if v})
         terms = {e: v for part in parts for e, v in part.items()}
-        return Series(self.nvars, self.trunc, terms, self.guaranteed_degree)
+        return Series._make(self.nvars, self.trunc, terms,
+                            self.guaranteed_degree)
 
     def compose(self, gs: Sequence["Series"]) -> "Series":
         """Substitute ``gs[i]`` for ``x_{i+1}``.
@@ -417,35 +445,23 @@ class Series:
                 top += 1
             return cache[j]
 
-        acc: dict = {}
+        acc = Series.zero(m, trunc)
         for expo, coeff in self._terms.items():
             if sum(expo) > trunc:
                 continue
-            prod = Series.constant(1, m, trunc)
+            prod = Series.constant(coeff, m, trunc)
             for i, e in enumerate(expo):
                 if e:
                     prod = prod * power(i, e)
-            for e, c in prod._terms.items():
-                v = acc.get(e)
-                p = coeff * c
-                s = p if v is None else v + p
-                if s == 0:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
-        return Series(m, trunc, acc, min(gd, trunc))
+            acc = acc + prod
+        return acc.with_guarantee(gd)
 
     def derivative(self, k: int) -> "Series":
         """Partial derivative in ``x_k``; certainty drops by one degree."""
         _check_index(k, self.nvars)
-        acc = {}
-        for e, c in self._terms.items():
-            n = e[k - 1]
-            if n:
-                key = e[:k - 1] + (n - 1,) + e[k:]
-                acc[key] = c * n
-        return Series(self.nvars, self.trunc, acc,
-                      max(self.guaranteed_degree - 1, 0))
+        return self._remap(
+            lambda e, c: (e[:k - 1] + (e[k - 1] - 1,) + e[k:], c * e[k - 1])
+            if e[k - 1] else None, loss=1)
 
     # ------------------------------------------------------------------
     # exponent surgery
@@ -456,23 +472,16 @@ class Series:
         terms pushed past the truncation).  Certainty is preserved: a result
         term of degree D pulls only source terms of degree <= D."""
         _check_index(k, self.nvars)
-        acc = {}
-        for e, c in self._terms.items():
-            key = e[:k - 1] + (2 * e[k - 1],) + e[k:]
-            if sum(key) <= self.trunc:
-                acc[key] = c
-        return Series(self.nvars, self.trunc, acc, self.guaranteed_degree)
+        return self._remap(
+            lambda e, c: (e[:k - 1] + (2 * e[k - 1],) + e[k:], c))
 
     def coefficient_series(self, k: int, j: int) -> "Series":
         """The coefficient of ``x_k^j`` as a series in the remaining
         variables (indices above ``k`` shift down by one)."""
         _check_index(k, self.nvars)
-        acc = {}
-        for e, c in self._terms.items():
-            if e[k - 1] == j:
-                acc[e[:k - 1] + e[k:]] = c
-        return Series(self.nvars - 1, self.trunc, acc,
-                      max(self.guaranteed_degree - j, 0))
+        return self._remap(
+            lambda e, c: (e[:k - 1] + e[k:], c) if e[k - 1] == j else None,
+            self.nvars - 1, loss=j)
 
     def substitute(self, k: int, s: "Series") -> "Series":
         """Substitute ``s`` (a series in the remaining n-1 variables, with
@@ -503,52 +512,39 @@ class Series:
         """Split as ``low + x_k^d * high`` where ``low`` collects the terms
         of x_k-degree < d and ``high`` is shifted down by ``x_k^d``."""
         _check_index(k, self.nvars)
-        low, high = {}, {}
-        for e, c in self._terms.items():
-            if e[k - 1] < d:
-                low[e] = c
-            else:
-                high[e[:k - 1] + (e[k - 1] - d,) + e[k:]] = c
         return (
-            Series(self.nvars, self.trunc, low, self.guaranteed_degree),
-            Series(self.nvars, self.trunc, high,
-                   max(self.guaranteed_degree - d, 0)),
+            self._remap(lambda e, c: (e, c) if e[k - 1] < d else None),
+            self._remap(lambda e, c: None if e[k - 1] < d
+                        else (e[:k - 1] + (e[k - 1] - d,) + e[k:], c),
+                        loss=d),
         )
 
     def adjoin_variable(self) -> "Series":
         """Append a fresh last variable on which the series does not depend."""
-        return Series(self.nvars + 1, self.trunc,
-                      {e + (0,): c for e, c in self._terms.items()},
-                      self.guaranteed_degree)
+        return self.embed_variable(self.nvars + 1)
 
     def embed_variable(self, k: int) -> "Series":
         """Insert a fresh variable at 1-based position ``k``; existing
         variables at or above ``k`` shift up by one."""
         if not 1 <= k <= self.nvars + 1:
             raise ValueError(f"insert position {k} out of range")
-        return Series(self.nvars + 1, self.trunc,
-                      {e[:k - 1] + (0,) + e[k - 1:]: c
-                       for e, c in self._terms.items()},
-                      self.guaranteed_degree)
+        return self._remap(lambda e, c: (e[:k - 1] + (0,) + e[k - 1:], c),
+                           self.nvars + 1)
 
     def drop_variable(self, k: int) -> "Series":
         """Remove variable ``k``; the series must not depend on it."""
         _check_index(k, self.nvars)
         if any(e[k - 1] for e in self._terms):
             raise ValueError(f"series depends on x{k}")
-        return Series(self.nvars - 1, self.trunc,
-                      {e[:k - 1] + e[k:]: c for e, c in self._terms.items()},
-                      self.guaranteed_degree)
+        return self._remap(lambda e, c: (e[:k - 1] + e[k:], c),
+                           self.nvars - 1)
 
     def permute_variables(self, perm: Sequence[int]) -> "Series":
         """Reorder variables: new position ``i`` reads old variable
         ``perm[i-1]`` (1-based, a bijection)."""
         if sorted(perm) != list(range(1, self.nvars + 1)):
             raise ValueError(f"{perm} is not a permutation of 1..{self.nvars}")
-        return Series(self.nvars, self.trunc,
-                      {tuple(e[p - 1] for p in perm): c
-                       for e, c in self._terms.items()},
-                      self.guaranteed_degree)
+        return self._remap(lambda e, c: (tuple(e[p - 1] for p in perm), c))
 
 
 def _check_index(k: int, nvars: int):

@@ -79,8 +79,8 @@ def test_deep_nesting_is_an_expression_error():
         parse_series("(" * 5000 + "x1" + ")" * 5000, 1, 4)
     with pytest.raises(ExpressionError, match="nested too deeply"):
         parse_series("inv(" * 5000 + "1 + x1" + ")" * 5000, 1, 4)
-    with pytest.raises(ExpressionError, match="nested too deeply"):
-        parse_series(" + ".join(["x1"] * 5000), 1, 4)
+    assert parse_series(" + ".join(["x1"] * 5000), 1, 4).same_data(
+        S("5000*x1", 1, 4))
     assert parse_series("(" * 100 + "x1" + ")" * 100, 1, 4).same_data(
         S("x1", 1, 4))
 
@@ -91,6 +91,12 @@ def test_parse_inverts_canonical_printing():
         nvars = rng.choice((1, 2, 3))
         s = random_series(rng, nvars, 7, nterms=8)
         assert parse_series(s.canonical(), nvars, 7).same_data(s)
+
+
+def test_parse_inverts_canonical_printing_of_a_large_series():
+    s = random_series(random.Random(107), 4, 16, nterms=2500)
+    assert len(s.terms) >= 1000
+    assert parse_series(s.canonical(), 4, 16).same_data(s)
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +258,25 @@ def test_cli_huge_exponent_finishes_quickly():
         capture_output=True, text=True, env=env, timeout=20)
     assert done.returncode == 0, done.stderr
     assert "P = x2" in done.stdout
+
+
+def test_cli_huge_coefficient_exits_2(capsys, monkeypatch):
+    argv = ("prepare", "--vars", "2", "--trunc", "4", "--var", "2",
+            "-e", "x2 + 2^20000*x1")
+    for extra in ((), ("--json",)):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: coefficient too large")
+        assert err.count("\n") == 1
+    import wseries.cli as cmod
+
+    def other(f, k):
+        raise ValueError("some other fault")
+
+    monkeypatch.setattr(cmod, "weierstrass_prepare", other)
+    with pytest.raises(ValueError, match="some other fault"):
+        main(["prepare", "--vars", "2", "--trunc", "4", "--var", "2",
+              "-e", "x2"])
 
 
 def test_cli_help_exits_cleanly(capsys):

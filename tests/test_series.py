@@ -339,6 +339,55 @@ def test_variable_plumbing():
         f.permute_variables([1, 1])
 
 
+def assert_clean(s):
+    """The stored table holds the invariant the validating constructor
+    enforces, so re-validating it changes nothing."""
+    assert Series(s.nvars, s.trunc, s.terms, s.guaranteed_degree).same_data(s)
+    assert all(type(c) is Fraction and c != 0 for c in s.terms.values())
+    assert all(type(x) is int for e in s.terms for x in e)
+    assert all(sum(e) <= s.trunc for e in s.terms)
+
+
+def test_every_operation_keeps_the_table_invariant():
+    from wseries.localring import (divide_by_variable, even_odd_split,
+                                   halve_exponents)
+    from wseries.pipelines import _negate_square
+
+    rng = random.Random(211)
+    for nvars in (1, 2, 3, 4):
+        for _ in range(6):
+            trunc = rng.randint(3, 8)
+            f = random_series(rng, nvars, trunc, nterms=8)
+            f = f.with_guarantee(rng.randint(0, trunc))
+            g = random_series(rng, nvars, rng.randint(2, trunc), nterms=8)
+            u = random_unit(rng, nvars, trunc)
+            k, j = rng.randint(1, nvars), rng.randint(0, 3)
+            zs = [random_series(rng, nvars, trunc, nterms=4, min_degree=1)
+                  for _ in range(nvars)]
+            perm = rng.sample(range(1, nvars + 1), nvars)
+            xk = Series.variable(k, nvars, trunc)
+            outputs = [
+                f + g, g + f, f - g, -f, f * g, f * Fraction(-2, 3), f * 0,
+                f / 3, 2 - f, f ** 3, u.inverse(), f.compose(zs),
+                f.with_guarantee(trunc + 5), f.with_guarantee(-1),
+                f.derivative(k), f.substitute_square(k),
+                f.coefficient_series(k, j), *f.split_in_variable(k, j),
+                f.embed_variable(k), f.adjoin_variable(),
+                f.embed_variable(k).drop_variable(k),
+                f.permute_variables(perm), divide_by_variable(f * xk, k),
+                *even_odd_split(f, k),
+                halve_exponents(f.substitute_square(k), k), _negate_square(f)]
+            if nvars > 1:
+                phi = random_series(rng, nvars - 1, trunc, nterms=4,
+                                    min_degree=1)
+                outputs.append(f.substitute(k, phi))
+            for s in outputs:
+                assert_clean(s)
+    cancelled = S("1 + x1", 1, 4) * S("1 - x1", 1, 4)
+    assert_clean(cancelled)
+    assert cancelled.terms == {(0,): 1, (2,): -1}
+
+
 def test_with_guarantee_and_truncate():
     s = Series(2, 6, {(1, 0): 1})
     assert s.with_guarantee(99).guaranteed_degree == 6
