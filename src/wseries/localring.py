@@ -3,10 +3,9 @@ division by a variable, and parity surgery in a chosen variable."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import PreconditionError
 from .series import Series, _check_index
+from .weierstrass import _division_loop
 
 
 def solve_implicit(f: Series, k: int) -> Series:
@@ -17,28 +16,21 @@ def solve_implicit(f: Series, k: int) -> Series:
     ``k`` shifted down) with ``phi(0) = 0`` and ``f(x', phi(x')) = 0``
     through the certified degree of ``f``.
 
-    Computed one total degree at a time: writing ``f = c*x_k + rest``,
-    ``phi`` is the unique truncated solution of ``phi = -(1/c) * rest(x',
-    phi)``.  ``rest`` has no constant term and no term that is ``x_k``
-    alone, so the degree-``D`` part of ``rest(x', phi)`` reads only the part
-    of ``phi`` below degree ``D``.  Pass ``D`` therefore evaluates the step
-    truncated at ``D`` on the previous pass's ``phi`` and is exact through
-    ``D``; after ``trunc`` passes the equation holds through the truncation.
+    This is Weierstrass division at order 1: ``x_k = q*f + r(x')``, and
+    putting ``x_k = phi`` gives ``r = phi``, so the division loop's
+    remainder is the solution.  It is certified as far as ``f``, a degree
+    more than division gives: for ``f = c*x_k + rest``, ``phi`` solves
+    ``phi = -(1/c) * rest(x', phi)``, and as ``phi(0) = 0`` the degree-``D``
+    part of the right side reads ``f`` through degree ``D`` only.
     """
     _check_index(k, f.nvars)
     if f.constant_term() != 0:
         raise PreconditionError("implicit solve requires a root at the origin")
-    linear = tuple(1 if i == k - 1 else 0 for i in range(f.nvars))
-    c = f.coefficient(linear)
-    if c == 0:
+    if f.order_in(k) != 1:
         raise PreconditionError(
             f"implicit solve requires a nonzero linear coefficient in x{k}")
-    rest = f - Series.monomial(linear, f.nvars, f.trunc, c)
-    scale = Fraction(-1) / c
-    phi = Series.zero(f.nvars - 1, 0)
-    for degree in range(1, f.trunc + 1):
-        phi = rest.substitute(k, Series(f.nvars - 1, degree, phi.terms)) * scale
-    return phi.with_guarantee(f.guaranteed_degree)
+    _, rem, _ = _division_loop(Series.variable(k, f.nvars, f.trunc), f, k, 1)
+    return rem.drop_variable(k).with_guarantee(f.guaranteed_degree)
 
 
 def divide_by_variable(f: Series, k: int) -> Series:

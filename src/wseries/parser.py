@@ -18,8 +18,10 @@ round-trippable.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log2
 
 from .errors import ExpressionError
 from .series import Series
@@ -261,10 +263,23 @@ def evaluate(node, nvars: int, trunc: int) -> Series:
             result = result * evaluate(f, nvars, trunc)
         return result
     if isinstance(node, Pow):
-        return evaluate(node.base, nvars, trunc) ** node.exponent
+        base = evaluate(node.base, nvars, trunc)
+        _check_power_size(base.constant_term(), node.exponent)
+        return base ** node.exponent
     if isinstance(node, Inv):
         return evaluate(node.arg, nvars, trunc).inverse()
     raise TypeError(f"not a syntax node: {node!r}")
+
+
+def _check_power_size(c: Fraction, exponent: int):
+    """Reject ``c^exponent`` when its numerator or denominator would have
+    more decimal digits than Python's integer string limit allows, before
+    the integer is built: ``exponent * (bit_length - 1)`` bits is a lower
+    bound on its size.  Pythons before 3.10.7 have no such limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = exponent * (max(abs(c.numerator), c.denominator).bit_length() - 1)
+    if limit and bits > limit * log2(10):
+        raise ExpressionError("coefficient too large")
 
 
 def parse_series(text: str, nvars: int, trunc: int) -> Series:

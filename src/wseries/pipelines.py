@@ -84,7 +84,8 @@ def split_square(f: Series, k: int, *, trace: list | None = None) -> SquareSplit
     """Split ``f`` as ``f0(x', x_k^2) + x_k * f1(x', x_k^2)``.
 
     Requires the restriction of ``f`` to the ``x_k`` axis to have
-    coefficients 0, 0, 1, 1 in degrees 0..3.  Four degrees of certainty
+    coefficients 0, 0, 1, 1 in degrees 0..3, certified: the preparation of
+    the odd part raises below certified degree 3.  Four degrees of certainty
     are reserved (two order-2 preparations and one monomial division, plus
     slack), so the result is certified four degrees below the certified
     degree of ``f``.

@@ -6,8 +6,10 @@ variable produces ``g = q*f + r`` with the remainder of x_k-degree below
 monic distinguished polynomial ``x_k^d + a_1*x_k^(d-1) + ... + a_d`` whose
 coefficients are series in the remaining variables vanishing at the origin.
 
-Both lose exactly ``d`` degrees of certainty: coefficients of the outputs
-at total degree D depend on input coefficients up to degree D + d.
+Both certify ``d`` degrees below their inputs.  That is sound for ``d <=
+1``.  For larger ``d`` an output coefficient at total degree D can depend
+on input coefficients up to degree ``d*(D + 1)``, so the certificate
+overstates (a known defect, pinned in ``tests/test_certificates.py``).
 """
 
 from __future__ import annotations
@@ -103,48 +105,63 @@ class PreparationResult:
 
 
 def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
-    """Divide ``g`` by ``f``, distinguished in variable ``k``.
-
-    Writes ``f = low + x_k^d * high`` with ``high`` a unit (``d`` is the
-    order of ``f`` on the x_k axis) and iterates in the total-degree
-    filtration: with ``B = -high^-1 * low`` (every term of ``B`` involves a
-    variable other than x_k, so each pass strictly raises that order),
-
-        delta_1 = high-part of g,   delta_{m+1} = high-part of delta_m * B,
-
-    the quotient against the normalised divisor is the finite sum of the
-    deltas and the remainder collects the matching low parts.  The loop is
-    guaranteed to exhaust within ``trunc + 2`` passes.
-    """
+    """Divide ``g`` by ``f``, distinguished in variable ``k``: the
+    quotient against ``f`` is the loop's quotient times ``unit_inv``."""
     g._check_space(f)
+    d = _certified_order(f, k, "divisor", "division")
+    certified = min(g.guaranteed_degree, f.guaranteed_degree) - d
+    if certified < 0:
+        raise PreconditionError(
+            f"dividend is certified below the order {d} in x{k}: "
+            "division undefined")
+    trunc = min(g.trunc, f.trunc)
+    quot, rem, unit_inv = _division_loop(g.truncate(trunc),
+                                         f.truncate(trunc), k, d)
+    q = (quot * unit_inv).with_guarantee(certified)
+    return DivisionResult(q, rem.with_guarantee(certified), d, k, certified)
+
+
+def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
+    """The order ``d`` of ``f`` on the x_k axis.  It must be finite and
+    certified: a ``d`` above the certified degree of ``f`` is read from
+    coefficients that the inputs do not determine."""
     _check_index(k, f.nvars)
     d = f.order_in(k)
     if d is FLAT:
         raise PreconditionError(
-            f"divisor is flat in x{k}: no finite order, division undefined")
-    trunc = min(g.trunc, f.trunc)
-    certified = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
-    g = g.truncate(trunc)
-    f = f.truncate(trunc)
-    if d == 0:
-        q = (g * f.inverse()).with_guarantee(certified)
-        return DivisionResult(q, Series.zero(f.nvars, trunc), 0, k, certified)
+            f"{noun} is flat in x{k}: no finite order, {operation} undefined")
+    if d > f.guaranteed_degree:
+        raise PreconditionError(
+            f"{noun} has order {d} in x{k}, above its certified degree "
+            f"{f.guaranteed_degree}: {operation} undefined")
+    return d
 
+
+def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
+    """The division loop: ``(quot, rem, unit_inv)`` with ``g = quot * f *
+    unit_inv + rem`` and ``deg_{x_k}(rem) < d``, for ``f`` of order ``d``
+    in x_k and ``g`` at the same truncation.
+
+    Writes ``f = low + x_k^d * high`` with ``high`` a unit; every term of
+    ``B = -high^-1 * low`` involves a variable other than x_k, so each pass of
+
+        delta_1 = high-part of g,   delta_{m+1} = high-part of delta_m * B
+
+    raises the total degree.  ``quot`` sums the deltas, ``rem`` the matching
+    low parts, and the loop exhausts within ``trunc + 2`` passes.
+    """
     low, high = f.split_in_variable(k, d)
     unit_inv = high.inverse()
     b = -(unit_inv * low)
     rem, delta = g.split_in_variable(k, d)
     quot = delta
-    steps = 0
-    while not delta.is_zero():
-        steps += 1
-        if steps > trunc + 2:
-            raise InternalInvariantError("division iteration did not converge")
+    for _ in range(f.trunc + 3):
+        if delta.is_zero():
+            return quot, rem, unit_inv
         lo, delta = (delta * b).split_in_variable(k, d)
         rem = rem + lo
         quot = quot + delta
-    q = (quot * unit_inv).with_guarantee(certified)
-    return DivisionResult(q, rem.with_guarantee(certified), d, k, certified)
+    raise InternalInvariantError("division iteration did not converge")
 
 
 def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
@@ -155,11 +172,7 @@ def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     inverse is ``U``, and ``P = x_k^d - remainder``.  A unit ``f`` (order 0)
     prepares trivially as ``U = f``, ``P = 1``.
     """
-    _check_index(k, f.nvars)
-    d = f.order_in(k)
-    if d is FLAT:
-        raise PreconditionError(
-            f"series is flat in x{k}: no finite order, preparation undefined")
+    d = _certified_order(f, k, "series", "preparation")
     n = f.nvars
     if d == 0:
         poly = DistinguishedPoly(0, k, n, f.trunc, ())

@@ -48,8 +48,10 @@ def test_substitute_back_random():
 
 
 def test_solve_matches_fixpoint_reference():
-    """Degree-by-degree passes against whole-series successive
-    substitution: dense and sparse high-order inputs, rational linear
+    """The remainder of dividing x_k by ``f`` (Weierstrass division at
+    order 1) against whole-series successive substitution, an independent
+    route through :meth:`Series.substitute`: the same table, truncation
+    and certificate on dense and sparse high-order inputs, rational linear
     coefficients, and certificates below the truncation."""
     rng = random.Random(3307)
     for nvars in range(1, 5):

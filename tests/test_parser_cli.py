@@ -260,6 +260,38 @@ def test_cli_huge_exponent_finishes_quickly():
     assert "P = x2" in done.stdout
 
 
+@pytest.mark.parametrize("power, code", [
+    ("2^2000000000", 2), ("(2 + x1)^2000000000", 2),
+    ("x1^2000000000", 0), ("(1 + x1)^2000000000", 0)])
+def test_cli_huge_constant_power_is_rejected_before_it_is_built(power, code):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "wseries.cli", "prepare", "--vars", "2",
+         "--trunc", "8", "--var", "2", "-e", f"x2 + {power}"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == code, done.stderr
+    if code == 2:
+        assert done.stdout == ""
+        assert done.stderr == "error: coefficient too large\n"
+
+
+def test_huge_constant_power_is_an_expression_error():
+    with pytest.raises(ExpressionError, match="coefficient too large"):
+        parse_series("(1/3 + x1)^20000", 1, 2)
+    # a power just inside the integer string limit still evaluates
+    assert parse_series("2^14000", 1, 2).constant_term() == 2 ** 14000
+
+
+def test_cli_huge_printed_coefficient_exits_2(capsys):
+    # each factor is printable, their product is not: the output path
+    code, out, err = run_cli(capsys, "prepare", "--vars", "2", "--trunc", "4",
+                             "--var", "2", "-e", "x2 + 2^10000*2^10000*x1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: coefficient too large: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_huge_coefficient_exits_2(capsys, monkeypatch):
     argv = ("prepare", "--vars", "2", "--trunc", "4", "--var", "2",
             "-e", "x2 + 2^20000*x1")

@@ -97,6 +97,25 @@ def test_quotient_remainder_unique_at_certified_precision():
     assert not residual.vanishes_through(result.guaranteed_degree)
 
 
+def test_order_above_the_certificate_is_rejected():
+    # x2^3 and x2^3 + x2^2 agree through their certified degree 1, yet
+    # dividing x2^3 by them gave quotients with constant terms 1 and 0,
+    # each "certified through 0": the order itself was not certified
+    f = S("x2^3", 2, 6).with_guarantee(1)
+    f2 = S("x2^3 + x2^2", 2, 6).with_guarantee(1)
+    assert f == f2
+    g = S("x2^3", 2, 6)
+    for divisor in (f, f2):
+        with pytest.raises(PreconditionError, match="certified degree 1"):
+            weierstrass_divide(g, divisor, 2)
+        with pytest.raises(PreconditionError, match="certified degree 1"):
+            weierstrass_prepare(divisor, 2)
+    with pytest.raises(PreconditionError, match="dividend is certified"):
+        weierstrass_divide(g.with_guarantee(1), S("x2^2 + x1", 2, 6), 2)
+    assert weierstrass_divide(g, f.with_guarantee(3), 2).quotient == \
+        S("1", 2, 6).with_guarantee(0)
+
+
 # ----------------------------------------------------------------------
 # preparation
 # ----------------------------------------------------------------------
