@@ -252,11 +252,15 @@ def evaluate(node, nvars: int, trunc: int) -> Series:
         while isinstance(node, (Sum, Diff)):
             chain.append(node)
             node = node.left
-        result = evaluate(node, nvars, trunc)
-        for step in reversed(chain):
-            right = evaluate(step.right, nvars, trunc)
-            result = result + right if isinstance(step, Sum) else result - right
-        return result
+        parts = [(1, evaluate(node, nvars, trunc))] + [
+            (1 if isinstance(step, Sum) else -1,
+             evaluate(step.right, nvars, trunc)) for step in reversed(chain)]
+        acc: dict = {}  # one table: adding part by part copies it per term
+        for sign, part in parts:
+            for e, c in part.terms.items():
+                acc[e] = acc.get(e, 0) + sign * c
+        return Series._make(nvars, trunc, {e: c for e, c in acc.items() if c},
+                            min(part.guaranteed_degree for _, part in parts))
     if isinstance(node, Prod):
         result = evaluate(node.factors[0], nvars, trunc)
         for f in node.factors[1:]:

@@ -332,22 +332,8 @@ class Series:
         self._check_space(other)
         trunc = min(self.trunc, other.trunc)
         gd = min(self.guaranteed_degree, other.guaranteed_degree, trunc)
-        # convolution, discarding products beyond the truncation
-        a = sorted(((sum(e), e, c) for e, c in self._terms.items()))
-        b = sorted(((sum(e), e, c) for e, c in other._terms.items()))
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict = {}
-        for da, ea, ca in a:
-            if b and da + b[0][0] > trunc:
-                break
-            for db, eb, cb in b:
-                if da + db > trunc:
-                    break
-                key = tuple(x + y for x, y in zip(ea, eb))
-                v = acc.get(key)
-                p = ca * cb
-                acc[key] = p if v is None else v + p
+        acc = _convolve({}, _by_degree(self._terms),
+                        _by_degree(other._terms), trunc)
         return Series._make(self.nvars, trunc,
                             {e: v for e, v in acc.items() if v}, gd)
 
@@ -380,37 +366,17 @@ class Series:
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term).
 
-        Built one total degree at a time.  Writing ``self = c + s_1 + s_2 +
-        ...`` with ``s_j`` homogeneous of degree ``j``, the degree-``D`` part
-        of the inverse is ``-(1/c) * sum_{j>=1} s_j * inv_{D-j}``, which
-        reads only parts of lower degree.  Every pair of terms is multiplied
-        once, so the cost is that of one product.  The result is exact
-        through the truncation, so the certified degree is preserved.
-        """
+        With ``c`` the constant term, ``q = 1/c + q*b`` for ``b = 1 -
+        self/c``: :func:`_graded_solve` solves it graded by total degree,
+        which is positive on every term of ``b``.  The result is exact
+        through the truncation, so the certified degree is preserved."""
         c = self.constant_term()
         if c == 0:
             raise PreconditionError("series is not a unit: constant term is zero")
-        scale = Fraction(-1) / c
-        graded: list[list] = [[] for _ in range(self.trunc + 1)]
-        for e, v in self._terms.items():
-            degree = sum(e)
-            if degree:
-                graded[degree].append((e, v * scale))
-        parts = [{(0,) * self.nvars: 1 / c}]
-        for degree in range(1, self.trunc + 1):
-            acc: dict = {}
-            for j in range(1, degree + 1):
-                lower = parts[degree - j]
-                for ea, ca in graded[j]:
-                    for eb, cb in lower.items():
-                        key = tuple(map(add, ea, eb))
-                        v = acc.get(key)
-                        p = ca * cb
-                        acc[key] = p if v is None else v + p
-            parts.append({e: v for e, v in acc.items() if v})
-        terms = {e: v for part in parts for e, v in part.items()}
-        return Series._make(self.nvars, self.trunc, terms,
-                            self.guaranteed_degree)
+        one = (0,) * self.nvars
+        b = {e: -v / c for e, v in self._terms.items() if e != one}
+        q, _ = _graded_solve({one: 1 / c}, b, self.trunc, sum, lambda e: e)
+        return Series._make(self.nvars, self.trunc, q, self.guaranteed_degree)
 
     def compose(self, gs: Sequence["Series"]) -> "Series":
         """Substitute ``gs[i]`` for ``x_{i+1}``.
@@ -486,27 +452,15 @@ class Series:
     def substitute(self, k: int, s: "Series") -> "Series":
         """Substitute ``s`` (a series in the remaining n-1 variables, with
         zero constant term) for ``x_k``; other variables keep their order
-        with indices above ``k`` shifted down."""
+        with indices above ``k`` shifted down.  This is :meth:`compose`
+        with every other variable mapped to itself."""
         _check_index(k, self.nvars)
         if s.nvars != self.nvars - 1:
             raise ValueError(
                 f"substituend must have {self.nvars - 1} variables, has {s.nvars}")
-        if s.constant_term() != 0:
-            raise PreconditionError("substituend has nonzero constant term")
-        trunc = min(self.trunc, s.trunc)
-        degrees = sorted({e[k - 1] for e in self._terms})
-        acc = Series.zero(self.nvars - 1, trunc)
-        power = Series.constant(1, self.nvars - 1, trunc)
-        prev = 0
-        for j in degrees:
-            if j > trunc:
-                break  # s has positive order: s^j vanishes below the cap
-            for _ in range(j - prev):
-                power = power * s
-            prev = j
-            acc = acc + self.coefficient_series(k, j).truncate(trunc) * power
-        return acc.with_guarantee(
-            min(self.guaranteed_degree, s.guaranteed_degree, trunc))
+        xs = [Series.variable(i, s.nvars, s.trunc)
+              for i in range(1, self.nvars)]
+        return self.compose(xs[:k - 1] + [s] + xs[k - 1:])
 
     def split_in_variable(self, k: int, d: int) -> tuple["Series", "Series"]:
         """Split as ``low + x_k^d * high`` where ``low`` collects the terms
@@ -550,3 +504,55 @@ class Series:
 def _check_index(k: int, nvars: int):
     if not isinstance(k, int) or not 1 <= k <= nvars:
         raise ValueError(f"variable index {k} out of range 1..{nvars}")
+
+
+def _by_degree(terms: dict) -> list:
+    """The ``(degree, expo, coeff)`` items of a term table, by degree."""
+    return sorted((sum(e), e, c) for e, c in terms.items())
+
+
+def _convolve(acc: dict, xs: list, ys: list, trunc: int) -> dict:
+    """The one convolution kernel: add into ``acc`` every product of a term
+    of ``xs`` and one of ``ys`` (:func:`_by_degree` items) of degree at most
+    ``trunc``.  Zero sums are left in ``acc``."""
+    for dx, ex, cx in xs:
+        for dy, ey, cy in ys:
+            if dx + dy > trunc:
+                break
+            key = tuple(map(add, ex, ey))
+            v = acc.get(key)
+            p = cx * cy
+            acc[key] = p if v is None else v + p
+    return acc
+
+
+def _graded_solve(a: dict, b: dict, trunc: int, grade, fold) -> tuple:
+    """Solve ``q = fold(a + q*b)`` on term tables, products truncated at
+    degree ``trunc``; ``rest`` gets the terms that ``fold`` (exponent to
+    exponent) maps to ``None``.  ``grade`` must be additive, kept by ``fold``
+    and positive on every term of ``b``: then the grade-m part of ``a +
+    q*b``, ``a_m + sum_{j>=1} q_(m-j) * b_j``, reads lower grades of ``q``
+    only, so one walk up the grades reachable from ``a`` by those of ``b``
+    solves it, multiplying each pair of terms once."""
+    parts_a, parts_b, parts_q, rest = {}, {}, {}, {}
+    for terms, parts in ((a, parts_a), (b, parts_b)):
+        for e, c in terms.items():
+            parts.setdefault(grade(e), {})[e] = c
+    parts_b = {j: _by_degree(part) for j, part in parts_b.items()}
+    todo = set(parts_a)
+    while todo:
+        todo.remove(m := min(todo))
+        acc = parts_a.get(m, {})
+        for j, b_j in parts_b.items():
+            if m - j in parts_q:
+                _convolve(acc, parts_q[m - j], b_j, trunc)
+        part = {}
+        for e, v in acc.items():
+            if v and (new := fold(e)) is not None:
+                part[new] = v
+            elif v:
+                rest[e] = v
+        if part:
+            parts_q[m] = _by_degree(part)
+            todo.update(m + j for j in parts_b)
+    return {e: v for part in parts_q.values() for _, e, v in part}, rest

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import FLAT, Series, _check_index
+from .series import FLAT, Series, _check_index, _graded_solve
 
 
 @dataclass(frozen=True)
@@ -138,30 +138,24 @@ def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
 
 
 def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
-    """The division loop: ``(quot, rem, unit_inv)`` with ``g = quot * f *
-    unit_inv + rem`` and ``deg_{x_k}(rem) < d``, for ``f`` of order ``d``
-    in x_k and ``g`` at the same truncation.
-
-    Writes ``f = low + x_k^d * high`` with ``high`` a unit; every term of
-    ``B = -high^-1 * low`` involves a variable other than x_k, so each pass of
-
-        delta_1 = high-part of g,   delta_{m+1} = high-part of delta_m * B
-
-    raises the total degree.  ``quot`` sums the deltas, ``rem`` the matching
-    low parts, and the loop exhausts within ``trunc + 2`` passes.
-    """
+    """``(quot, rem, unit_inv)`` with ``g = quot * f * unit_inv + rem``,
+    ``deg_{x_k}(rem) < d``, for ``f`` of order ``d`` in x_k and ``g`` at the
+    same truncation; both are certified ``d`` degrees below the inputs.
+    With ``f = low + x_k^d * high``, ``b = -high^-1 * low`` and ``H`` the
+    x_k-degree >= d part shifted down by ``x_k^d``: ``quot = H(g + quot*b)``,
+    and ``rem`` is the rest.  Graded by the degree in the variables other
+    than x_k, which ``H`` keeps and which is positive on ``low`` (``f`` has
+    no axis term below ``x_k^d``).  Total degree can stall: ``f = x2^2 +
+    x1*x2`` gives ``b = -x1*x2``, of degree ``d``, which ``H`` takes back."""
     low, high = f.split_in_variable(k, d)
     unit_inv = high.inverse()
     b = -(unit_inv * low)
-    rem, delta = g.split_in_variable(k, d)
-    quot = delta
-    for _ in range(f.trunc + 3):
-        if delta.is_zero():
-            return quot, rem, unit_inv
-        lo, delta = (delta * b).split_in_variable(k, d)
-        rem = rem + lo
-        quot = quot + delta
-    raise InternalInvariantError("division iteration did not converge")
+    gd = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
+    quot, rem = (Series._make(g.nvars, g.trunc, t, gd) for t in _graded_solve(
+        g.terms, b.terms, g.trunc, lambda e: sum(e) - e[k - 1],
+        lambda e: e[:k - 1] + (e[k - 1] - d,) + e[k:] if e[k - 1] >= d
+        else None))
+    return quot, rem, unit_inv
 
 
 def weierstrass_prepare(f: Series, k: int) -> PreparationResult:

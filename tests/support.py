@@ -6,7 +6,7 @@ exercises identical cases; failures are therefore reproducible verbatim.
 
 from fractions import Fraction
 
-from wseries import Series, parse_series
+from wseries import InternalInvariantError, Series, parse_series
 
 NONZERO = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
 DENOMS = [1, 1, 1, 2, 3, 4]
@@ -208,6 +208,28 @@ def reference_solve_implicit(f, k):
             return phi.with_guarantee(f.guaranteed_degree)
         phi = nxt
     raise AssertionError("reference implicit iteration did not converge")
+
+
+def reference_division_loop(g, f, k, d):
+    """The whole-series fixpoint that Weierstrass division used to run:
+    with ``b = -high^-1 * low`` for ``f = low + x_k^d * high``, each pass
+    splits ``delta_m * b`` at x_k-degree ``d``, adds the low part to ``rem``
+    and the shifted high part (``delta_{m+1}``) to ``quot``, until a
+    ``delta`` vanishes.  Each pass raises the degree in the variables other
+    than x_k.  ``weierstrass._division_loop`` must match it table for
+    table."""
+    low, high = f.split_in_variable(k, d)
+    unit_inv = high.inverse()
+    b = -(unit_inv * low)
+    rem, delta = g.split_in_variable(k, d)
+    quot = delta
+    for _ in range(f.trunc + 3):
+        if delta.is_zero():
+            return quot, rem, unit_inv
+        lo, delta = (delta * b).split_in_variable(k, d)
+        rem = rem + lo
+        quot = quot + delta
+    raise InternalInvariantError("division iteration did not converge")
 
 
 def identical(a, b):

@@ -99,6 +99,33 @@ def test_parse_inverts_canonical_printing_of_a_large_series():
     assert parse_series(s.canonical(), 4, 16).same_data(s)
 
 
+#: 40000 distinct squarefree monomials in 32 variables, rational
+#: coefficients; squarefree so that each printed term costs few products
+_REPARSE_40000_TERMS = """
+import itertools
+from fractions import Fraction
+from wseries import Series, parse_series
+subsets = itertools.chain.from_iterable(
+    itertools.combinations(range(32), r) for r in range(5))
+terms = {tuple(int(i in sub) for i in range(32)):
+         Fraction(n % 19 - 9 or 1, n % 4 + 1)
+         for n, sub in enumerate(itertools.islice(subsets, 40000))}
+s = Series(32, 4, terms)
+assert len(s.terms) == 40000
+assert parse_series(s.canonical(), 32, 4).same_data(s)
+"""
+
+
+def test_reparsing_a_40000_term_printout_is_linear():
+    # a sum is added up in one table: adding it term by term copied the
+    # whole table each time, and 4989 terms already took about 2 s
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _REPARSE_40000_TERMS],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
+
+
 # ----------------------------------------------------------------------
 # CLI plumbing
 # ----------------------------------------------------------------------
@@ -258,6 +285,19 @@ def test_cli_huge_exponent_finishes_quickly():
         capture_output=True, text=True, env=env, timeout=20)
     assert done.returncode == 0, done.stderr
     assert "P = x2" in done.stdout
+
+
+def test_cli_prepare_at_a_huge_truncation_finishes_quickly():
+    # inverse and division visit only the degrees that hold terms: a
+    # recurrence over every degree pair took about 1.8 s at trunc 4000
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "wseries.cli", "prepare", "--vars", "2",
+         "--var", "2", "--trunc", "1000000", "-e", "x2 + x1"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert "P = x1 + x2" in done.stdout
 
 
 @pytest.mark.parametrize("power, code", [

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
-from support import (S, random_even_order2, random_order_d, random_series)
+import wseries.localring as lmod
+import wseries.weierstrass as wmod
+from support import (S, identical, nonzero_rational, random_even_order2,
+                     random_order_d, random_series, reference_division_loop)
 from wseries import (DistinguishedPoly, InternalInvariantError,
-                     PreconditionError, Series, weierstrass_divide,
-                     weierstrass_prepare)
+                     PreconditionError, Series, solve_implicit,
+                     weierstrass_divide, weierstrass_prepare)
 
 
 def divides_back(g, f, result):
@@ -75,6 +78,44 @@ def test_division_identity_and_remainder_bound_random():
         assert result.guaranteed_degree == 10 - d
         assert divides_back(g, f, result)
         assert all(e[nvars - 1] < d for e in result.remainder.support())
+
+
+def test_division_loop_matches_fixpoint_reference(monkeypatch):
+    """The graded division loop against the whole-series fixpoint it
+    replaced: nvars 1-4, every k, d 0-3, trunc 0-12, rational
+    coefficients, certificates below the truncation.  ``unit_inv`` is
+    identical, and ``quot`` and ``rem`` agree in table and truncation.
+    Their certificates are compared through ``weierstrass_divide``,
+    ``weierstrass_prepare`` and ``solve_implicit``, run once on each loop:
+    the fixpoint's own certificate shrank by ``d`` per pass, and both
+    callers replaced it."""
+    graded = wmod._division_loop
+    rng = random.Random(4201)
+    for nvars in range(1, 5):
+        for k in range(1, nvars + 1):
+            for d in range(4):
+                for trunc in range(d, 13):
+                    f = (random_order_d(rng, nvars, trunc, k, d, nterms=6)
+                         if trunc else Series.constant(
+                             nonzero_rational(rng), nvars, 0))
+                    f = f.with_guarantee(rng.randint(d, trunc))
+                    g = random_series(rng, nvars, trunc, nterms=6)
+                    g = g.with_guarantee(rng.randint(d, trunc))
+                    new = graded(g, f, k, d)
+                    ref = reference_division_loop(g, f, k, d)
+                    for a, b in zip(new, ref):
+                        assert a.same_data(b) and a.trunc == b.trunc, (g, f)
+                    assert identical(new[2], ref[2])
+                    outs = []
+                    for loop in (graded, reference_division_loop):
+                        monkeypatch.setattr(wmod, "_division_loop", loop)
+                        monkeypatch.setattr(lmod, "_division_loop", loop)
+                        div = weierstrass_divide(g, f, k)
+                        prep = weierstrass_prepare(f, k)
+                        solved = [solve_implicit(f, k)] if d == 1 else []
+                        outs.append([div.quotient, div.remainder, prep.unit,
+                                     *prep.poly.coeffs, *solved])
+                    assert all(map(identical, *outs)), (g, f)
 
 
 def test_division_is_deterministic():
