@@ -11,6 +11,14 @@ Eight subcommands drive the library:
     cr-check   Cauchy-Riemann residuals of a (u, v) pair
     semigroup  support membership of a prepared polynomial
 
+Each handler returns ``(doc, lines)``: its part of the ``--json``
+document, and its text output as ordered ``(label, value)`` pairs, a value
+being a :class:`Series`, an int or a string (the Cauchy-Riemann verdict is
+``("CR", passed)``).  :func:`main` does the rest once: the ``--var`` range
+check, the JSON header ``{"command", ["nvars"], "trunc", ["var"]}`` ahead
+of the handler's keys, and the text lines ``label = value`` (a series by
+:meth:`Series.canonical`, the verdict as ``CR: PASS`` or ``CR: FAIL``).
+
 Exit codes: 0 success, 2 parse or usage error (or a coefficient of more
 than 4300 digits), 3 mathematical precondition violation (flat order,
 non-unit inverse), 4 internal invariant breach.  Results go to stdout,
@@ -28,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import ExpressionError, InternalInvariantError, PreconditionError
 from .localring import even_odd_split, solve_implicit
@@ -61,16 +68,6 @@ def _positive(text: str) -> int:
     return value
 
 
-def _add_space_flags(sub, with_var=True):
-    sub.add_argument("--vars", type=_positive, required=True,
-                     help="number of variables")
-    sub.add_argument("--trunc", type=_natural, required=True,
-                     help="truncation degree")
-    if with_var:
-        sub.add_argument("--var", type=_positive, required=True,
-                         help="distinguished variable index k")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="wseries",
@@ -78,175 +75,112 @@ def build_parser() -> argparse.ArgumentParser:
                     "and preparation, implicit solving, square descent, "
                     "and holomorphic extension.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prepare", help="factor f as unit * distinguished polynomial")
-    _add_space_flags(p)
-    p.add_argument("-e", required=True, metavar="EXPR", help="the series f")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_run_prepare)
-
-    p = sub.add_parser("divide", help="divide g by f with remainder in x_k")
-    _add_space_flags(p)
-    p.add_argument("-g", required=True, metavar="EXPR", help="the dividend g")
-    p.add_argument("-f", required=True, metavar="EXPR", help="the divisor f")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_run_divide)
-
-    p = sub.add_parser("implicit", help="solve f = 0 for x_k")
-    _add_space_flags(p)
-    p.add_argument("-e", required=True, metavar="EXPR", help="the series f")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_run_implicit)
-
-    p = sub.add_parser("split", help="even/odd decomposition in x_k")
-    _add_space_flags(p)
-    p.add_argument("-e", required=True, metavar="EXPR", help="the series f")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_run_split)
-
-    p = sub.add_parser(
-        "lemma", help="descend to the squared variable: f0 + x_k*f1")
-    _add_space_flags(p)
-    p.add_argument("-e", required=True, metavar="EXPR", help="the series f")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_run_lemma)
-
-    p = sub.add_parser(
-        "holo", help="extend a univariate series off the axis (u, v)")
-    p.add_argument("--trunc", type=_natural, required=True)
-    p.add_argument("-e", metavar="EXPR", help="univariate series h")
-    p.add_argument("--coeffs", metavar="LIST",
-                   help="comma-separated coefficients h0,h1,h2,...")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_run_holo)
-
-    p = sub.add_parser(
-        "cr-check", help="Cauchy-Riemann residuals of a (u, v) pair")
-    p.add_argument("--trunc", type=_natural, required=True)
-    p.add_argument("-g", metavar="EXPR", help="the real part u(x1, x2)")
-    p.add_argument("-f", metavar="EXPR", help="the imaginary part v(x1, x2)")
-    p.add_argument("-e", metavar="EXPR",
-                   help="univariate h; checks its binomial complexification")
-    p.add_argument("--coeffs", metavar="LIST",
-                   help="comma-separated coefficients h0,h1,h2,...")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_run_cr_check)
-
-    p = sub.add_parser(
-        "semigroup",
-        help="support membership of the prepared polynomial of f")
-    _add_space_flags(p)
-    p.add_argument("-e", required=True, metavar="EXPR", help="the series f")
-    p.add_argument("--order-shift", action="store_true",
-                   help="also close the reachable set under subtracting "
-                        "the distinguished monomial exponent")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_run_semigroup)
+    f = dict(required=True, metavar="EXPR", help="the series f")
+    coeffs = dict(metavar="LIST",
+                  help="comma-separated coefficients h0,h1,h2,...")
+    for name, handler, text, inputs in (
+        ("prepare", _run_prepare,
+         "factor f as unit * distinguished polynomial", {"-e": f}),
+        ("divide", _run_divide, "divide g by f with remainder in x_k", {
+            "-g": dict(required=True, metavar="EXPR", help="the dividend g"),
+            "-f": dict(required=True, metavar="EXPR", help="the divisor f")}),
+        ("implicit", _run_implicit, "solve f = 0 for x_k", {"-e": f}),
+        ("split", _run_split, "even/odd decomposition in x_k", {"-e": f}),
+        ("lemma", _run_lemma,
+         "descend to the squared variable: f0 + x_k*f1", {"-e": f}),
+        ("holo", _run_holo, "extend a univariate series off the axis (u, v)",
+         {"-e": dict(metavar="EXPR", help="univariate series h"),
+          "--coeffs": coeffs}),
+        ("cr-check", _run_cr_check,
+         "Cauchy-Riemann residuals of a (u, v) pair", {
+             "-g": dict(metavar="EXPR", help="the real part u(x1, x2)"),
+             "-f": dict(metavar="EXPR", help="the imaginary part v(x1, x2)"),
+             "-e": dict(metavar="EXPR", help="univariate h; checks its "
+                                             "binomial complexification"),
+             "--coeffs": coeffs}),
+        ("semigroup", _run_semigroup,
+         "support membership of the prepared polynomial of f", {
+             "-e": f,
+             "--order-shift": dict(
+                 action="store_true",
+                 help="also close the reachable set under subtracting "
+                      "the distinguished monomial exponent")}),
+    ):
+        # the shared flags keep one order, which usage lines show:
+        # --vars, --trunc, --var (the "space" commands), inputs, --json
+        p = sub.add_parser(name, help=text)
+        space = name not in ("holo", "cr-check")
+        if space:
+            p.add_argument("--vars", type=_positive, required=True,
+                           help="number of variables")
+        p.add_argument("--trunc", type=_natural, required=True,
+                       help="truncation degree")
+        if space:
+            p.add_argument("--var", type=_positive, required=True,
+                           help="distinguished variable index k")
+        for flag, spec in inputs.items():
+            p.add_argument(flag, **spec)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=handler)
     return top
 
 
 # ----------------------------------------------------------------------
-# handlers
+# handlers: each returns (its part of the JSON document, its text lines)
 # ----------------------------------------------------------------------
 
-def _check_k(args):
-    if not 1 <= args.var <= args.vars:
-        raise _UsageError(f"--var must be between 1 and {args.vars}")
-
-
-def _parse(args, text: str, nvars=None, trunc=None) -> Series:
-    return parse_series(text,
-                        args.vars if nvars is None else nvars,
-                        args.trunc if trunc is None else trunc)
+def _parse(args, text: str) -> Series:
+    return parse_series(text, args.vars, args.trunc)
 
 
 def _coeff_series(text: str, trunc: int) -> Series:
+    """``--coeffs h0,h1,...``: each entry is a constant of the expression
+    grammar, read with its guards."""
     terms = {}
     for j, piece in enumerate(text.split(",")):
         try:
-            value = Fraction(piece.strip())
-        except (ValueError, ZeroDivisionError):
-            raise _UsageError(f"bad coefficient {piece.strip()!r}")
-        if value:
-            terms[(j,)] = value
+            terms[(j,)] = parse_series(piece, 0, 0).constant_term()
+        except ExpressionError:
+            raise _UsageError(f"bad coefficient {piece.strip()!r}") from None
     return Series(1, trunc, terms)
 
 
-def _emit(doc: dict, lines: list, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in lines:
-            print(line)
-    return 0
-
-
-def _run_prepare(args) -> int:
-    _check_k(args)
-    f = _parse(args, args.e)
-    prep = weierstrass_prepare(f, args.var)
+def _run_prepare(args):
+    prep = weierstrass_prepare(_parse(args, args.e), args.var)
     poly = prep.poly
-    lines = [f"d = {poly.d}",
-             f"k = {poly.k}",
-             f"guaranteed_degree = {prep.guaranteed_degree}",
-             f"U = {prep.unit.canonical()}"]
-    for i, a in enumerate(poly.coeffs, start=1):
-        lines.append(f"a{i} = {a.canonical()}")
-    lines.append(f"P = {poly.expand().canonical()}")
-    doc = {"command": "prepare", "nvars": args.vars, "trunc": args.trunc,
-           "var": args.var, "result": prep.to_dict()}
-    return _emit(doc, lines, args.json)
+    return {"result": prep.to_dict()}, [
+        ("d", poly.d), ("k", poly.k),
+        ("guaranteed_degree", prep.guaranteed_degree), ("U", prep.unit),
+        *((f"a{i}", a) for i, a in enumerate(poly.coeffs, start=1)),
+        ("P", poly.expand())]
 
 
-def _run_divide(args) -> int:
-    _check_k(args)
-    g = _parse(args, args.g)
-    f = _parse(args, args.f)
-    division = weierstrass_divide(g, f, args.var)
-    lines = [f"d = {division.d}",
-             f"k = {division.k}",
-             f"guaranteed_degree = {division.guaranteed_degree}",
-             f"q = {division.quotient.canonical()}",
-             f"r = {division.remainder.canonical()}"]
-    doc = {"command": "divide", "nvars": args.vars, "trunc": args.trunc,
-           "var": args.var, "result": division.to_dict()}
-    return _emit(doc, lines, args.json)
+def _run_divide(args):
+    division = weierstrass_divide(_parse(args, args.g), _parse(args, args.f),
+                                  args.var)
+    return {"result": division.to_dict()}, [
+        ("d", division.d), ("k", division.k),
+        ("guaranteed_degree", division.guaranteed_degree),
+        ("q", division.quotient), ("r", division.remainder)]
 
 
-def _run_implicit(args) -> int:
-    _check_k(args)
-    f = _parse(args, args.e)
-    phi = solve_implicit(f, args.var)
-    lines = [f"guaranteed_degree = {phi.guaranteed_degree}",
-             f"solution = {phi.canonical()}"]
-    doc = {"command": "implicit", "nvars": args.vars, "trunc": args.trunc,
-           "var": args.var, "result": {"solution": phi.to_dict()}}
-    return _emit(doc, lines, args.json)
+def _run_implicit(args):
+    phi = solve_implicit(_parse(args, args.e), args.var)
+    return {"result": {"solution": phi.to_dict()}}, [
+        ("guaranteed_degree", phi.guaranteed_degree), ("solution", phi)]
 
 
-def _run_split(args) -> int:
-    _check_k(args)
-    f = _parse(args, args.e)
-    g0, g1 = even_odd_split(f, args.var)
-    lines = [f"g0 = {g0.canonical()}", f"g1 = {g1.canonical()}"]
-    doc = {"command": "split", "nvars": args.vars, "trunc": args.trunc,
-           "var": args.var,
-           "result": {"g0": g0.to_dict(), "g1": g1.to_dict()}}
-    return _emit(doc, lines, args.json)
+def _run_split(args):
+    g0, g1 = even_odd_split(_parse(args, args.e), args.var)
+    return ({"result": {"g0": g0.to_dict(), "g1": g1.to_dict()}},
+            [("g0", g0), ("g1", g1)])
 
 
-def _run_lemma(args) -> int:
-    _check_k(args)
-    if args.trunc < 4:
-        raise _UsageError("--trunc must be at least 4 for this command")
-    f = _parse(args, args.e)
-    split = split_square(f, args.var)
-    lines = [f"guaranteed_degree = {split.guaranteed_degree}",
-             f"f0 = {split.f0.canonical()}",
-             f"f1 = {split.f1.canonical()}"]
-    doc = {"command": "lemma", "nvars": args.vars, "trunc": args.trunc,
-           "var": args.var, "result": split.to_dict()}
-    return _emit(doc, lines, args.json)
+def _run_lemma(args):
+    split = split_square(_parse(args, args.e), args.var)
+    return {"result": split.to_dict()}, [
+        ("guaranteed_degree", split.guaranteed_degree),
+        ("f0", split.f0), ("f1", split.f1)]
 
 
 def _holo_input(args) -> Series:
@@ -257,28 +191,20 @@ def _holo_input(args) -> Series:
     return parse_series(args.e, 1, args.trunc)
 
 
-def _run_holo(args) -> int:
-    if args.trunc < 4:
-        raise _UsageError("--trunc must be at least 4 for this command")
-    h = _holo_input(args)
-    normalized, correction = normalize_cubic(h)
+def _run_holo(args):
+    normalized, correction = normalize_cubic(_holo_input(args))
     ext = holomorphic_extension(normalized)
     report = cauchy_riemann_check(ext)
-    lines = [f"correction = {correction.canonical()}",
-             f"normalized = {normalized.canonical()}",
-             f"guaranteed_degree = {ext.guaranteed_degree}",
-             f"u = {ext.u.canonical()}",
-             f"v = {ext.v.canonical()}",
-             f"CR: {'PASS' if report.passed else 'FAIL'}"]
-    doc = {"command": "holo", "trunc": args.trunc,
-           "correction": correction.to_dict(),
+    doc = {"correction": correction.to_dict(),
            "normalized": normalized.to_dict(),
            "result": ext.to_dict(),
            "cauchy_riemann": report.to_dict()}
-    return _emit(doc, lines, args.json)
+    return doc, [("correction", correction), ("normalized", normalized),
+                 ("guaranteed_degree", ext.guaranteed_degree),
+                 ("u", ext.u), ("v", ext.v), ("CR", report.passed)]
 
 
-def _run_cr_check(args) -> int:
+def _run_cr_check(args):
     pair_mode = args.g is not None or args.f is not None
     h_mode = args.e is not None or args.coeffs is not None
     if pair_mode == h_mode:
@@ -293,42 +219,32 @@ def _run_cr_check(args) -> int:
     else:
         ext = direct_complexification(_holo_input(args))
     report = cauchy_riemann_check(ext)
-    lines = [f"checked_degree = {report.checked_degree}",
-             f"residual1 = {report.residual1.canonical()}",
-             f"residual2 = {report.residual2.canonical()}",
-             f"CR: {'PASS' if report.passed else 'FAIL'}"]
-    doc = {"command": "cr-check", "trunc": args.trunc,
-           "result": report.to_dict()}
-    return _emit(doc, lines, args.json)
+    return {"result": report.to_dict()}, [
+        ("checked_degree", report.checked_degree),
+        ("residual1", report.residual1), ("residual2", report.residual2),
+        ("CR", report.passed)]
 
 
 def _expo_text(expo) -> str:
     return "(" + ",".join(str(e) for e in expo) + ")"
 
 
-def _run_semigroup(args) -> int:
-    _check_k(args)
+def _run_semigroup(args):
     f = _parse(args, args.e)
     prep = weierstrass_prepare(f, args.var)
     report = semigroup_check(prep.poly, f, order_shift=args.order_shift)
-    lines = [f"d = {prep.poly.d}",
-             f"k = {prep.poly.k}",
-             "generators = " + ", ".join(_expo_text(g)
-                                         for g in report.generators)]
+    lines = [("d", prep.poly.d), ("k", prep.poly.k),
+             ("generators", ", ".join(map(_expo_text, report.generators)))]
     for check in report.checks:
-        line = f"{_expo_text(check.exponent)}: member = "
-        line += "yes" if check.member else "no"
+        row = "no"
         if check.member:
-            line += ", witness = " + " + ".join(_expo_text(w)
-                                                for w in check.witness)
+            row = "yes, witness = " + " + ".join(map(_expo_text,
+                                                     check.witness))
             if check.shifts:
-                line += f", shifts = {check.shifts}"
-        lines.append(line)
-    lines.append(f"all_member = {'yes' if report.all_member else 'no'}")
-    doc = {"command": "semigroup", "nvars": args.vars, "trunc": args.trunc,
-           "var": args.var, "preparation": prep.to_dict(),
-           "result": report.to_dict()}
-    return _emit(doc, lines, args.json)
+                row += f", shifts = {check.shifts}"
+        lines.append((f"{_expo_text(check.exponent)}: member", row))
+    lines.append(("all_member", "yes" if report.all_member else "no"))
+    return {"preparation": prep.to_dict(), "result": report.to_dict()}, lines
 
 
 _KNOWN_FLAGS = {"-e", "-f", "-g", "-h", "--help", "--vars", "--trunc",
@@ -354,6 +270,14 @@ def _preprocess(argv: list) -> list:
     return out
 
 
+def _render(label: str, value) -> str:
+    if isinstance(value, Series):
+        value = value.canonical()
+    if label == "CR":
+        return f"CR: {'PASS' if value else 'FAIL'}"
+    return f"{label} = {value}"
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -361,8 +285,22 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_preprocess(list(argv)))
     except SystemExit as exc:
         return 0 if not exc.code else 2
+    head = {"command": args.command, "nvars": getattr(args, "vars", None),
+            "trunc": args.trunc, "var": getattr(args, "var", None)}
+    head = {key: value for key, value in head.items() if value is not None}
     try:
-        return args.handler(args)
+        if "var" in head and not 1 <= args.var <= args.vars:
+            raise _UsageError(f"--var must be between 1 and {args.vars}")
+        if args.command in ("lemma", "holo") and args.trunc < 4:
+            raise _UsageError("--trunc must be at least 4 for this command")
+        doc, lines = args.handler(args)
+        # all of the output is built before any of it is printed
+        if args.json:
+            out = json.dumps({**head, **doc}, indent=2)
+        else:
+            out = "\n".join(_render(label, v) for label, v in lines)
+        print(out)
+        return 0
     except (_UsageError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -316,6 +316,20 @@ def test_cli_huge_constant_power_is_rejected_before_it_is_built(power, code):
         assert done.stderr == "error: coefficient too large\n"
 
 
+@pytest.mark.parametrize("command", ["holo", "cr-check"])
+def test_cli_coeffs_in_exponent_notation_are_rejected_quickly(command):
+    # --coeffs entries are constants of the expression grammar; reading
+    # them as Fraction expanded 1e1000000 to a million-digit integer
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "wseries.cli", command, "--trunc", "4",
+         "--coeffs", "0,0,1,1,1e1000000"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: bad coefficient '1e1000000'\n"
+
+
 def test_huge_constant_power_is_an_expression_error():
     with pytest.raises(ExpressionError, match="coefficient too large"):
         parse_series("(1/3 + x1)^20000", 1, 2)
