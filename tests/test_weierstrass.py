@@ -270,12 +270,12 @@ def test_internal_error_when_quotient_degenerates(monkeypatch):
     # an impossible division result must be flagged, not silently inverted
     import wseries.weierstrass as wmod
 
-    class FakeDivision:
-        quotient = Series.zero(2, 8)
-        remainder = Series.zero(2, 8)
-        guaranteed_degree = 6
+    real = wmod._distinguished
 
-    monkeypatch.setattr(wmod, "weierstrass_divide",
-                        lambda g, f, k: FakeDivision())
+    def zero_quotient(f, k, d):
+        poly, _, unit_inv = real(f, k, d)
+        return poly, Series.zero(2, 8), unit_inv
+
+    monkeypatch.setattr(wmod, "_distinguished", zero_quotient)
     with pytest.raises(InternalInvariantError):
         weierstrass_prepare(S("x2^2 + x1", 2, 8), 2)
