@@ -13,6 +13,9 @@ A leading minus is part of a rational literal only, so ``-x1`` is not a
 valid expression; write ``-1*x1``.  The canonical printer in
 :mod:`wseries.series` emits exactly this language, making text output
 round-trippable.
+
+Variable indices are checked against the declared count as they are read:
+a syntax error anywhere wins, else the first variable past the count.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from math import log2
 
 from .errors import ExpressionError
-from .series import Series
+from .series import Series, _sum
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +78,7 @@ class Inv:
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<var>x(?P<varnum>\d+))"
+    r"|(?P<var>x\d+)"
     r"|(?P<inv>inv)"
     r"|(?P<nat>\d+)"
     r"|(?P<op>[-+*/^()])")
@@ -90,19 +93,18 @@ def _tokenize(text: str) -> list:
             raise ExpressionError(
                 f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":
-            kind = m.lastgroup
-            if kind == "varnum":
-                kind = "var"
-            tokens.append((kind, m.group(), pos))
+            tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, nvars: int):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nvars = nvars
+        self.too_high = None  # first variable index above nvars, if any
 
     def peek(self):
         if self.i < len(self.tokens):
@@ -164,6 +166,8 @@ class _Parser:
             index = int(value[1:])
             if index < 1:
                 raise ExpressionError("variable indices start at x1", pos)
+            if index > self.nvars and self.too_high is None:
+                self.too_high = index
             return Var(index)
         if kind == "inv":
             self.take()
@@ -203,42 +207,27 @@ class _Parser:
         return Lit(Fraction(numerator))
 
 
-#: the parser and ``evaluate`` recurse once per level of parentheses or
-#: ``inv`` (not per term of a sum), so input nested past the interpreter's
-#: recursion limit is rejected as malformed text
+#: the parser and ``evaluate``, the only passes over an expression, recurse
+#: once per level of parentheses or ``inv`` (not per term of a sum), so
+#: input nested past the recursion limit is rejected as malformed text
 _TOO_DEEP = "expression is nested too deeply"
 
 
 def parse_expression(text: str, nvars: int):
     """Parse ``text`` into a syntax tree, checking variable indices
-    against ``nvars``."""
-    parser = _Parser(text)
+    against ``nvars`` once the syntax is known to be sound."""
+    parser = _Parser(text, nvars)
     try:
         node = parser.expr()
         kind, value, pos = parser.peek()
         if kind is not None:
             raise ExpressionError(f"trailing input {value!r}", pos)
-        _check_vars(node, nvars)
     except RecursionError:
         raise ExpressionError(_TOO_DEEP) from None
+    if parser.too_high is not None:
+        raise ExpressionError(f"variable x{parser.too_high} exceeds the "
+                              f"declared {nvars} variables")
     return node
-
-
-def _check_vars(node, nvars: int):
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var) and node.index > nvars:
-            raise ExpressionError(
-                f"variable x{node.index} exceeds the declared {nvars} variables")
-        if isinstance(node, (Sum, Diff)):
-            stack += (node.right, node.left)
-        elif isinstance(node, Prod):
-            stack.extend(reversed(node.factors))
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Inv):
-            stack.append(node.arg)
 
 
 def evaluate(node, nvars: int, trunc: int) -> Series:
@@ -252,15 +241,11 @@ def evaluate(node, nvars: int, trunc: int) -> Series:
         while isinstance(node, (Sum, Diff)):
             chain.append(node)
             node = node.left
-        parts = [(1, evaluate(node, nvars, trunc))] + [
-            (1 if isinstance(step, Sum) else -1,
-             evaluate(step.right, nvars, trunc)) for step in reversed(chain)]
-        acc: dict = {}  # one table: adding part by part copies it per term
-        for sign, part in parts:
-            for e, c in part.terms.items():
-                acc[e] = acc.get(e, 0) + sign * c
-        return Series._make(nvars, trunc, {e: c for e, c in acc.items() if c},
-                            min(part.guaranteed_degree for _, part in parts))
+        parts = [evaluate(node, nvars, trunc)]
+        for step in reversed(chain):
+            part = evaluate(step.right, nvars, trunc)
+            parts.append(part if isinstance(step, Sum) else -part)
+        return _sum(parts)  # adding part by part would copy the table per term
     if isinstance(node, Prod):
         result = evaluate(node.factors[0], nvars, trunc)
         for f in node.factors[1:]:

@@ -381,15 +381,7 @@ def direct_complexification(h: Series) -> ComplexExtension:
         for j in range(m + 1):
             value = c * comb(m, j)
             target = u_terms if j % 2 == 0 else v_terms
-            if j % 4 >= 2:
-                value = -value
-            key = (m - j, j)
-            prev = target.get(key)
-            total = value if prev is None else prev + value
-            if total == 0:
-                target.pop(key, None)
-            else:
-                target[key] = total
+            target[(m - j, j)] = -value if j % 4 >= 2 else value
     gd = h.guaranteed_degree
     return ComplexExtension(Series(2, h.trunc, u_terms, gd),
                             Series(2, h.trunc, v_terms, gd), gd)

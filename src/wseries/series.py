@@ -69,10 +69,7 @@ class Series:
     def __init__(self, nvars: int, trunc: int,
                  terms: Mapping | None = None,
                  guaranteed_degree: int | None = None):
-        if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
-        if trunc < 0:
-            raise ValueError("trunc must be nonnegative")
+        _check_size(nvars, trunc)
         gd = trunc if guaranteed_degree is None else guaranteed_degree
         if not 0 <= gd <= trunc:
             raise ValueError("guaranteed_degree must lie in [0, trunc]")
@@ -134,14 +131,18 @@ class Series:
 
     @classmethod
     def constant(cls, value, nvars: int, trunc: int) -> "Series":
-        return cls(nvars, trunc, {(0,) * nvars: _coeff(value)})
+        c = _coeff(value)
+        _check_size(nvars, trunc)
+        return cls._make(nvars, trunc, {(0,) * nvars: c} if c else {}, trunc)
 
     @classmethod
     def variable(cls, k: int, nvars: int, trunc: int) -> "Series":
         """The series ``x_k`` (1-based index)."""
         _check_index(k, nvars)
-        expo = tuple(1 if i == k - 1 else 0 for i in range(nvars))
-        return cls(nvars, trunc, {expo: Fraction(1)})
+        _check_size(nvars, trunc)
+        expo = (0,) * (k - 1) + (1,) + (0,) * (nvars - k)
+        return cls._make(nvars, trunc, {expo: Fraction(1)} if trunc else {},
+                         trunc)
 
     @classmethod
     def monomial(cls, expo: Sequence[int], nvars: int, trunc: int,
@@ -288,20 +289,7 @@ class Series:
             other = Series.constant(other, self.nvars, self.trunc)
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_space(other)
-        trunc = min(self.trunc, other.trunc)
-        gd = min(self.guaranteed_degree, other.guaranteed_degree)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            v = acc.get(e)
-            s = c if v is None else v + c
-            if s == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-        if self.trunc != other.trunc:
-            acc = {e: c for e, c in acc.items() if sum(e) <= trunc}
-        return Series._make(self.nvars, trunc, acc, min(gd, trunc))
+        return _sum((self, other))
 
     __radd__ = __add__
 
@@ -411,7 +399,7 @@ class Series:
                 top += 1
             return cache[j]
 
-        acc = Series.zero(m, trunc)
+        parts = [Series.zero(m, trunc)]
         for expo, coeff in self._terms.items():
             if sum(expo) > trunc:
                 continue
@@ -419,8 +407,8 @@ class Series:
             for i, e in enumerate(expo):
                 if e:
                     prod = prod * power(i, e)
-            acc = acc + prod
-        return acc.with_guarantee(gd)
+            parts.append(prod)
+        return _sum(parts).with_guarantee(gd)
 
     def derivative(self, k: int) -> "Series":
         """Partial derivative in ``x_k``; certainty drops by one degree."""
@@ -504,6 +492,38 @@ class Series:
 def _check_index(k: int, nvars: int):
     if not isinstance(k, int) or not 1 <= k <= nvars:
         raise ValueError(f"variable index {k} out of range 1..{nvars}")
+
+
+def _check_size(nvars: int, trunc: int):
+    if nvars < 0:
+        raise ValueError("nvars must be nonnegative")
+    if trunc < 0:
+        raise ValueError("trunc must be nonnegative")
+
+
+def _sum(parts: Sequence[Series]) -> Series:
+    """The one loop that adds term tables: the sum of one or more series
+    in the same space, truncated at the smallest ``trunc`` and certified
+    through the smallest certificate (which is at most that ``trunc``).
+    It starts from a copy of the first table, so adding two series copies
+    no more than one of them."""
+    first, rest = parts[0], parts[1:]
+    for p in rest:
+        first._check_space(p)
+    trunc = min(p.trunc for p in parts)
+    acc = dict(first._terms)
+    for p in rest:
+        for e, c in p._terms.items():
+            v = acc.get(e)
+            s = c if v is None else v + c
+            if s == 0:
+                acc.pop(e, None)
+            else:
+                acc[e] = s
+    if any(p.trunc != trunc for p in parts):
+        acc = {e: c for e, c in acc.items() if sum(e) <= trunc}
+    return Series._make(first.nvars, trunc, acc,
+                        min(p.guaranteed_degree for p in parts))
 
 
 def _by_degree(terms: dict) -> list:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import FLAT, Series, _check_index, _graded_solve
+from .series import FLAT, Series, _check_index, _graded_solve, _sum
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,15 @@ class DistinguishedPoly:
     def expand(self) -> Series:
         """Embed back into the full space as a single series."""
         expo = tuple(self.d if i == self.k - 1 else 0 for i in range(self.nvars))
-        acc = Series.monomial(expo, self.nvars, self.trunc)
+        parts = [Series.monomial(expo, self.nvars, self.trunc)]
         gd = self.trunc
         for i, a in enumerate(self.coeffs, start=1):
             power = tuple(self.d - i if j == self.k - 1 else 0
                           for j in range(self.nvars))
-            acc = acc + a.embed_variable(self.k) * Series.monomial(
-                power, self.nvars, self.trunc)
+            parts.append(a.embed_variable(self.k) * Series.monomial(
+                power, self.nvars, self.trunc))
             gd = min(gd, a.guaranteed_degree + self.d - i)
-        return acc.with_guarantee(gd)
+        return _sum(parts).with_guarantee(gd)
 
     def to_dict(self) -> dict:
         return {

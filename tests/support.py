@@ -261,6 +261,26 @@ def reference_division_loop(g, f, k, d):
     raise InternalInvariantError("division iteration did not converge")
 
 
+def reference_add(self, other):
+    """Two-table series addition: copy the first table, then add the second
+    into it term by term, dropping zero sums.  The one n-ary sum of
+    :mod:`wseries.series` must match a fold of it table for table."""
+    self._check_space(other)
+    trunc = min(self.trunc, other.trunc)
+    gd = min(self.guaranteed_degree, other.guaranteed_degree)
+    acc = dict(self._terms)
+    for e, c in other._terms.items():
+        v = acc.get(e)
+        s = c if v is None else v + c
+        if s == 0:
+            acc.pop(e, None)
+        else:
+            acc[e] = s
+    if self.trunc != other.trunc:
+        acc = {e: c for e, c in acc.items() if sum(e) <= trunc}
+    return Series._make(self.nvars, trunc, acc, min(gd, trunc))
+
+
 def identical(a, b):
     """Same stored table, truncation and certificate."""
     return (a.same_data(b) and a.trunc == b.trunc

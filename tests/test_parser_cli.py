@@ -39,6 +39,21 @@ def test_variable_range_is_checked():
         parse_expression("x0", 2)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x3 +", "unexpected end of input (at position 4)"),
+    ("x3 x1", "trailing input 'x1' (at position 3)"),
+    ("(x3", "expected ')' (at position 3)"),
+    ("x1 + x4*x3", "variable x4 exceeds the declared 2 variables"),
+    ("inv(x5) + x3", "variable x5 exceeds the declared 2 variables"),
+    ("x3 + ?", "unexpected character '?' (at position 5)"),
+])
+def test_syntax_errors_win_over_the_first_variable_out_of_range(text,
+                                                                message):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text, 2)
+    assert str(err.value) == message
+
+
 def test_eval_examples():
     assert parse_series("(1+x1)*(1-x1)", 2, 3) == S("1 - x1^2", 2, 3)
     assert parse_series("inv(1-x1)", 1, 3) == S("1 + x1 + x1^2 + x1^3", 1, 3)

@@ -3,13 +3,15 @@ exponent surgery, and the certified-degree bookkeeping."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from support import (S, agree_through, identical, nonzero_rational,
                      random_exponent, random_series, random_unit,
-                     reference_inverse)
+                     reference_add, reference_inverse)
 from wseries import FLAT, PreconditionError, Series, term_sort_key
+from wseries.series import _sum
 
 
 # ----------------------------------------------------------------------
@@ -33,6 +35,34 @@ def test_constructor_validates_exponents():
         Series(2, 5, {(-1, 0): 1})
     with pytest.raises(ValueError):
         Series(2, 5, {}, guaranteed_degree=6)
+
+
+def test_leaf_constructors_match_the_public_constructor():
+    for nvars in range(4):
+        for trunc in range(3):
+            for value in (0, 1, -2, Fraction(-3, 2)):
+                leaf = Series.constant(value, nvars, trunc)
+                assert identical(
+                    leaf, Series(nvars, trunc, {(0,) * nvars: value}))
+                assert all(type(c) is Fraction for c in leaf.terms.values())
+            for k in range(1, nvars + 1):
+                expo = tuple(int(i == k - 1) for i in range(nvars))
+                leaf = Series.variable(k, nvars, trunc)
+                assert identical(leaf, Series(nvars, trunc, {expo: 1}))
+                assert all(type(c) is Fraction for c in leaf.terms.values())
+    for make, message in [
+            (lambda: Series.constant(1, -1, 3), "nvars must be nonnegative"),
+            (lambda: Series.constant(1, 2, -1), "trunc must be nonnegative"),
+            (lambda: Series.variable(1, 2, -1), "trunc must be nonnegative"),
+            (lambda: Series.variable(0, 2, 3),
+             "variable index 0 out of range 1..2"),
+            (lambda: Series.variable(3, 2, 3),
+             "variable index 3 out of range 1..2"),
+            (lambda: Series.variable(1, -1, 3),
+             "variable index 1 out of range 1..-1")]:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
 
 def test_series_is_immutable():
@@ -98,6 +128,34 @@ def test_add_examples():
 def test_add_requires_matching_spaces():
     with pytest.raises(ValueError):
         S("x1", 2, 5) + S("x1", 3, 5)
+
+
+def test_sum_matches_folding_two_table_addition():
+    """One to six parts with unequal truncations and certificates; some
+    parts cancel earlier ones, term by term or to zero."""
+    rng = random.Random(909)
+    cancelled = 0
+    for nvars in range(1, 5):
+        for _ in range(40):
+            parts = []
+            for _ in range(rng.randint(1, 5)):
+                trunc = rng.randint(0, 6)
+                s = random_series(rng, nvars, trunc, nterms=rng.randint(0, 6))
+                parts.append(s.with_guarantee(rng.randint(0, trunc)))
+            if rng.random() < 0.3:
+                parts.append(-rng.choice(parts))
+            elif rng.random() < 0.3:
+                parts.append(-reduce(reference_add, parts))
+            expected = reduce(reference_add, parts)
+            got = _sum(parts)
+            assert identical(got, expected), parts
+            assert all(type(c) is Fraction for c in got.terms.values())
+            cancelled += got.is_zero() and len(parts) > 1
+    assert cancelled
+    a, b = S("x1", 2, 5), S("x1", 3, 5)
+    with pytest.raises(ValueError) as err:
+        _sum([a, a, b])
+    assert str(err.value) == "variable-count mismatch: 2 vs 3"
 
 
 def test_mul_examples():
