@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import log2
 
 from .errors import ExpressionError
-from .series import Series, _sum
+from .series import Series, _check_size, _sum
 
 
 # ----------------------------------------------------------------------
@@ -232,10 +232,8 @@ def parse_expression(text: str, nvars: int):
 
 def evaluate(node, nvars: int, trunc: int) -> Series:
     """Evaluate a syntax tree to a truncated series."""
-    if isinstance(node, Lit):
-        return Series.constant(node.value, nvars, trunc)
-    if isinstance(node, Var):
-        return Series.variable(node.index, nvars, trunc)
+    if _is_monomial(node):
+        return _monomial([node], nvars, trunc)
     if isinstance(node, (Sum, Diff)):
         chain = []  # walked in a loop: a flat sum must not recurse per term
         while isinstance(node, (Sum, Diff)):
@@ -247,9 +245,13 @@ def evaluate(node, nvars: int, trunc: int) -> Series:
             parts.append(part if isinstance(step, Sum) else -part)
         return _sum(parts)  # adding part by part would copy the table per term
     if isinstance(node, Prod):
-        result = evaluate(node.factors[0], nvars, trunc)
-        for f in node.factors[1:]:
-            result = result * evaluate(f, nvars, trunc)
+        # the rationals and variable powers of a product (all of a printed
+        # term) make one term; only its other factors multiply series
+        result = _monomial([f for f in node.factors if _is_monomial(f)],
+                           nvars, trunc)
+        for f in node.factors:
+            if not _is_monomial(f):
+                result = result * evaluate(f, nvars, trunc)
         return result
     if isinstance(node, Pow):
         base = evaluate(node.base, nvars, trunc)
@@ -258,6 +260,28 @@ def evaluate(node, nvars: int, trunc: int) -> Series:
     if isinstance(node, Inv):
         return evaluate(node.arg, nvars, trunc).inverse()
     raise TypeError(f"not a syntax node: {node!r}")
+
+
+def _is_monomial(node) -> bool:
+    return isinstance(node, (Lit, Var)) or (isinstance(node, Pow)
+                                            and isinstance(node.base, Var))
+
+
+def _monomial(factors: list, nvars: int, trunc: int) -> Series:
+    """The product of rationals, variables and variable powers as one
+    term, built directly: a term past ``trunc`` gives zero, and the result
+    is certified through ``trunc``, as the product of the factors is."""
+    _check_size(nvars, trunc)
+    coeff, expo = Fraction(1), [0] * nvars
+    for f in factors:
+        if isinstance(f, Lit):
+            coeff *= f.value
+        else:
+            var, power = (f, 1) if isinstance(f, Var) else (f.base, f.exponent)
+            expo[var.index - 1] += power
+    keep = coeff and sum(expo) <= trunc
+    return Series._make(nvars, trunc, {tuple(expo): coeff} if keep else {},
+                        trunc)
 
 
 def _check_power_size(c: Fraction, exponent: int):

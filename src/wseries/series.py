@@ -1,8 +1,13 @@
 """Truncated multivariate formal power series over exact rationals.
 
 A :class:`Series` stores finitely many monomial coefficients, all of total
-degree <= ``trunc``.  Coefficients are :class:`fractions.Fraction`, so every
-operation is exact; a coefficient that prints as zero really is zero.
+degree <= ``trunc``.  Stored coefficients are :class:`fractions.Fraction`,
+so every operation is exact; a coefficient that prints as zero really is
+zero.  The product kernel and the graded recurrence under ``*``,
+:meth:`Series.inverse` and Weierstrass division work in ``int`` numerators
+over one common denominator, with each exponent packed into one ``int`` key
+(:class:`_Keys`), and turn terms back into exponent tuples and ``Fraction``
+coefficients only on output.
 
 Alongside the truncation bound each value carries a ``guaranteed_degree``:
 the total degree up to which its coefficients are certified to agree with
@@ -22,7 +27,8 @@ returns a new Series.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
@@ -320,10 +326,15 @@ class Series:
         self._check_space(other)
         trunc = min(self.trunc, other.trunc)
         gd = min(self.guaranteed_degree, other.guaranteed_degree, trunc)
-        acc = _convolve({}, _by_degree(self._terms),
-                        _by_degree(other._terms), trunc)
-        return Series._make(self.nvars, trunc,
-                            {e: v for e, v in acc.items() if v}, gd)
+        keys = _Keys(self.nvars, trunc)
+        (xs, dx), (ys, dy) = keys.pack(self._terms), keys.pack(other._terms)
+        xs.sort()
+        ys.sort()
+        acc = _products({}, xs, ys, keys.limit)
+        den = dx * dy
+        nonzero = [k for k, v in acc.items() if v]
+        return Series._make(self.nvars, trunc, keys.table(
+            nonzero, [Fraction(acc[k], den) for k in nonzero]), gd)
 
     __rmul__ = __mul__
 
@@ -363,7 +374,9 @@ class Series:
             raise PreconditionError("series is not a unit: constant term is zero")
         one = (0,) * self.nvars
         b = {e: -v / c for e, v in self._terms.items() if e != one}
-        q, _ = _graded_solve({one: 1 / c}, b, self.trunc, sum, lambda e: e)
+        keys = _Keys(self.nvars, self.trunc)
+        q, _ = _graded_solve({one: 1 / c}, b, keys,
+                             lambda k: k // keys.top, lambda k: k)
         return Series._make(self.nvars, self.trunc, q, self.guaranteed_degree)
 
     def compose(self, gs: Sequence["Series"]) -> "Series":
@@ -526,53 +539,111 @@ def _sum(parts: Sequence[Series]) -> Series:
                         min(p.guaranteed_degree for p in parts))
 
 
-def _by_degree(terms: dict) -> list:
-    """The ``(degree, expo, coeff)`` items of a term table, by degree."""
-    return sorted((sum(e), e, c) for e, c in terms.items())
+class _Keys:
+    """Kronecker packing of exponents (Monagan & Pearce, CASC 2007): for
+    ``nvars`` variables at truncation ``trunc`` the exponent ``e`` of total
+    degree ``deg`` packs to the int ``deg*R^n + sum_i e_i*R^(n-i)`` with
+    radix ``R = trunc + 1``.  The degree is the top digit and ``e_1`` the
+    next, so ordering by key is ordering by degree, then by the exponent
+    tuple, and packed tables come out in the order of their tuple tables.
+
+    Adding keys adds exponents: when ``deg(x) + deg(y) <= trunc``, every
+    digit sum ``e_i + e'_i`` is at most ``deg(x) + deg(y) < R``, so no digit
+    carries, and the sum is below ``limit = (trunc+1)*R^n``.  When
+    ``deg(x) + deg(y) > trunc`` the degree digit alone puts the sum at or
+    above ``limit``.  So truncation is the one comparison ``kx + ky <
+    limit``, and every key that passes it is carry-free.  A term above the
+    truncation (from an operand truncated higher) packs at or above
+    ``limit`` whatever its digits, so it never passes."""
+
+    __slots__ = ("radix", "top", "limit", "_places", "_weights")
+
+    def __init__(self, nvars: int, trunc: int):
+        self.radix = r = trunc + 1
+        self.top = r ** nvars
+        self.limit = r * self.top
+        self._places = [r ** (nvars - i) for i in range(1, nvars + 1)]
+        self._weights = [p + self.top for p in self._places]
+
+    def place(self, k: int) -> int:
+        """The place value ``R^(n-k)`` of the digit of ``x_k``."""
+        return self._places[k - 1]
+
+    def table(self, keys: list, coeffs) -> dict:
+        """The term table of the exponents unpacked from ``keys``, digit by
+        digit for all keys at once, mapped to ``coeffs`` in order."""
+        r, places = self.radix, self._places
+        columns = [[k // p % r for k in keys] for p in places]
+        return dict(zip(zip(*columns) if places else [()] * len(keys), coeffs))
+
+    def pack(self, terms: dict) -> tuple:
+        """``(items, D)``: the ``(key, numerator)`` pairs of a term table in
+        table order, with ``D`` the lcm of its denominators and every
+        coefficient equal to ``numerator / D``."""
+        den, w = lcm(*[c.denominator for c in terms.values()]), self._weights
+        return [(sum(map(mul, e, w)), c.numerator * (den // c.denominator))
+                for e, c in terms.items()], den
 
 
-def _convolve(acc: dict, xs: list, ys: list, trunc: int) -> dict:
-    """The one convolution kernel: add into ``acc`` every product of a term
-    of ``xs`` and one of ``ys`` (:func:`_by_degree` items) of degree at most
-    ``trunc``.  Zero sums are left in ``acc``."""
-    for dx, ex, cx in xs:
-        for dy, ey, cy in ys:
-            if dx + dy > trunc:
+def _products(acc: dict, xs: list, ys: list, limit: int) -> dict:
+    """The one product kernel: add ``nx*ny`` into ``acc[kx + ky]`` for every
+    pair of packed items of ``xs`` and ``ys`` whose key sum is below
+    ``limit`` (see :class:`_Keys`); ``ys`` must be sorted by key.  Zero sums
+    are left in ``acc``."""
+    for kx, nx in xs:
+        bound = limit - kx
+        for ky, ny in ys:
+            if ky >= bound:
                 break
-            key = tuple(map(add, ex, ey))
-            v = acc.get(key)
-            p = cx * cy
-            acc[key] = p if v is None else v + p
+            k = kx + ky
+            acc[k] = acc.get(k, 0) + nx * ny
     return acc
 
 
-def _graded_solve(a: dict, b: dict, trunc: int, grade, fold) -> tuple:
-    """Solve ``q = fold(a + q*b)`` on term tables, products truncated at
-    degree ``trunc``; ``rest`` gets the terms that ``fold`` (exponent to
-    exponent) maps to ``None``.  ``grade`` must be additive, kept by ``fold``
-    and positive on every term of ``b``: then the grade-m part of ``a +
-    q*b``, ``a_m + sum_{j>=1} q_(m-j) * b_j``, reads lower grades of ``q``
-    only, so one walk up the grades reachable from ``a`` by those of ``b``
-    solves it, multiplying each pair of terms once."""
-    parts_a, parts_b, parts_q, rest = {}, {}, {}, {}
-    for terms, parts in ((a, parts_a), (b, parts_b)):
-        for e, c in terms.items():
-            parts.setdefault(grade(e), {})[e] = c
-    parts_b = {j: _by_degree(part) for j, part in parts_b.items()}
+def _graded_solve(a: dict, b: dict, keys: _Keys, grade, fold) -> tuple:
+    """Solve ``q = fold(a + q*b)`` on term tables, products truncated by
+    ``keys``; ``rest`` gets the terms that ``fold`` maps to ``None``.
+    ``grade`` and ``fold`` act on packed keys.  ``grade`` must be additive,
+    kept by ``fold`` and positive on every term of ``b``: then the grade-m
+    part of ``a + q*b``, ``a_m + sum_{j>=1} q_(m-j) * b_j``, reads lower
+    grades of ``q`` only (Brent & Kung, J. ACM 1978), so one walk up the
+    grades reachable from ``a`` by those of ``b`` solves it, multiplying
+    each pair of terms once.  Each grade is summed in int numerators over
+    one common denominator and then reduced by the gcd of its numerators
+    and that denominator; a term becomes an exponent and a ``Fraction``
+    only when it leaves."""
+    (items_a, da), (items_b, db) = keys.pack(a), keys.pack(b)
+    parts_a, parts_b, parts_q = {}, {}, {}
+    rest_keys, rest_coeffs = [], []
+    for items, parts in ((items_a, parts_a), (items_b, parts_b)):
+        for k, n in items:
+            parts.setdefault(grade(k), []).append((k, n))
+    for b_j in parts_b.values():
+        b_j.sort()
     todo = set(parts_a)
     while todo:
         todo.remove(m := min(todo))
-        acc = parts_a.get(m, {})
-        for j, b_j in parts_b.items():
-            if m - j in parts_q:
-                _convolve(acc, parts_q[m - j], b_j, trunc)
+        a_m = parts_a.get(m, [])
+        reads = [(parts_q[m - j], b_j) for j, b_j in parts_b.items()
+                 if m - j in parts_q]
+        den = lcm(da if a_m else 1, *[dq * db for (_, dq), _ in reads])
+        acc = {k: n * (den // da) for k, n in a_m}
+        for (q_j, dq), b_j in reads:
+            if (s := den // (dq * db)) != 1:
+                q_j = [(k, n * s) for k, n in q_j]
+            _products(acc, q_j, b_j, keys.limit)
         part = {}
-        for e, v in acc.items():
-            if v and (new := fold(e)) is not None:
+        for k, v in acc.items():
+            if v and (new := fold(k)) is not None:
                 part[new] = v
             elif v:
-                rest[e] = v
+                rest_keys.append(k)
+                rest_coeffs.append(Fraction(v, den))
         if part:
-            parts_q[m] = _by_degree(part)
+            g = gcd(den, *part.values())
+            parts_q[m] = sorted((k, v // g) for k, v in part.items()), den // g
             todo.update(m + j for j in parts_b)
-    return {e: v for part in parts_q.values() for _, e, v in part}, rest
+    q = keys.table([k for q_m, _ in parts_q.values() for k, _ in q_m],
+                   [Fraction(v, dq) for q_m, dq in parts_q.values()
+                    for _, v in q_m])
+    return q, keys.table(rest_keys, rest_coeffs)

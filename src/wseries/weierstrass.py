@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import FLAT, Series, _check_index, _graded_solve, _sum
+from .series import FLAT, Series, _Keys, _check_index, _graded_solve, _sum
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,14 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     unit_inv = high.inverse()
     b = -(unit_inv * low)
     gd = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
+    # on packed keys the grade is the degree less the x_k digit, and H
+    # takes d off both
+    keys = _Keys(g.nvars, g.trunc)
+    r, top, place = keys.radix, keys.top, keys.place(k)
+    shift = d * place + d * top
     quot, rem = (Series._make(g.nvars, g.trunc, t, gd) for t in _graded_solve(
-        g.terms, b.terms, g.trunc, lambda e: sum(e) - e[k - 1],
-        lambda e: e[:k - 1] + (e[k - 1] - d,) + e[k:] if e[k - 1] >= d
-        else None))
+        g.terms, b.terms, keys, lambda e: e // top - e // place % r,
+        lambda e: e - shift if e // place % r >= d else None))
     return quot, rem, unit_inv
 
 

@@ -6,6 +6,7 @@ exercises identical cases; failures are therefore reproducible verbatim.
 
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import add
 
 from wseries import InternalInvariantError, Series, parse_series, pipelines
 
@@ -279,6 +280,70 @@ def reference_add(self, other):
     if self.trunc != other.trunc:
         acc = {e: c for e, c in acc.items() if sum(e) <= trunc}
     return Series._make(self.nvars, trunc, acc, min(gd, trunc))
+
+
+def _by_degree(terms: dict) -> list:
+    """The ``(degree, expo, coeff)`` items of a term table, by degree."""
+    return sorted((sum(e), e, c) for e, c in terms.items())
+
+
+def reference_convolve(acc: dict, xs: list, ys: list, trunc: int) -> dict:
+    """The tuple-keyed ``Fraction`` convolution kernel that
+    :mod:`wseries.series` used before its packed integer kernel: add into
+    ``acc`` every product of a term of ``xs`` and one of ``ys``
+    (:func:`_by_degree` items) of degree at most ``trunc``.  Zero sums are
+    left in ``acc``."""
+    for dx, ex, cx in xs:
+        for dy, ey, cy in ys:
+            if dx + dy > trunc:
+                break
+            key = tuple(map(add, ex, ey))
+            v = acc.get(key)
+            p = cx * cy
+            acc[key] = p if v is None else v + p
+    return acc
+
+
+def reference_mul(x, y):
+    """``x * y`` through :func:`reference_convolve`: the product that
+    :meth:`Series.__mul__` formed before its packed integer kernel."""
+    trunc = min(x.trunc, y.trunc)
+    acc = reference_convolve({}, _by_degree(x.terms), _by_degree(y.terms),
+                             trunc)
+    gd = min(x.guaranteed_degree, y.guaranteed_degree, trunc)
+    return Series._make(x.nvars, trunc, {e: v for e, v in acc.items() if v},
+                        gd)
+
+
+def reference_graded_solve(a: dict, b: dict, trunc: int, grade, fold) -> tuple:
+    """The tuple-keyed ``Fraction`` graded recurrence that
+    :mod:`wseries.series` used before its packed integer one: solve ``q =
+    fold(a + q*b)`` on term tables, products truncated at degree
+    ``trunc``; ``rest`` gets the terms that ``fold`` (exponent to exponent)
+    maps to ``None``.  ``grade`` must be additive, kept by ``fold`` and
+    positive on every term of ``b``."""
+    parts_a, parts_b, parts_q, rest = {}, {}, {}, {}
+    for terms, parts in ((a, parts_a), (b, parts_b)):
+        for e, c in terms.items():
+            parts.setdefault(grade(e), {})[e] = c
+    parts_b = {j: _by_degree(part) for j, part in parts_b.items()}
+    todo = set(parts_a)
+    while todo:
+        todo.remove(m := min(todo))
+        acc = parts_a.get(m, {})
+        for j, b_j in parts_b.items():
+            if m - j in parts_q:
+                reference_convolve(acc, parts_q[m - j], b_j, trunc)
+        part = {}
+        for e, v in acc.items():
+            if v and (new := fold(e)) is not None:
+                part[new] = v
+            elif v:
+                rest[e] = v
+        if part:
+            parts_q[m] = _by_degree(part)
+            todo.update(m + j for j in parts_b)
+    return {e: v for part in parts_q.values() for _, e, v in part}, rest
 
 
 def identical(a, b):

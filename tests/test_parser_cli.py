@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from support import S, random_series
+from support import S, identical, random_series
 from wseries import (ExpressionError, InternalInvariantError,
                      PreconditionError, Series, parse_expression,
                      parse_series)
@@ -98,6 +98,47 @@ def test_deep_nesting_is_an_expression_error():
         S("5000*x1", 1, 4))
     assert parse_series("(" * 100 + "x1" + ")" * 100, 1, 4).same_data(
         S("x1", 1, 4))
+
+
+def _by_series_products(node, nvars, trunc):
+    """A product or power of rationals and variables, formed the way the
+    parser once did: one ``Series`` product per factor, ``**`` for a
+    power."""
+    if isinstance(node, Lit):
+        return Series.constant(node.value, nvars, trunc)
+    if isinstance(node, Var):
+        return Series.variable(node.index, nvars, trunc)
+    if isinstance(node, Pow):
+        return _by_series_products(node.base, nvars, trunc) ** node.exponent
+    result = _by_series_products(node.factors[0], nvars, trunc)
+    for f in node.factors[1:]:
+        result = result * _by_series_products(f, nvars, trunc)
+    return result
+
+
+@pytest.mark.parametrize("text", [
+    "x2^3", "x2^4", "x2^5", "x1^0", "x3^0*x1", "x2^2000000000",
+    "3/2*x1^2*x3*x1", "x1*0*x2", "-1/3*x2^2*2*x2^0", "x1*x2*x3*x1*x2"])
+def test_monomial_factors_build_their_term_directly(text):
+    # the rationals and variable powers of a product make one term; its
+    # table and certificate are those of the series products they replace
+    node = parse_expression(text, 3)
+    for trunc in range(6):
+        got = parse_series(text, 3, trunc)
+        assert identical(got, _by_series_products(node, 3, trunc)), trunc
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_products_of_monomials_and_other_factors():
+    assert parse_series("x1*(1 + x2)^2*2*x3", 3, 5).same_data(
+        S("2*x1*x3 + 4*x1*x2*x3 + 2*x1*x2^2*x3", 3, 5))
+    assert parse_series("1/2*inv(1 + x1)*x2^2", 3, 4).same_data(
+        S("1/2*x2^2 + -1/2*x1*x2^2 + 1/2*x1^2*x2^2", 3, 4))
+    assert parse_series("(x1 + x2)*(x1 - x2)", 2, 4).same_data(
+        S("x1^2 + -1*x2^2", 2, 4))
+    for text in ("3", "x1", "x1^2", "2*x1"):
+        with pytest.raises(ValueError, match="trunc must be nonnegative"):
+            parse_series(text, 1, -1)
 
 
 def test_parse_inverts_canonical_printing():

@@ -9,8 +9,9 @@ import pytest
 
 from support import (S, agree_through, identical, nonzero_rational,
                      random_exponent, random_series, random_unit,
-                     reference_add, reference_inverse)
-from wseries import FLAT, PreconditionError, Series, term_sort_key
+                     reference_add, reference_graded_solve,
+                     reference_inverse, reference_mul)
+from wseries import FLAT, PreconditionError, Series, term_sort_key, weierstrass
 from wseries.series import _sum
 
 
@@ -280,6 +281,116 @@ def test_inverse_matches_fixpoint_reference():
             for u in (dense, sparse):
                 u = u.with_guarantee(rng.randint(0, trunc))
                 assert identical(u.inverse(), reference_inverse(u)), u
+
+
+# ----------------------------------------------------------------------
+# the packed integer kernel against the tuple-keyed Fraction kernel
+# ----------------------------------------------------------------------
+
+def _tuple_inverse(u):
+    c = u.constant_term()
+    one = (0,) * u.nvars
+    b = {e: -v / c for e, v in u.terms.items() if e != one}
+    q, _ = reference_graded_solve({one: 1 / c}, b, u.trunc, sum, lambda e: e)
+    return Series._make(u.nvars, u.trunc, q, u.guaranteed_degree)
+
+
+def _tuple_division_loop(g, f, k, d):
+    low, high = f.split_in_variable(k, d)
+    unit_inv = _tuple_inverse(high)
+    b = -reference_mul(unit_inv, low)
+    gd = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
+    quot, rem = (Series._make(g.nvars, g.trunc, t, gd)
+                 for t in reference_graded_solve(
+                     g.terms, b.terms, g.trunc, lambda e: sum(e) - e[k - 1],
+                     lambda e: e[:k - 1] + (e[k - 1] - d,) + e[k:]
+                     if e[k - 1] >= d else None))
+    return quot, rem, unit_inv
+
+
+def _wide_coeff(rng):
+    """Small rationals and ones with numerators and denominators up to
+    2^40, so common denominators run to hundreds of bits."""
+    if rng.random() < 0.5:
+        return nonzero_rational(rng)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** 40),
+                    rng.randint(1, 2 ** 40))
+
+
+def _kernel_table(rng, nvars, trunc, size, lo=0):
+    """Up to ``size`` terms of degree ``lo`` to ``trunc`` (at most the
+    constant term when there are no variables)."""
+    if not nvars or lo > trunc:
+        const = size and not lo
+        return Series(nvars, trunc,
+                      {(0,) * nvars: _wide_coeff(rng)} if const else {})
+    return Series(nvars, trunc, {random_exponent(rng, nvars, lo, trunc):
+                                 _wide_coeff(rng) for _ in range(size)})
+
+
+def _kernel_spaces():
+    for nvars in (0, 1, 2, 3, 4, 32):
+        for trunc in range(5 if nvars == 32 else 13):
+            yield nvars, trunc
+
+
+def _same_table(new, old):
+    """Same table in the same order, with ``Fraction`` coefficients, the
+    same truncation and the same certificate."""
+    return (identical(new, old)
+            and list(new.terms.items()) == list(old.terms.items())
+            and all(type(c) is Fraction for c in new.terms.values()))
+
+
+def test_packed_products_match_the_tuple_kernel():
+    rng = random.Random(4101)
+    for nvars, trunc in _kernel_spaces():
+        for size_x, size_y in ((0, 3), (1, 1), (1, 6), (5, 8)):
+            x = _kernel_table(rng, nvars, trunc, size_x)
+            y = _kernel_table(rng, nvars, rng.randint(trunc, trunc + 3),
+                              size_y).with_guarantee(rng.randint(0, trunc))
+            for a, b in ((x, y), (y, x)):
+                assert _same_table(a * b, reference_mul(a, b)), (a, b)
+    # sums that cancel to zero leave no term behind
+    p, m = S("1 + x1 + x2", 2, 2), S("1 - x1 + x2", 2, 2)
+    assert _same_table(p * m, reference_mul(p, m))
+    assert (p * m).terms == {(0, 0): 1, (0, 1): 2, (2, 0): -1, (0, 2): 1}
+    assert (S("x1 - x2", 2, 1) * S("x1 + x2", 2, 1)).is_zero()
+    # a digit sum past the truncation is dropped, never carried into the
+    # next digit, also from an operand truncated higher
+    x = Series(2, 4, {(3, 0): 2, (0, 2): 1})
+    y = Series(2, 9, {(2, 0): 3, (0, 0): 1, (0, 9): 5, (9, 0): 7})
+    assert (x * y).terms == {(3, 0): 2, (0, 2): 1, (2, 2): 3}
+    assert _same_table(x * y, reference_mul(x, y))
+
+
+def test_packed_inverse_matches_the_tuple_recurrence():
+    rng = random.Random(4102)
+    for nvars, trunc in _kernel_spaces():
+        for size in (0, 1, 6):
+            u = _kernel_table(rng, nvars, trunc, size, lo=1)
+            u = (u + _wide_coeff(rng)).with_guarantee(rng.randint(0, trunc))
+            assert _same_table(u.inverse(), _tuple_inverse(u)), u
+
+
+def test_packed_division_loop_matches_the_tuple_recurrence():
+    rng = random.Random(4103)
+    for nvars, trunc in _kernel_spaces():
+        ks = range(1, min(nvars, 4) + 1) if nvars < 32 else (1, 2, 4, 32)
+        for k in ks:
+            for d in range(min(trunc, 3) + 1):
+                # order exactly d on the x_k axis
+                axis = tuple(d if i == k - 1 else 0 for i in range(nvars))
+                extra = _kernel_table(rng, nvars, trunc, 5, lo=1).terms
+                f = Series(nvars, trunc, {
+                    **{e: c for e, c in extra.items() if e[k - 1] >= d
+                       or any(v for i, v in enumerate(e) if i != k - 1)},
+                    axis: _wide_coeff(rng)})
+                for size in (0, 1, 6):
+                    g = _kernel_table(rng, nvars, trunc, size)
+                    new = weierstrass._division_loop(g, f, k, d)
+                    old = _tuple_division_loop(g, f, k, d)
+                    assert all(map(_same_table, new, old)), (g, f, k, d)
 
 
 # ----------------------------------------------------------------------
