@@ -20,7 +20,8 @@ of the handler's keys, and the text lines ``label = value`` (a series by
 :meth:`Series.canonical`, the verdict as ``CR: PASS`` or ``CR: FAIL``).
 
 Exit codes: 0 success, 2 parse or usage error (or a coefficient of more
-than 4300 digits), 3 mathematical precondition violation (flat order,
+than 4300 digits, or an input too large to build in memory, such as
+``--vars 1000000000``), 3 mathematical precondition violation (flat order,
 non-unit inverse), 4 internal invariant breach.  Results go to stdout,
 diagnostics to stderr.
 
@@ -309,6 +310,9 @@ def main(argv=None) -> int:
         if "integer string conversion" not in str(exc):
             raise
         print(f"error: coefficient too large: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

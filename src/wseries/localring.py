@@ -29,7 +29,7 @@ def solve_implicit(f: Series, k: int) -> Series:
     if f.order_in(k) != 1:
         raise PreconditionError(
             f"implicit solve requires a nonzero linear coefficient in x{k}")
-    _, rem, _ = _division_loop(Series.variable(k, f.nvars, f.trunc), f, k, 1)
+    rem = _division_loop(Series.variable(k, f.nvars, f.trunc), f, k, 1)[1]
     return rem.drop_variable(k).with_guarantee(f.guaranteed_degree)
 
 

@@ -4,10 +4,14 @@ A :class:`Series` stores finitely many monomial coefficients, all of total
 degree <= ``trunc``.  Stored coefficients are :class:`fractions.Fraction`,
 so every operation is exact; a coefficient that prints as zero really is
 zero.  The product kernel and the graded recurrence under ``*``,
-:meth:`Series.inverse` and Weierstrass division work in ``int`` numerators
-over one common denominator, with each exponent packed into one ``int`` key
-(:class:`_Keys`), and turn terms back into exponent tuples and ``Fraction``
-coefficients only on output.
+:meth:`Series.inverse` and Weierstrass division work on packed tables:
+``(key, numerator)`` items over one positive common denominator, with each
+exponent packed into one ``int`` key (:class:`_Keys`).  Weierstrass division
+and preparation stay packed from input to output: they pack their inputs
+once, split, invert, multiply and solve on packed tables, and decode to
+exponent tuples and ``Fraction`` coefficients once for each series they
+return.  ``_remap``, :func:`_sum`, :meth:`Series.compose` and negation
+still work on the decoded tables.
 
 Alongside the truncation bound each value carries a ``guaranteed_degree``:
 the total degree up to which its coefficients are certified to agree with
@@ -327,14 +331,8 @@ class Series:
         trunc = min(self.trunc, other.trunc)
         gd = min(self.guaranteed_degree, other.guaranteed_degree, trunc)
         keys = _Keys(self.nvars, trunc)
-        (xs, dx), (ys, dy) = keys.pack(self._terms), keys.pack(other._terms)
-        xs.sort()
-        ys.sort()
-        acc = _products({}, xs, ys, keys.limit)
-        den = dx * dy
-        nonzero = [k for k, v in acc.items() if v]
-        return Series._make(self.nvars, trunc, keys.table(
-            nonzero, [Fraction(acc[k], den) for k in nonzero]), gd)
+        product = _times(keys, keys.pack(self._terms), keys.pack(other._terms))
+        return Series._make(self.nvars, trunc, _decode(keys, [product]), gd)
 
     __rmul__ = __mul__
 
@@ -365,18 +363,13 @@ class Series:
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term).
 
-        With ``c`` the constant term, ``q = 1/c + q*b`` for ``b = 1 -
-        self/c``: :func:`_graded_solve` solves it graded by total degree,
-        which is positive on every term of ``b``.  The result is exact
-        through the truncation, so the certified degree is preserved."""
-        c = self.constant_term()
-        if c == 0:
+        Packs the table, runs the packed :func:`_inverse` and decodes its
+        parts once.  The result is exact through the truncation, so the
+        certified degree is preserved."""
+        if self.constant_term() == 0:
             raise PreconditionError("series is not a unit: constant term is zero")
-        one = (0,) * self.nvars
-        b = {e: -v / c for e, v in self._terms.items() if e != one}
         keys = _Keys(self.nvars, self.trunc)
-        q, _ = _graded_solve({one: 1 / c}, b, keys,
-                             lambda k: k // keys.top, lambda k: k)
+        q = _decode(keys, _inverse(keys, keys.pack(self._terms)))
         return Series._make(self.nvars, self.trunc, q, self.guaranteed_degree)
 
     def compose(self, gs: Sequence["Series"]) -> "Series":
@@ -600,19 +593,44 @@ def _products(acc: dict, xs: list, ys: list, limit: int) -> dict:
     return acc
 
 
-def _graded_solve(a: dict, b: dict, keys: _Keys, grade, fold) -> tuple:
-    """Solve ``q = fold(a + q*b)`` on term tables, products truncated by
-    ``keys``; ``rest`` gets the terms that ``fold`` maps to ``None``.
-    ``grade`` and ``fold`` act on packed keys.  ``grade`` must be additive,
-    kept by ``fold`` and positive on every term of ``b``: then the grade-m
-    part of ``a + q*b``, ``a_m + sum_{j>=1} q_(m-j) * b_j``, reads lower
-    grades of ``q`` only (Brent & Kung, J. ACM 1978), so one walk up the
-    grades reachable from ``a`` by those of ``b`` solves it, multiplying
-    each pair of terms once.  Each grade is summed in int numerators over
-    one common denominator and then reduced by the gcd of its numerators
-    and that denominator; a term becomes an exponent and a ``Fraction``
-    only when it leaves."""
-    (items_a, da), (items_b, db) = keys.pack(a), keys.pack(b)
+def _times(keys: _Keys, x: tuple, y: tuple) -> tuple:
+    """The product of the packed tables ``x = (items, Dx)`` and ``y = (items,
+    Dy)``, truncated by ``keys``: its nonzero items, in the order in which
+    :func:`_products` first reaches their keys, over ``Dx*Dy``."""
+    (xs, dx), (ys, dy) = x, y
+    acc = _products({}, sorted(xs), sorted(ys), keys.limit)
+    return [(k, v) for k, v in acc.items() if v], dx * dy
+
+
+def _flatten(parts: list) -> tuple:
+    """The per-grade parts ``(items, D)`` of :func:`_solve` as one packed
+    table over the lcm of their denominators."""
+    den = lcm(*[d for _, d in parts])
+    return [(k, v * (den // d)) for items, d in parts for k, v in items], den
+
+
+def _decode(keys: _Keys, parts) -> dict:
+    """The term table of packed parts ``(items, D)``, in order: each item
+    ``(key, v)`` becomes the exponent of ``key`` and ``Fraction(v, D)``."""
+    return keys.table([k for items, _ in parts for k, _ in items],
+                      [Fraction(v, d) for items, d in parts for _, v in items])
+
+
+def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
+    """Solve ``q = fold(a + q*b)`` on packed tables ``(items, D)``, products
+    truncated by ``keys``.  ``grade`` and ``fold`` act on keys.  ``grade``
+    must be additive, kept by ``fold`` and positive on every term of ``b``:
+    then the grade-m part of ``a + q*b``, ``a_m + sum_{j>=1} q_(m-j) *
+    b_j``, reads lower grades of ``q`` only (Brent & Kung, J. ACM 1978), so
+    one walk up the grades reachable from ``a`` by those of ``b`` solves it,
+    multiplying each pair of terms once.
+
+    Returns ``(parts, rest)``.  ``parts`` lists the grades of ``q`` in
+    increasing order, each as ``(items, D)`` sorted by key: the grade is
+    summed in int numerators over one common denominator and then reduced
+    by the gcd of its numerators and that denominator.  ``rest`` is the term
+    table of the terms that ``fold`` maps to ``None``."""
+    (items_a, da), (items_b, db) = a, b
     parts_a, parts_b, parts_q = {}, {}, {}
     rest_keys, rest_coeffs = [], []
     for items, parts in ((items_a, parts_a), (items_b, parts_b)):
@@ -643,7 +661,19 @@ def _graded_solve(a: dict, b: dict, keys: _Keys, grade, fold) -> tuple:
             g = gcd(den, *part.values())
             parts_q[m] = sorted((k, v // g) for k, v in part.items()), den // g
             todo.update(m + j for j in parts_b)
-    q = keys.table([k for q_m, _ in parts_q.values() for k, _ in q_m],
-                   [Fraction(v, dq) for q_m, dq in parts_q.values()
-                    for _, v in q_m])
-    return q, keys.table(rest_keys, rest_coeffs)
+    return list(parts_q.values()), keys.table(rest_keys, rest_coeffs)
+
+
+def _inverse(keys: _Keys, x: tuple) -> list:
+    """The per-grade parts of the inverse of the packed unit ``x = (items,
+    D)``, graded by total degree.  With ``c/D`` the constant term (``c`` the
+    numerator at key 0), ``q = D/c + q*b`` for ``b = 1 - x*D/c``, whose items
+    are ``-n`` over ``c`` for the nonconstant items ``n`` of ``x``.  When
+    ``c`` is negative, the numerators of both are negated and put over
+    ``-c``, so that every denominator stays positive."""
+    items, den = x
+    c = next(n for k, n in items if not k)
+    sign = -1 if c < 0 else 1
+    b = [(k, -sign * n) for k, n in items if k]
+    return _solve(([(0, sign * den)], sign * c), (b, sign * c), keys,
+                  lambda k: k // keys.top, lambda k: k)[0]

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import FLAT, Series, _Keys, _check_index, _graded_solve, _sum
+from .series import (FLAT, Series, _check_index, _decode, _flatten, _inverse,
+                     _Keys, _solve, _sum, _times)
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,11 @@ def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
             f"dividend is certified below the order {d} in x{k}: "
             "division undefined")
     trunc = min(g.trunc, f.trunc)
-    quot, rem, unit_inv = _division_loop(g.truncate(trunc),
-                                         f.truncate(trunc), k, d)
-    q = (quot * unit_inv).with_guarantee(certified)
-    return DivisionResult(q, rem.with_guarantee(certified), d, k, certified)
+    quot, rem, unit_inv, keys = _division_loop(g.truncate(trunc),
+                                               f.truncate(trunc), k, d)
+    q = _decode(keys, [_times(keys, _flatten(quot), unit_inv)])
+    return DivisionResult(Series._make(g.nvars, trunc, q, certified),
+                          rem.with_guarantee(certified), d, k, certified)
 
 
 def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
@@ -138,58 +140,67 @@ def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
 
 
 def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
-    """``(quot, rem, unit_inv)`` with ``g = quot * f * unit_inv + rem``,
-    ``deg_{x_k}(rem) < d``, for ``f`` of order ``d`` in x_k and ``g`` at the
-    same truncation; both are certified ``d`` degrees below the inputs.
+    """``(quot, rem, unit_inv, keys)`` with ``g = quot * f * unit_inv +
+    rem``, ``deg_{x_k}(rem) < d``, for ``f`` of order ``d`` in x_k and ``g``
+    at the same truncation.  ``rem`` is a :class:`Series` certified ``d``
+    degrees below the inputs.  ``quot`` (the per-grade parts of
+    :func:`_solve`) and ``unit_inv`` (one ``(items, D)`` table) stay packed
+    over ``keys``, the one :class:`_Keys` that ``f`` and ``g`` are packed
+    with; a caller decodes once what it returns.
+
     With ``f = low + x_k^d * high``, ``b = -high^-1 * low`` and ``H`` the
-    x_k-degree >= d part shifted down by ``x_k^d``: ``quot = H(g + quot*b)``,
-    and ``rem`` is the rest.  Graded by the degree in the variables other
-    than x_k, which ``H`` keeps and which is positive on ``low`` (``f`` has
-    no axis term below ``x_k^d``).  Total degree can stall: ``f = x2^2 +
-    x1*x2`` gives ``b = -x1*x2``, of degree ``d``, which ``H`` takes back."""
-    low, high = f.split_in_variable(k, d)
-    unit_inv = high.inverse()
-    b = -(unit_inv * low)
-    gd = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
-    # on packed keys the grade is the degree less the x_k digit, and H
-    # takes d off both
+    x_k-degree >= d part shifted down by ``x_k^d``: ``quot = H(g +
+    quot*b)``, and ``rem`` is the rest.  On keys, the split reads the x_k
+    digit, and ``H`` and the shift to ``high`` take ``d`` off that digit and
+    off the degree.  Graded by the degree in the variables other than x_k,
+    which ``H`` keeps and which is positive on ``low`` (``f`` has no axis
+    term below ``x_k^d``).  Total degree can stall: ``f = x2^2 + x1*x2``
+    gives ``b = -x1*x2``, of degree ``d``, which ``H`` takes back."""
     keys = _Keys(g.nvars, g.trunc)
     r, top, place = keys.radix, keys.top, keys.place(k)
     shift = d * place + d * top
-    quot, rem = (Series._make(g.nvars, g.trunc, t, gd) for t in _graded_solve(
-        g.terms, b.terms, keys, lambda e: e // top - e // place % r,
-        lambda e: e - shift if e // place % r >= d else None))
-    return quot, rem, unit_inv
+    items, den = keys.pack(f.terms)
+    low = [(e, n) for e, n in items if e // place % r < d]
+    high = [(e - shift, n) for e, n in items if e // place % r >= d]
+    unit_inv = _flatten(_inverse(keys, (high, den)))
+    b, db = _times(keys, unit_inv, (low, den))
+    quot, rem = _solve(keys.pack(g.terms), ([(e, -n) for e, n in b], db),
+                       keys, lambda e: e // top - e // place % r,
+                       lambda e: e - shift if e // place % r >= d else None)
+    gd = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
+    return quot, Series._make(g.nvars, g.trunc, rem, gd), unit_inv, keys
 
 
 def _distinguished(f: Series, k: int, d: int) -> tuple:
-    """``(P, quot, unit_inv)`` for ``f`` of certified order ``d >= 1`` in
-    x_k: the division loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem``
-    is certified ``d`` below ``f``, and ``quot * unit_inv`` is ``U^-1``."""
+    """``(P, loop)`` for ``f`` of certified order ``d >= 1`` in x_k: the
+    division loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem`` is
+    certified ``d`` below ``f``, and ``loop`` is the loop's result, whose
+    ``quot * unit_inv`` is ``U^-1``."""
     n = f.nvars
     expo = tuple(d if i == k - 1 else 0 for i in range(n))
-    quot, rem, unit_inv = _division_loop(Series.monomial(expo, n, f.trunc),
-                                         f, k, d)
-    rem = rem.with_guarantee(f.guaranteed_degree - d)
+    loop = _division_loop(Series.monomial(expo, n, f.trunc), f, k, d)
+    rem = loop[1].with_guarantee(f.guaranteed_degree - d)
     coeffs = tuple(-rem.coefficient_series(k, d - i) for i in range(1, d + 1))
     if any(a.constant_term() != 0 for a in coeffs):
         raise InternalInvariantError(
             "distinguished coefficient does not vanish at the origin")
-    return DistinguishedPoly(d, k, n, f.trunc, coeffs), quot, unit_inv
+    return DistinguishedPoly(d, k, n, f.trunc, coeffs), loop
 
 
 def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     """Factor ``f = U * P`` with ``U`` a unit and ``P`` distinguished in
     variable ``k``: :func:`_distinguished` divides ``x_k^d`` by ``f``, and
-    ``U`` is the inverse of the quotient.  A unit ``f`` (order 0) prepares
-    trivially as ``U = f``, ``P = 1``."""
+    ``U`` is the inverse of the quotient, inverted packed and decoded once.
+    A unit ``f`` (order 0) prepares trivially as ``U = f``, ``P = 1``."""
     d = _certified_order(f, k, "series", "preparation")
     if d == 0:
         poly = DistinguishedPoly(0, k, f.nvars, f.trunc, ())
         return PreparationResult(f, poly, f.guaranteed_degree)
-    poly, quot, unit_inv = _distinguished(f, k, d)
-    certified = f.guaranteed_degree - d
-    quotient = (quot * unit_inv).with_guarantee(certified)
-    if quotient.constant_term() == 0:
+    poly, (quot, _, unit_inv, keys) = _distinguished(f, k, d)
+    quotient = _times(keys, _flatten(quot), unit_inv)
+    if not any(key == 0 for key, _ in quotient[0]):
         raise InternalInvariantError("division quotient lost its unit")
-    return PreparationResult(quotient.inverse(), poly, certified)
+    unit = _decode(keys, _inverse(keys, quotient))
+    certified = f.guaranteed_degree - d
+    return PreparationResult(Series._make(f.nvars, f.trunc, unit, certified),
+                             poly, certified)

@@ -1,6 +1,7 @@
 """Standing output gate: the canonical text, truncation and certificate of
-every output of a seeded set of holomorphic extensions at N=12 and of
-Weierstrass divisions and preparations in 2-4 variables.
+every output of a seeded set of holomorphic extensions at N=12, of
+Weierstrass divisions and preparations in 2-4 variables and of implicit
+solves in 2-4 variables.
 
 A change to the arithmetic must leave every output as it is.  The
 expected values live in ``data/outputs_golden.json``.  After a deliberate
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from support import random_normalized_h
-from wseries import Series, pipelines, weierstrass
+from wseries import Series, localring, pipelines, weierstrass
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "outputs_golden.json"
 
@@ -81,7 +82,19 @@ def _division_outputs(g, f, k):
             prep.poly.expand()]
 
 
-CASES = list(_holo_cases()) + list(_division_cases())
+def _implicit_cases():
+    rng = random.Random("golden:implicit")
+    for nvars in (2, 3, 4):
+        for rep in range(3):
+            trunc = rng.randint(4, 8)
+            k = rng.randint(1, nvars)
+            f = _order_d(rng, nvars, trunc, k, 1)
+            yield (f"implicit nvars {nvars} #{rep}",
+                   lambda f=f, k=k: [localring.solve_implicit(f, k)])
+
+
+CASES = (list(_holo_cases()) + list(_division_cases())
+         + list(_implicit_cases()))
 
 
 def record(label, run) -> dict:

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -180,6 +181,25 @@ def test_reparsing_a_40000_term_printout_is_linear():
     done = subprocess.run([sys.executable, "-c", _REPARSE_40000_TERMS],
                           capture_output=True, text=True, env=env, timeout=20)
     assert done.returncode == 0, done.stderr
+
+
+def _two_gigabytes_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_an_input_too_large_for_memory_exits_2_with_one_line():
+    # a 10^9-entry exponent does not fit in the child's 2 GB of address
+    # space; the MemoryError must end as one error line, not a traceback
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "wseries.cli", "prepare", "--vars",
+         "1000000000", "--trunc", "4", "--var", "1", "-e", "x1"],
+        capture_output=True, text=True, env=env, timeout=20,
+        preexec_fn=_two_gigabytes_of_address_space)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 # ----------------------------------------------------------------------

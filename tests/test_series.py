@@ -7,9 +7,9 @@ from functools import reduce
 
 import pytest
 
-from support import (S, agree_through, identical, nonzero_rational,
-                     random_exponent, random_series, random_unit,
-                     reference_add, reference_graded_solve,
+from support import (S, agree_through, decoded_division_loop, identical,
+                     nonzero_rational, random_exponent, random_series,
+                     random_unit, reference_add, reference_graded_solve,
                      reference_inverse, reference_mul)
 from wseries import FLAT, PreconditionError, Series, term_sort_key, weierstrass
 from wseries.series import _sum
@@ -388,9 +388,62 @@ def test_packed_division_loop_matches_the_tuple_recurrence():
                     axis: _wide_coeff(rng)})
                 for size in (0, 1, 6):
                     g = _kernel_table(rng, nvars, trunc, size)
-                    new = weierstrass._division_loop(g, f, k, d)
+                    new = decoded_division_loop(g, f, k, d)
                     old = _tuple_division_loop(g, f, k, d)
                     assert all(map(_same_table, new, old)), (g, f, k, d)
+
+
+def _tuple_divide(g, f, k):
+    """``weierstrass_divide``'s quotient and remainder by the tuple route."""
+    d = f.order_in(k)
+    certified = min(g.guaranteed_degree, f.guaranteed_degree) - d
+    quot, rem, unit_inv = _tuple_division_loop(g, f, k, d)
+    return [reference_mul(quot, unit_inv).with_guarantee(certified),
+            rem.with_guarantee(certified)]
+
+
+def _tuple_prepare(f, k):
+    """``weierstrass_prepare``'s unit and ``a_1 .. a_d`` by the tuple
+    route: divide ``x_k^d`` by ``f``, invert ``quot * unit_inv`` and read
+    the ``a_i`` off the remainder."""
+    d, n = f.order_in(k), f.nvars
+    if d == 0:
+        return [f]
+    expo = tuple(d if i == k - 1 else 0 for i in range(n))
+    quot, rem, unit_inv = _tuple_division_loop(
+        Series.monomial(expo, n, f.trunc), f, k, d)
+    certified = f.guaranteed_degree - d
+    rem = rem.with_guarantee(certified)
+    unit = _tuple_inverse(reference_mul(quot, unit_inv)
+                          .with_guarantee(certified))
+    return [unit, *(-rem.coefficient_series(k, d - i) for i in range(1, d + 1))]
+
+
+def test_packed_division_and_preparation_match_the_tuple_route():
+    """Division and preparation, which stay packed from input to output,
+    against the tuple route.  The x_k^d coefficient of ``f`` (the constant
+    term of ``high``) is negative at every other truncation."""
+    rng = random.Random(4104)
+    for nvars, trunc in _kernel_spaces():
+        ks = range(1, min(nvars, 4) + 1) if nvars < 32 else (1, 2, 4, 32)
+        for k in ks:
+            for d in range(min(trunc, 3) + 1):
+                axis = tuple(d if i == k - 1 else 0 for i in range(nvars))
+                extra = _kernel_table(rng, nvars, trunc, 5, lo=1).terms
+                f = Series(nvars, trunc, {
+                    **{e: c for e, c in extra.items() if e[k - 1] >= d
+                       or any(v for i, v in enumerate(e) if i != k - 1)},
+                    axis: (-1) ** trunc * abs(_wide_coeff(rng))})
+                f = f.with_guarantee(rng.randint(d, trunc))
+                g = _kernel_table(rng, nvars, trunc, 6)
+                g = g.with_guarantee(rng.randint(d, trunc))
+                div = weierstrass.weierstrass_divide(g, f, k)
+                new = [div.quotient, div.remainder]
+                assert all(map(_same_table, new, _tuple_divide(g, f, k)))
+                prep = weierstrass.weierstrass_prepare(f, k)
+                new, old = [prep.unit, *prep.poly.coeffs], _tuple_prepare(f, k)
+                assert len(new) == len(old), (f, k)
+                assert all(map(_same_table, new, old)), (f, k)
 
 
 # ----------------------------------------------------------------------

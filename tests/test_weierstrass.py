@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-import wseries.localring as lmod
 import wseries.weierstrass as wmod
-from support import (S, identical, nonzero_rational, random_even_order2,
-                     random_order_d, random_series, reference_division_loop)
+from support import (S, decoded_division_loop, identical, nonzero_rational,
+                     random_even_order2, random_order_d, random_series,
+                     reference_division_loop)
 from wseries import (DistinguishedPoly, InternalInvariantError,
                      PreconditionError, Series, solve_implicit,
                      weierstrass_divide, weierstrass_prepare)
@@ -80,16 +80,43 @@ def test_division_identity_and_remainder_bound_random():
         assert all(e[nvars - 1] < d for e in result.remainder.support())
 
 
-def test_division_loop_matches_fixpoint_reference(monkeypatch):
+def _reference_outputs(g, f, k, d):
+    """The outputs of ``weierstrass_divide(g, f, k)``, of
+    ``weierstrass_prepare(f, k)`` and, at ``d = 1``, of
+    ``solve_implicit(f, k)``, built from :func:`reference_division_loop`
+    by the steps each of them took on the series division loop: the
+    quotient is ``quot * unit_inv``, ``U`` its inverse, ``a_i`` and the
+    implicit solution are read off the remainder."""
+    n, certified = f.nvars, min(g.guaranteed_degree, f.guaranteed_degree) - d
+    quot, rem, unit_inv = reference_division_loop(g, f, k, d)
+    outs = [(quot * unit_inv).with_guarantee(certified),
+            rem.with_guarantee(certified)]
+    if d == 0:
+        return outs + [f]
+    expo = tuple(d if i == k - 1 else 0 for i in range(n))
+    quot, rem, unit_inv = reference_division_loop(
+        Series.monomial(expo, n, f.trunc), f, k, d)
+    prepared = f.guaranteed_degree - d
+    outs.append((quot * unit_inv).with_guarantee(prepared).inverse())
+    rem = rem.with_guarantee(prepared)
+    outs += [-rem.coefficient_series(k, d - i) for i in range(1, d + 1)]
+    if d == 1:
+        rem = reference_division_loop(Series.variable(k, n, f.trunc), f, k,
+                                      1)[1]
+        outs.append(rem.drop_variable(k).with_guarantee(f.guaranteed_degree))
+    return outs
+
+
+def test_division_loop_matches_fixpoint_reference():
     """The graded division loop against the whole-series fixpoint it
     replaced: nvars 1-4, every k, d 0-3, trunc 0-12, rational
     coefficients, certificates below the truncation.  ``unit_inv`` is
     identical, and ``quot`` and ``rem`` agree in table and truncation.
     Their certificates are compared through ``weierstrass_divide``,
-    ``weierstrass_prepare`` and ``solve_implicit``, run once on each loop:
-    the fixpoint's own certificate shrank by ``d`` per pass, and both
-    callers replaced it."""
-    graded = wmod._division_loop
+    ``weierstrass_prepare`` and ``solve_implicit`` against the same outputs
+    built from the fixpoint's loop (:func:`_reference_outputs`): the
+    fixpoint's own certificate shrank by ``d`` per pass, and both callers
+    replaced it."""
     rng = random.Random(4201)
     for nvars in range(1, 5):
         for k in range(1, nvars + 1):
@@ -101,21 +128,19 @@ def test_division_loop_matches_fixpoint_reference(monkeypatch):
                     f = f.with_guarantee(rng.randint(d, trunc))
                     g = random_series(rng, nvars, trunc, nterms=6)
                     g = g.with_guarantee(rng.randint(d, trunc))
-                    new = graded(g, f, k, d)
+                    new = decoded_division_loop(g, f, k, d)
                     ref = reference_division_loop(g, f, k, d)
                     for a, b in zip(new, ref):
                         assert a.same_data(b) and a.trunc == b.trunc, (g, f)
                     assert identical(new[2], ref[2])
-                    outs = []
-                    for loop in (graded, reference_division_loop):
-                        monkeypatch.setattr(wmod, "_division_loop", loop)
-                        monkeypatch.setattr(lmod, "_division_loop", loop)
-                        div = weierstrass_divide(g, f, k)
-                        prep = weierstrass_prepare(f, k)
-                        solved = [solve_implicit(f, k)] if d == 1 else []
-                        outs.append([div.quotient, div.remainder, prep.unit,
-                                     *prep.poly.coeffs, *solved])
-                    assert all(map(identical, *outs)), (g, f)
+                    div = weierstrass_divide(g, f, k)
+                    prep = weierstrass_prepare(f, k)
+                    solved = [solve_implicit(f, k)] if d == 1 else []
+                    outs = [div.quotient, div.remainder, prep.unit,
+                            *prep.poly.coeffs, *solved]
+                    expected = _reference_outputs(g, f, k, d)
+                    assert len(outs) == len(expected)
+                    assert all(map(identical, outs, expected)), (g, f)
 
 
 def test_division_is_deterministic():
@@ -268,13 +293,12 @@ def test_serialization_shapes():
 
 def test_internal_error_when_quotient_degenerates(monkeypatch):
     # an impossible division result must be flagged, not silently inverted
-    import wseries.weierstrass as wmod
-
     real = wmod._distinguished
 
     def zero_quotient(f, k, d):
-        poly, _, unit_inv = real(f, k, d)
-        return poly, Series.zero(2, 8), unit_inv
+        # a packed quotient with no grades is zero
+        poly, (_, rem, unit_inv, keys) = real(f, k, d)
+        return poly, ([], rem, unit_inv, keys)
 
     monkeypatch.setattr(wmod, "_distinguished", zero_quotient)
     with pytest.raises(InternalInvariantError):
