@@ -668,12 +668,12 @@ def _inverse(keys: _Keys, x: tuple) -> list:
     """The per-grade parts of the inverse of the packed unit ``x = (items,
     D)``, graded by total degree.  With ``c/D`` the constant term (``c`` the
     numerator at key 0), ``q = D/c + q*b`` for ``b = 1 - x*D/c``, whose items
-    are ``-n`` over ``c`` for the nonconstant items ``n`` of ``x``.  When
-    ``c`` is negative, the numerators of both are negated and put over
-    ``-c``, so that every denominator stays positive."""
+    are ``-n`` over ``c`` for the nonconstant items ``n`` of ``x``.  A
+    negative ``c`` needs no care: :func:`_solve` takes each grade's
+    denominator as an lcm, which is never negative, and divides only
+    exactly, so the parts it returns have positive denominators."""
     items, den = x
     c = next(n for k, n in items if not k)
-    sign = -1 if c < 0 else 1
-    b = [(k, -sign * n) for k, n in items if k]
-    return _solve(([(0, sign * den)], sign * c), (b, sign * c), keys,
+    b = [(k, -n) for k, n in items if k]
+    return _solve(([(0, den)], c), (b, c), keys,
                   lambda k: k // keys.top, lambda k: k)[0]

@@ -11,12 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from support import S, identical, random_series
+from support import S, identical, nonzero_rational, random_series
 from wseries import (ExpressionError, InternalInvariantError,
                      PreconditionError, Series, parse_expression,
                      parse_series)
 from wseries.cli import main
-from wseries.parser import Diff, Inv, Lit, Pow, Prod, Sum, Var
 
 
 # ----------------------------------------------------------------------
@@ -25,12 +24,14 @@ from wseries.parser import Diff, Inv, Lit, Pow, Prod, Sum, Var
 
 def test_ast_of_sum_with_signed_rational():
     ast = parse_expression("x1^2 + -3/2*x1*x2", 2)
-    assert ast == Sum(Pow(Var(1), 2),
-                      Prod((Lit(Fraction(-3, 2)), Var(1), Var(2))))
+    assert ast == ("+", [(False, ("^", ("x", 1), 2)),
+                         (False, ("*", [("lit", Fraction(-3, 2)),
+                                        ("x", 1), ("x", 2)]))])
 
 
 def test_ast_of_unit_inverse():
-    assert parse_expression("inv(1 - x1)", 1) == Inv(Diff(Lit(Fraction(1)), Var(1)))
+    assert parse_expression("inv(1 - x1)", 1) == (
+        "inv", ("+", [(False, ("lit", Fraction(1))), (True, ("x", 1))]))
 
 
 def test_variable_range_is_checked():
@@ -47,12 +48,35 @@ def test_variable_range_is_checked():
     ("x1 + x4*x3", "variable x4 exceeds the declared 2 variables"),
     ("inv(x5) + x3", "variable x5 exceeds the declared 2 variables"),
     ("x3 + ?", "unexpected character '?' (at position 5)"),
+    ("x1 + + ?", "unexpected character '?' (at position 7)"),
+    ("1/0 + ?", "unexpected character '?' (at position 6)"),
+    ("x0 + x5", "variable indices start at x1 (at position 0)"),
 ])
 def test_syntax_errors_win_over_the_first_variable_out_of_range(text,
                                                                 message):
     with pytest.raises(ExpressionError) as err:
         parse_expression(text, 2)
     assert str(err.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no integer string limit")
+@pytest.mark.parametrize("text, position", [
+    ("x{run}", 1), ("x1^{run}", 3), ("x1 + 2*{run}", 7), ("1/{run}", 2),
+    ("x1 + {run} + ?", 5)])
+def test_an_over_long_digit_run_is_an_expression_error(capsys, text,
+                                                       position):
+    # the run is rejected where it stands, not by int() later on
+    limit = sys.get_int_max_str_digits()
+    text = text.format(run="9" * (limit + 1))
+    message = f"number has more than {limit} digits (at position {position})"
+    with pytest.raises(ExpressionError) as err:
+        parse_series(text, 2, 4)
+    assert str(err.value) == message and err.value.position == position
+    code, out, err = run_cli(capsys, "prepare", "--vars", "2", "--trunc",
+                             "4", "--var", "2", "-e", text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert parse_series("9" * limit, 2, 4).constant_term() == 10 ** limit - 1
 
 
 def test_eval_examples():
@@ -105,14 +129,16 @@ def _by_series_products(node, nvars, trunc):
     """A product or power of rationals and variables, formed the way the
     parser once did: one ``Series`` product per factor, ``**`` for a
     power."""
-    if isinstance(node, Lit):
-        return Series.constant(node.value, nvars, trunc)
-    if isinstance(node, Var):
-        return Series.variable(node.index, nvars, trunc)
-    if isinstance(node, Pow):
-        return _by_series_products(node.base, nvars, trunc) ** node.exponent
-    result = _by_series_products(node.factors[0], nvars, trunc)
-    for f in node.factors[1:]:
+    match node:
+        case ("lit", value):
+            return Series.constant(value, nvars, trunc)
+        case ("x", index):
+            return Series.variable(index, nvars, trunc)
+        case ("^", base, exponent):
+            return _by_series_products(base, nvars, trunc) ** exponent
+    _, factors = node
+    result = _by_series_products(factors[0], nvars, trunc)
+    for f in factors[1:]:
         result = result * _by_series_products(f, nvars, trunc)
     return result
 
@@ -140,6 +166,59 @@ def test_products_of_monomials_and_other_factors():
     for text in ("3", "x1", "x1^2", "2*x1"):
         with pytest.raises(ValueError, match="trunc must be nonnegative"):
             parse_series(text, 1, -1)
+
+
+def _nested(rng, nvars, trunc, depth):
+    """A random expression at most ``depth`` levels deep: its text, its
+    value built with the ``Series`` operators, and whether it is a sum."""
+    kind = rng.choice(("sum", "product", "power", "inv")) if depth else None
+    if kind is None:
+        if rng.random() < 0.4:
+            c = nonzero_rational(rng)
+            return str(c), Series.constant(c, nvars, trunc), False
+        i, n = rng.randint(1, nvars), rng.randint(0, 3)
+        x = Series.variable(i, nvars, trunc)
+        return ((f"x{i}", x, False) if rng.random() < 0.5
+                else (f"x{i}^{n}", x ** n, False))
+    if kind == "power":
+        text, value, _ = _nested(rng, nvars, trunc, depth - 1)
+        n = rng.randint(0, 3)
+        return f"({text})^{n}", value ** n, False
+    if kind == "inv":
+        text, value, _ = _nested(rng, nvars, trunc, depth - 1)
+        c = 2 if value.constant_term() == -1 else 1
+        return f"inv({c} + {text})", (c + value).inverse(), False
+    texts, value = [], None
+    for j in range(rng.randint(2, 4)):
+        # a product's factors are monomials or other nodes; a sum's terms
+        # are any nodes, a sum among them always in parentheses
+        leaf = kind == "product" and rng.random() < 0.5
+        text, part, is_sum = _nested(rng, nvars, trunc, 0 if leaf else
+                                     rng.randint(0, depth - 1))
+        if is_sum or kind == "sum" and rng.random() < 0.2:
+            text = f"({text})"
+        if kind == "product":
+            texts.append(text)
+            value = part if j == 0 else value * part
+        elif j == 0:
+            texts.append(text)
+            value = part
+        elif rng.random() < 0.5:
+            texts.append(f" + {text}")
+            value = value + part
+        else:
+            texts.append(f" - {text}")
+            value = value - part
+    return ("*" if kind == "product" else "").join(texts), value, kind == "sum"
+
+
+def test_nested_expressions_match_series_operators():
+    rng = random.Random(109)
+    for case in range(300):
+        nvars, trunc = rng.randint(1, 3), rng.randint(0, 6)
+        text, value, _ = _nested(rng, nvars, trunc, rng.randint(1, 3))
+        assert identical(parse_series(text, nvars, trunc), value), (case,
+                                                                   text)
 
 
 def test_parse_inverts_canonical_printing():
