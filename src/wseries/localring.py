@@ -29,8 +29,8 @@ def solve_implicit(f: Series, k: int) -> Series:
     if f.order_in(k) != 1:
         raise PreconditionError(
             f"implicit solve requires a nonzero linear coefficient in x{k}")
-    rem = _division_loop(Series.variable(k, f.nvars, f.trunc), f, k, 1)[1]
-    return rem.drop_variable(k).with_guarantee(f.guaranteed_degree)
+    loop = _division_loop(Series.variable(k, f.nvars, f.trunc), f, k, 1)
+    return loop[3].series(loop[1], f.guaranteed_degree).drop_variable(k)
 
 
 def divide_by_variable(f: Series, k: int) -> Series:

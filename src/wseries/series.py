@@ -4,14 +4,16 @@ A :class:`Series` stores finitely many monomial coefficients, all of total
 degree <= ``trunc``.  Stored coefficients are :class:`fractions.Fraction`,
 so every operation is exact; a coefficient that prints as zero really is
 zero.  The product kernel and the graded recurrence under ``*``,
-:meth:`Series.inverse` and Weierstrass division work on packed tables:
-``(key, numerator)`` items over one positive common denominator, with each
-exponent packed into one ``int`` key (:class:`_Keys`).  Weierstrass division
-and preparation stay packed from input to output: they pack their inputs
-once, split, invert, multiply and solve on packed tables, and decode to
-exponent tuples and ``Fraction`` coefficients once for each series they
-return.  ``_remap``, :func:`_sum`, :meth:`Series.compose` and negation
-still work on the decoded tables.
+:meth:`Series.inverse` and Weierstrass division work on packed tables.  A
+packed table has one shape, ``(items, D)``: ``(key, numerator)`` items over
+one positive common denominator, with each exponent packed into one ``int``
+key.  :class:`_Keys` is its one way in (:meth:`_Keys.pack`) and its one way
+out (:meth:`_Keys.series`, which decodes to exponent tuples and ``Fraction``
+coefficients).  Weierstrass division and preparation stay packed from input
+to output: they pack their inputs once, split, invert, multiply and solve on
+packed tables, and decode once for each series they return.  ``_remap``,
+:func:`_sum`, :meth:`Series.compose` and negation still work on the decoded
+tables.
 
 Alongside the truncation bound each value carries a ``guaranteed_degree``:
 the total degree up to which its coefficients are certified to agree with
@@ -32,8 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import PreconditionError
 
@@ -331,8 +332,8 @@ class Series:
         trunc = min(self.trunc, other.trunc)
         gd = min(self.guaranteed_degree, other.guaranteed_degree, trunc)
         keys = _Keys(self.nvars, trunc)
-        product = _times(keys, keys.pack(self._terms), keys.pack(other._terms))
-        return Series._make(self.nvars, trunc, _decode(keys, [product]), gd)
+        return keys.series(
+            _times(keys, keys.pack(self._terms), keys.pack(other._terms)), gd)
 
     __rmul__ = __mul__
 
@@ -342,8 +343,12 @@ class Series:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        """Power by repeated squaring.  A power whose every term lies past
-        the truncation is zero without any product being formed."""
+        """``self ** n``, certified as ``n`` products are.  A power whose
+        every term lies past the truncation is zero without any product
+        being formed; any other power of a non-unit has ``n <= trunc`` and
+        is ``n`` products.  A unit ``c*(1 + m)`` is ``c^n * sum_{i <= min(n,
+        trunc)} C(n, i) m^i``, as ``m`` has positive order: at most
+        ``trunc`` products, however large ``n`` is."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a natural number")
         order = min(map(sum, self._terms), default=None)
@@ -351,26 +356,29 @@ class Series:
             return Series(self.nvars, self.trunc, None, self.guaranteed_degree)
         result = Series.constant(1, self.nvars, self.trunc)
         result = result.with_guarantee(self.guaranteed_degree)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        if order != 0:
+            for _ in range(exponent):
+                result = result * self
+            return result
+        c = self.constant_term()
+        m, parts, binomial = (self - c) / c, [result], 1
+        for i in range(1, min(exponent, self.trunc) + 1):
+            binomial = binomial * (exponent - i + 1) // i
+            result = result * m
+            parts.append(result * binomial)
+        return _sum(parts) * c ** exponent
 
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term).
 
         Packs the table, runs the packed :func:`_inverse` and decodes its
-        parts once.  The result is exact through the truncation, so the
+        table once.  The result is exact through the truncation, so the
         certified degree is preserved."""
         if self.constant_term() == 0:
             raise PreconditionError("series is not a unit: constant term is zero")
         keys = _Keys(self.nvars, self.trunc)
-        q = _decode(keys, _inverse(keys, keys.pack(self._terms)))
-        return Series._make(self.nvars, self.trunc, q, self.guaranteed_degree)
+        return keys.series(_inverse(keys, keys.pack(self._terms)),
+                           self.guaranteed_degree)
 
     def compose(self, gs: Sequence["Series"]) -> "Series":
         """Substitute ``gs[i]`` for ``x_{i+1}``.
@@ -547,35 +555,52 @@ class _Keys:
     above ``limit``.  So truncation is the one comparison ``kx + ky <
     limit``, and every key that passes it is carry-free.  A term above the
     truncation (from an operand truncated higher) packs at or above
-    ``limit`` whatever its digits, so it never passes."""
+    ``limit`` whatever its digits, so it never passes.
 
-    __slots__ = ("radix", "top", "limit", "_places", "_weights")
+    The packed table ``(items, D)`` is the one packed shape: its ``(key,
+    numerator)`` items stand for the coefficients ``numerator / D``, ``D``
+    positive.  :meth:`pack` is the one way in and :meth:`series` the one
+    way out.  Both go digit by digit with the radix alone and keep no
+    place values."""
+
+    __slots__ = ("nvars", "radix", "top", "limit")
 
     def __init__(self, nvars: int, trunc: int):
-        self.radix = r = trunc + 1
-        self.top = r ** nvars
-        self.limit = r * self.top
-        self._places = [r ** (nvars - i) for i in range(1, nvars + 1)]
-        self._weights = [p + self.top for p in self._places]
+        self.nvars, self.radix = nvars, trunc + 1
+        self.top = self.radix ** nvars
+        self.limit = self.radix * self.top
 
     def place(self, k: int) -> int:
         """The place value ``R^(n-k)`` of the digit of ``x_k``."""
-        return self._places[k - 1]
-
-    def table(self, keys: list, coeffs) -> dict:
-        """The term table of the exponents unpacked from ``keys``, digit by
-        digit for all keys at once, mapped to ``coeffs`` in order."""
-        r, places = self.radix, self._places
-        columns = [[k // p % r for k in keys] for p in places]
-        return dict(zip(zip(*columns) if places else [()] * len(keys), coeffs))
+        return self.radix ** (self.nvars - k)
 
     def pack(self, terms: dict) -> tuple:
         """``(items, D)``: the ``(key, numerator)`` pairs of a term table in
         table order, with ``D`` the lcm of its denominators and every
-        coefficient equal to ``numerator / D``."""
-        den, w = lcm(*[c.denominator for c in terms.values()]), self._weights
-        return [(sum(map(mul, e, w)), c.numerator * (den // c.denominator))
-                for e, c in terms.items()], den
+        coefficient equal to ``numerator / D``.  A key folds the digits
+        ``(deg, e_1, ..., e_n)`` by Horner."""
+        r, den = self.radix, lcm(*[c.denominator for c in terms.values()])
+        items = []
+        for e, c in terms.items():
+            key = sum(e)
+            for digit in e:
+                key = key * r + digit
+            items.append((key, c.numerator * (den // c.denominator)))
+        return items, den
+
+    def series(self, x: tuple, gd: int) -> Series:
+        """The :class:`Series` of the packed table ``x = (items, D)``, in
+        item order, truncated at ``radix - 1`` and certified through ``gd``:
+        each item ``(key, v)`` becomes the exponent of ``key``, its digits
+        peeled from the last variable up, and ``Fraction(v, D)``."""
+        (items, den), r = x, self.radix
+        keys, digits = [k for k, _ in items], []
+        for _ in range(self.nvars):
+            digits.append([k % r for k in keys])
+            keys = [k // r for k in keys]
+        expos = zip(*reversed(digits)) if digits else [()] * len(items)
+        return Series._make(self.nvars, r - 1, dict(zip(
+            expos, [Fraction(v, den) for _, v in items])), gd)
 
 
 def _products(acc: dict, xs: list, ys: list, limit: int) -> dict:
@@ -603,17 +628,10 @@ def _times(keys: _Keys, x: tuple, y: tuple) -> tuple:
 
 
 def _flatten(parts: list) -> tuple:
-    """The per-grade parts ``(items, D)`` of :func:`_solve` as one packed
-    table over the lcm of their denominators."""
-    den = lcm(*[d for _, d in parts])
+    """Packed tables ``(items, D)`` with distinct keys, in order, as one
+    packed table over the lcm of the denominators of those with items."""
+    den = lcm(*[d for items, d in parts if items])
     return [(k, v * (den // d)) for items, d in parts for k, v in items], den
-
-
-def _decode(keys: _Keys, parts) -> dict:
-    """The term table of packed parts ``(items, D)``, in order: each item
-    ``(key, v)`` becomes the exponent of ``key`` and ``Fraction(v, D)``."""
-    return keys.table([k for items, _ in parts for k, _ in items],
-                      [Fraction(v, d) for items, d in parts for _, v in items])
 
 
 def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
@@ -625,19 +643,20 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
     one walk up the grades reachable from ``a`` by those of ``b`` solves it,
     multiplying each pair of terms once.
 
-    Returns ``(parts, rest)``.  ``parts`` lists the grades of ``q`` in
-    increasing order, each as ``(items, D)`` sorted by key: the grade is
-    summed in int numerators over one common denominator and then reduced
-    by the gcd of its numerators and that denominator.  ``rest`` is the term
-    table of the terms that ``fold`` maps to ``None``."""
+    Returns ``(q, rest)``, two packed tables.  Each grade is summed in int
+    numerators over one common denominator; ``q``'s part of it is reduced
+    by the gcd of its numerators and that denominator and sorted by key.
+    ``q`` holds the grades in increasing order, and ``rest`` the terms that
+    ``fold`` maps to ``None`` in the order they arise.  Each table is over
+    the lcm of the denominators of the grades it holds terms of.  No
+    certificate is formed here: the caller that decodes a table certifies
+    it."""
     (items_a, da), (items_b, db) = a, b
-    parts_a, parts_b, parts_q = {}, {}, {}
-    rest_keys, rest_coeffs = [], []
+    parts_a, parts_b, parts_q, rest = {}, {}, {}, []
     for items, parts in ((items_a, parts_a), (items_b, parts_b)):
         for k, n in items:
             parts.setdefault(grade(k), []).append((k, n))
-    for b_j in parts_b.values():
-        b_j.sort()
+    parts_b = {j: sorted(b_j) for j, b_j in parts_b.items()}
     todo = set(parts_a)
     while todo:
         todo.remove(m := min(todo))
@@ -650,28 +669,29 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
             if (s := den // (dq * db)) != 1:
                 q_j = [(k, n * s) for k, n in q_j]
             _products(acc, q_j, b_j, keys.limit)
-        part = {}
+        part, rest_m = {}, []
         for k, v in acc.items():
             if v and (new := fold(k)) is not None:
                 part[new] = v
             elif v:
-                rest_keys.append(k)
-                rest_coeffs.append(Fraction(v, den))
+                rest_m.append((k, v))
+        rest.append((rest_m, den))
         if part:
             g = gcd(den, *part.values())
             parts_q[m] = sorted((k, v // g) for k, v in part.items()), den // g
             todo.update(m + j for j in parts_b)
-    return list(parts_q.values()), keys.table(rest_keys, rest_coeffs)
+    return _flatten(parts_q.values()), _flatten(rest)
 
 
-def _inverse(keys: _Keys, x: tuple) -> list:
-    """The per-grade parts of the inverse of the packed unit ``x = (items,
-    D)``, graded by total degree.  With ``c/D`` the constant term (``c`` the
-    numerator at key 0), ``q = D/c + q*b`` for ``b = 1 - x*D/c``, whose items
-    are ``-n`` over ``c`` for the nonconstant items ``n`` of ``x``.  A
-    negative ``c`` needs no care: :func:`_solve` takes each grade's
-    denominator as an lcm, which is never negative, and divides only
-    exactly, so the parts it returns have positive denominators."""
+def _inverse(keys: _Keys, x: tuple) -> tuple:
+    """The inverse of the packed unit ``x = (items, D)`` as one packed
+    table, graded by total degree, exact through the truncation of
+    ``keys``; the caller certifies it.  With ``c/D`` the constant term
+    (``c`` the numerator at key 0), ``q = D/c + q*b`` for ``b = 1 - x*D/c``,
+    whose items are ``-n`` over ``c`` for the nonconstant items ``n`` of
+    ``x``.  A negative ``c`` needs no care: :func:`_solve` takes each
+    grade's denominator as an lcm, which is never negative, and divides
+    only exactly, so the table it returns has a positive denominator."""
     items, den = x
     c = next(n for k, n in items if not k)
     b = [(k, -n) for k, n in items if k]

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import (FLAT, Series, _check_index, _decode, _flatten, _inverse,
-                     _Keys, _solve, _sum, _times)
+from .series import (FLAT, Series, _check_index, _inverse, _Keys, _solve,
+                     _sum, _times)
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,8 @@ def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
     trunc = min(g.trunc, f.trunc)
     quot, rem, unit_inv, keys = _division_loop(g.truncate(trunc),
                                                f.truncate(trunc), k, d)
-    q = _decode(keys, [_times(keys, _flatten(quot), unit_inv)])
-    return DivisionResult(Series._make(g.nvars, trunc, q, certified),
-                          rem.with_guarantee(certified), d, k, certified)
+    return DivisionResult(keys.series(_times(keys, quot, unit_inv), certified),
+                          keys.series(rem, certified), d, k, certified)
 
 
 def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
@@ -142,11 +141,11 @@ def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
 def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     """``(quot, rem, unit_inv, keys)`` with ``g = quot * f * unit_inv +
     rem``, ``deg_{x_k}(rem) < d``, for ``f`` of order ``d`` in x_k and ``g``
-    at the same truncation.  ``rem`` is a :class:`Series` certified ``d``
-    degrees below the inputs.  ``quot`` (the per-grade parts of
-    :func:`_solve`) and ``unit_inv`` (one ``(items, D)`` table) stay packed
-    over ``keys``, the one :class:`_Keys` that ``f`` and ``g`` are packed
-    with; a caller decodes once what it returns.
+    at the same truncation.  ``quot``, ``rem`` and ``unit_inv`` are packed
+    tables ``(items, D)`` over ``keys``, the one :class:`_Keys` that ``f``
+    and ``g`` are packed with.  The loop forms no certificate: each caller
+    decodes with :meth:`_Keys.series` what it reads, once, and certifies it
+    by its own rule.
 
     With ``f = low + x_k^d * high``, ``b = -high^-1 * low`` and ``H`` the
     x_k-degree >= d part shifted down by ``x_k^d``: ``quot = H(g +
@@ -162,24 +161,23 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     items, den = keys.pack(f.terms)
     low = [(e, n) for e, n in items if e // place % r < d]
     high = [(e - shift, n) for e, n in items if e // place % r >= d]
-    unit_inv = _flatten(_inverse(keys, (high, den)))
+    unit_inv = _inverse(keys, (high, den))
     b, db = _times(keys, unit_inv, (low, den))
     quot, rem = _solve(keys.pack(g.terms), ([(e, -n) for e, n in b], db),
                        keys, lambda e: e // top - e // place % r,
                        lambda e: e - shift if e // place % r >= d else None)
-    gd = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
-    return quot, Series._make(g.nvars, g.trunc, rem, gd), unit_inv, keys
+    return quot, rem, unit_inv, keys
 
 
 def _distinguished(f: Series, k: int, d: int) -> tuple:
     """``(P, loop)`` for ``f`` of certified order ``d >= 1`` in x_k: the
-    division loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem`` is
-    certified ``d`` below ``f``, and ``loop`` is the loop's result, whose
-    ``quot * unit_inv`` is ``U^-1``."""
+    division loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem`` is decoded
+    here and certified ``d`` below ``f``, and ``loop`` is the loop's packed
+    result, whose ``quot * unit_inv`` is ``U^-1``."""
     n = f.nvars
     expo = tuple(d if i == k - 1 else 0 for i in range(n))
     loop = _division_loop(Series.monomial(expo, n, f.trunc), f, k, d)
-    rem = loop[1].with_guarantee(f.guaranteed_degree - d)
+    rem = loop[3].series(loop[1], f.guaranteed_degree - d)
     coeffs = tuple(-rem.coefficient_series(k, d - i) for i in range(1, d + 1))
     if any(a.constant_term() != 0 for a in coeffs):
         raise InternalInvariantError(
@@ -197,10 +195,9 @@ def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
         poly = DistinguishedPoly(0, k, f.nvars, f.trunc, ())
         return PreparationResult(f, poly, f.guaranteed_degree)
     poly, (quot, _, unit_inv, keys) = _distinguished(f, k, d)
-    quotient = _times(keys, _flatten(quot), unit_inv)
+    quotient = _times(keys, quot, unit_inv)
     if not any(key == 0 for key, _ in quotient[0]):
         raise InternalInvariantError("division quotient lost its unit")
-    unit = _decode(keys, _inverse(keys, quotient))
     certified = f.guaranteed_degree - d
-    return PreparationResult(Series._make(f.nvars, f.trunc, unit, certified),
+    return PreparationResult(keys.series(_inverse(keys, quotient), certified),
                              poly, certified)

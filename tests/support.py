@@ -10,7 +10,6 @@ from operator import add
 
 from wseries import (InternalInvariantError, Series, parse_series, pipelines,
                      weierstrass)
-from wseries.series import _decode
 
 NONZERO = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
 DENOMS = [1, 1, 1, 2, 3, 4]
@@ -266,14 +265,13 @@ def reference_division_loop(g, f, k, d):
 
 def decoded_division_loop(g, f, k, d):
     """``weierstrass._division_loop`` as ``(quot, rem, unit_inv)`` series:
-    its packed ``quot`` and ``unit_inv`` decoded, certified as
-    :func:`reference_division_loop` certifies them (``quot`` like ``rem``,
-    ``unit_inv`` ``d`` below ``f``)."""
+    its packed tables decoded with ``keys.series``, certified as
+    :func:`reference_division_loop` certifies them (``quot`` and ``rem``
+    ``d`` below the inputs, ``unit_inv`` ``d`` below ``f``)."""
     quot, rem, unit_inv, keys = weierstrass._division_loop(g, f, k, d)
-    return (Series._make(g.nvars, g.trunc, _decode(keys, quot),
-                         rem.guaranteed_degree), rem,
-            Series._make(f.nvars, f.trunc, _decode(keys, [unit_inv]),
-                         max(f.guaranteed_degree - d, 0)))
+    gd = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
+    return (keys.series(quot, gd), keys.series(rem, gd),
+            keys.series(unit_inv, max(f.guaranteed_degree - d, 0)))
 
 
 def reference_add(self, other):

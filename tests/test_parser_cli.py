@@ -471,6 +471,36 @@ def test_cli_huge_constant_power_is_rejected_before_it_is_built(power, code):
         assert done.stderr == "error: coefficient too large\n"
 
 
+def test_cli_huge_power_of_a_unit_finishes_quickly():
+    # (1 + x1)^n is the sum of its binomial terms up to the truncation;
+    # about 14000 squarings of ever larger coefficients took 8-11 s of CPU
+    # at trunc 4 and over a minute at trunc 8 (2-core x86-64 host).  Its
+    # C(n, j) are too long to print.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "wseries.cli", "prepare", "--vars", "2",
+         "--trunc", "8", "--var", "2", "-e", "x2 + (1+x1)^" + "9" * 4300],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: coefficient too large: ")
+    assert done.stderr.count("\n") == 1
+
+
+def test_cli_prepare_in_32000_variables_finishes_quickly():
+    # packing and decoding go digit by digit; a list of the place values
+    # of all variables, built for every operation and read for every key,
+    # took about 80 s of CPU (2-core x86-64 host)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "wseries.cli", "prepare", "--vars", "32000",
+         "--trunc", "4", "--var", "1", "-e", "x1 + x2*x1"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert "U = 1 + x2\n" in done.stdout and "P = x1\n" in done.stdout
+
+
 @pytest.mark.parametrize("command", ["holo", "cr-check"])
 def test_cli_coeffs_in_exponent_notation_are_rejected_quickly(command):
     # --coeffs entries are constants of the expression grammar; reading

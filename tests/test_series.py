@@ -12,7 +12,7 @@ from support import (S, agree_through, decoded_division_loop, identical,
                      random_unit, reference_add, reference_graded_solve,
                      reference_inverse, reference_mul)
 from wseries import FLAT, PreconditionError, Series, term_sort_key, weierstrass
-from wseries.series import _sum
+from wseries.series import _Keys, _sum
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +340,18 @@ def _same_table(new, old):
     return (identical(new, old)
             and list(new.terms.items()) == list(old.terms.items())
             and all(type(c) is Fraction for c in new.terms.values()))
+
+
+def test_packed_tables_decode_to_the_tables_they_pack():
+    rng = random.Random(4100)
+    for nvars in (0, 1, 4, 32, 2000):
+        for trunc in range(7):
+            keys = _Keys(nvars, trunc)
+            for size in (0, 1, 8):
+                t = _kernel_table(rng, nvars, trunc, size)
+                t = t.with_guarantee(rng.randint(0, trunc))
+                back = keys.series(keys.pack(t.terms), t.guaranteed_degree)
+                assert _same_table(back, t), t
 
 
 def test_packed_products_match_the_tuple_kernel():

@@ -296,9 +296,9 @@ def test_internal_error_when_quotient_degenerates(monkeypatch):
     real = wmod._distinguished
 
     def zero_quotient(f, k, d):
-        # a packed quotient with no grades is zero
+        # the empty packed table is zero
         poly, (_, rem, unit_inv, keys) = real(f, k, d)
-        return poly, ([], rem, unit_inv, keys)
+        return poly, (([], 1), rem, unit_inv, keys)
 
     monkeypatch.setattr(wmod, "_distinguished", zero_quotient)
     with pytest.raises(InternalInvariantError):
