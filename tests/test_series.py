@@ -3,15 +3,12 @@ exponent surgery, and the certified-degree bookkeeping."""
 
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
-from support import (S, agree_through, decoded_division_loop, identical,
-                     nonzero_rational, random_exponent, random_series,
-                     random_unit, reference_add, reference_graded_solve,
-                     reference_inverse, reference_mul)
-from wseries import FLAT, PreconditionError, Series, term_sort_key, weierstrass
+from support import (S, agree_through, identical, in_key_order, kernel_table,
+                     nonzero_rational, random_series, random_unit)
+from wseries import FLAT, PreconditionError, Series, term_sort_key
 from wseries.series import _Keys, _sum
 
 
@@ -129,30 +126,6 @@ def test_add_examples():
 def test_add_requires_matching_spaces():
     with pytest.raises(ValueError):
         S("x1", 2, 5) + S("x1", 3, 5)
-
-
-def test_sum_matches_folding_two_table_addition():
-    """One to six parts with unequal truncations and certificates; some
-    parts cancel earlier ones, term by term or to zero."""
-    rng = random.Random(909)
-    cancelled = 0
-    for nvars in range(1, 5):
-        for _ in range(40):
-            parts = []
-            for _ in range(rng.randint(1, 5)):
-                trunc = rng.randint(0, 6)
-                s = random_series(rng, nvars, trunc, nterms=rng.randint(0, 6))
-                parts.append(s.with_guarantee(rng.randint(0, trunc)))
-            if rng.random() < 0.3:
-                parts.append(-rng.choice(parts))
-            elif rng.random() < 0.3:
-                parts.append(-reduce(reference_add, parts))
-            expected = reduce(reference_add, parts)
-            got = _sum(parts)
-            assert identical(got, expected), parts
-            assert all(type(c) is Fraction for c in got.terms.values())
-            cancelled += got.is_zero() and len(parts) > 1
-    assert cancelled
     a, b = S("x1", 2, 5), S("x1", 3, 5)
     with pytest.raises(ValueError) as err:
         _sum([a, a, b])
@@ -262,200 +235,24 @@ def test_inverse_multiplies_back_to_one():
         assert (prod - one).vanishes_through(prod.guaranteed_degree)
 
 
-def test_inverse_matches_fixpoint_reference():
-    """Graded recurrence against the whole-series fixpoint: rational
-    constant terms, dense and sparse high-order augmentations, and
-    certificates below the truncation."""
-    rng = random.Random(3301)
-    for nvars in range(1, 5):
-        for trunc in range(13):
-            if trunc:
-                dense = random_unit(rng, nvars, trunc, nterms=10)
-                high = random_exponent(rng, nvars, max(trunc // 2, 1), trunc)
-                sparse = Series(nvars, trunc,
-                                {(0,) * nvars: nonzero_rational(rng),
-                                 high: nonzero_rational(rng)})
-            else:
-                dense = sparse = Series.constant(nonzero_rational(rng),
-                                                 nvars, 0)
-            for u in (dense, sparse):
-                u = u.with_guarantee(rng.randint(0, trunc))
-                assert identical(u.inverse(), reference_inverse(u)), u
-
-
 # ----------------------------------------------------------------------
-# the packed integer kernel against the tuple-keyed Fraction kernel
+# packed tables
 # ----------------------------------------------------------------------
-
-def _tuple_inverse(u):
-    c = u.constant_term()
-    one = (0,) * u.nvars
-    b = {e: -v / c for e, v in u.terms.items() if e != one}
-    q, _ = reference_graded_solve({one: 1 / c}, b, u.trunc, sum, lambda e: e)
-    return Series._make(u.nvars, u.trunc, q, u.guaranteed_degree)
-
-
-def _tuple_division_loop(g, f, k, d):
-    low, high = f.split_in_variable(k, d)
-    unit_inv = _tuple_inverse(high)
-    b = -reference_mul(unit_inv, low)
-    gd = max(min(g.guaranteed_degree, f.guaranteed_degree) - d, 0)
-    quot, rem = (Series._make(g.nvars, g.trunc, t, gd)
-                 for t in reference_graded_solve(
-                     g.terms, b.terms, g.trunc, lambda e: sum(e) - e[k - 1],
-                     lambda e: e[:k - 1] + (e[k - 1] - d,) + e[k:]
-                     if e[k - 1] >= d else None))
-    return quot, rem, unit_inv
-
-
-def _wide_coeff(rng):
-    """Small rationals and ones with numerators and denominators up to
-    2^40, so common denominators run to hundreds of bits."""
-    if rng.random() < 0.5:
-        return nonzero_rational(rng)
-    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** 40),
-                    rng.randint(1, 2 ** 40))
-
-
-def _kernel_table(rng, nvars, trunc, size, lo=0):
-    """Up to ``size`` terms of degree ``lo`` to ``trunc`` (at most the
-    constant term when there are no variables)."""
-    if not nvars or lo > trunc:
-        const = size and not lo
-        return Series(nvars, trunc,
-                      {(0,) * nvars: _wide_coeff(rng)} if const else {})
-    return Series(nvars, trunc, {random_exponent(rng, nvars, lo, trunc):
-                                 _wide_coeff(rng) for _ in range(size)})
-
-
-def _kernel_spaces():
-    for nvars in (0, 1, 2, 3, 4, 32):
-        for trunc in range(5 if nvars == 32 else 13):
-            yield nvars, trunc
-
-
-def _same_table(new, old):
-    """Same table in the same order, with ``Fraction`` coefficients, the
-    same truncation and the same certificate."""
-    return (identical(new, old)
-            and list(new.terms.items()) == list(old.terms.items())
-            and all(type(c) is Fraction for c in new.terms.values()))
-
 
 def test_packed_tables_decode_to_the_tables_they_pack():
+    """``keys.series(keys.pack(t), gd)`` is the table ``t`` with
+    ``Fraction`` coefficients, listed in key order, with the same
+    truncation and certificate."""
     rng = random.Random(4100)
     for nvars in (0, 1, 4, 32, 2000):
         for trunc in range(7):
             keys = _Keys(nvars, trunc)
             for size in (0, 1, 8):
-                t = _kernel_table(rng, nvars, trunc, size)
+                t = kernel_table(rng, nvars, trunc, size)
                 t = t.with_guarantee(rng.randint(0, trunc))
                 back = keys.series(keys.pack(t.terms), t.guaranteed_degree)
-                assert _same_table(back, t), t
-
-
-def test_packed_products_match_the_tuple_kernel():
-    rng = random.Random(4101)
-    for nvars, trunc in _kernel_spaces():
-        for size_x, size_y in ((0, 3), (1, 1), (1, 6), (5, 8)):
-            x = _kernel_table(rng, nvars, trunc, size_x)
-            y = _kernel_table(rng, nvars, rng.randint(trunc, trunc + 3),
-                              size_y).with_guarantee(rng.randint(0, trunc))
-            for a, b in ((x, y), (y, x)):
-                assert _same_table(a * b, reference_mul(a, b)), (a, b)
-    # sums that cancel to zero leave no term behind
-    p, m = S("1 + x1 + x2", 2, 2), S("1 - x1 + x2", 2, 2)
-    assert _same_table(p * m, reference_mul(p, m))
-    assert (p * m).terms == {(0, 0): 1, (0, 1): 2, (2, 0): -1, (0, 2): 1}
-    assert (S("x1 - x2", 2, 1) * S("x1 + x2", 2, 1)).is_zero()
-    # a digit sum past the truncation is dropped, never carried into the
-    # next digit, also from an operand truncated higher
-    x = Series(2, 4, {(3, 0): 2, (0, 2): 1})
-    y = Series(2, 9, {(2, 0): 3, (0, 0): 1, (0, 9): 5, (9, 0): 7})
-    assert (x * y).terms == {(3, 0): 2, (0, 2): 1, (2, 2): 3}
-    assert _same_table(x * y, reference_mul(x, y))
-
-
-def test_packed_inverse_matches_the_tuple_recurrence():
-    rng = random.Random(4102)
-    for nvars, trunc in _kernel_spaces():
-        for size in (0, 1, 6):
-            u = _kernel_table(rng, nvars, trunc, size, lo=1)
-            u = (u + _wide_coeff(rng)).with_guarantee(rng.randint(0, trunc))
-            assert _same_table(u.inverse(), _tuple_inverse(u)), u
-
-
-def test_packed_division_loop_matches_the_tuple_recurrence():
-    rng = random.Random(4103)
-    for nvars, trunc in _kernel_spaces():
-        ks = range(1, min(nvars, 4) + 1) if nvars < 32 else (1, 2, 4, 32)
-        for k in ks:
-            for d in range(min(trunc, 3) + 1):
-                # order exactly d on the x_k axis
-                axis = tuple(d if i == k - 1 else 0 for i in range(nvars))
-                extra = _kernel_table(rng, nvars, trunc, 5, lo=1).terms
-                f = Series(nvars, trunc, {
-                    **{e: c for e, c in extra.items() if e[k - 1] >= d
-                       or any(v for i, v in enumerate(e) if i != k - 1)},
-                    axis: _wide_coeff(rng)})
-                for size in (0, 1, 6):
-                    g = _kernel_table(rng, nvars, trunc, size)
-                    new = decoded_division_loop(g, f, k, d)
-                    old = _tuple_division_loop(g, f, k, d)
-                    assert all(map(_same_table, new, old)), (g, f, k, d)
-
-
-def _tuple_divide(g, f, k):
-    """``weierstrass_divide``'s quotient and remainder by the tuple route."""
-    d = f.order_in(k)
-    certified = min(g.guaranteed_degree, f.guaranteed_degree) - d
-    quot, rem, unit_inv = _tuple_division_loop(g, f, k, d)
-    return [reference_mul(quot, unit_inv).with_guarantee(certified),
-            rem.with_guarantee(certified)]
-
-
-def _tuple_prepare(f, k):
-    """``weierstrass_prepare``'s unit and ``a_1 .. a_d`` by the tuple
-    route: divide ``x_k^d`` by ``f``, invert ``quot * unit_inv`` and read
-    the ``a_i`` off the remainder."""
-    d, n = f.order_in(k), f.nvars
-    if d == 0:
-        return [f]
-    expo = tuple(d if i == k - 1 else 0 for i in range(n))
-    quot, rem, unit_inv = _tuple_division_loop(
-        Series.monomial(expo, n, f.trunc), f, k, d)
-    certified = f.guaranteed_degree - d
-    rem = rem.with_guarantee(certified)
-    unit = _tuple_inverse(reference_mul(quot, unit_inv)
-                          .with_guarantee(certified))
-    return [unit, *(-rem.coefficient_series(k, d - i) for i in range(1, d + 1))]
-
-
-def test_packed_division_and_preparation_match_the_tuple_route():
-    """Division and preparation, which stay packed from input to output,
-    against the tuple route.  The x_k^d coefficient of ``f`` (the constant
-    term of ``high``) is negative at every other truncation."""
-    rng = random.Random(4104)
-    for nvars, trunc in _kernel_spaces():
-        ks = range(1, min(nvars, 4) + 1) if nvars < 32 else (1, 2, 4, 32)
-        for k in ks:
-            for d in range(min(trunc, 3) + 1):
-                axis = tuple(d if i == k - 1 else 0 for i in range(nvars))
-                extra = _kernel_table(rng, nvars, trunc, 5, lo=1).terms
-                f = Series(nvars, trunc, {
-                    **{e: c for e, c in extra.items() if e[k - 1] >= d
-                       or any(v for i, v in enumerate(e) if i != k - 1)},
-                    axis: (-1) ** trunc * abs(_wide_coeff(rng))})
-                f = f.with_guarantee(rng.randint(d, trunc))
-                g = _kernel_table(rng, nvars, trunc, 6)
-                g = g.with_guarantee(rng.randint(d, trunc))
-                div = weierstrass.weierstrass_divide(g, f, k)
-                new = [div.quotient, div.remainder]
-                assert all(map(_same_table, new, _tuple_divide(g, f, k)))
-                prep = weierstrass.weierstrass_prepare(f, k)
-                new, old = [prep.unit, *prep.poly.coeffs], _tuple_prepare(f, k)
-                assert len(new) == len(old), (f, k)
-                assert all(map(_same_table, new, old)), (f, k)
+                assert identical(back, t) and in_key_order(back), t
+                assert all(type(c) is Fraction for c in back.terms.values())
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ import random
 import pytest
 
 import wseries.weierstrass as wmod
-from support import (S, decoded_division_loop, identical, nonzero_rational,
+from support import (S, identical, in_key_order, kernel_spaces, kernel_table,
                      random_even_order2, random_order_d, random_series,
-                     reference_division_loop)
+                     reference_division_loop, wide_coeff)
 from wseries import (DistinguishedPoly, InternalInvariantError,
                      PreconditionError, Series, solve_implicit,
                      weierstrass_divide, weierstrass_prepare)
@@ -80,67 +80,70 @@ def test_division_identity_and_remainder_bound_random():
         assert all(e[nvars - 1] < d for e in result.remainder.support())
 
 
-def _reference_outputs(g, f, k, d):
-    """The outputs of ``weierstrass_divide(g, f, k)``, of
-    ``weierstrass_prepare(f, k)`` and, at ``d = 1``, of
-    ``solve_implicit(f, k)``, built from :func:`reference_division_loop`
-    by the steps each of them took on the series division loop: the
-    quotient is ``quot * unit_inv``, ``U`` its inverse, ``a_i`` and the
-    implicit solution are read off the remainder."""
-    n, certified = f.nvars, min(g.guaranteed_degree, f.guaranteed_degree) - d
-    quot, rem, unit_inv = reference_division_loop(g, f, k, d)
-    outs = [(quot * unit_inv).with_guarantee(certified),
-            rem.with_guarantee(certified)]
+def _fixpoint_preparation(f, k, d):
+    """The outputs of preparation and, at ``d = 1``, of implicit solving,
+    from :func:`reference_division_loop` dividing ``x_k^d`` by ``f``:
+    ``U`` inverts its quotient, the rest is read off its remainder."""
     if d == 0:
-        return outs + [f]
+        return [f]
+    n, prepared = f.nvars, f.guaranteed_degree - d
     expo = tuple(d if i == k - 1 else 0 for i in range(n))
     quot, rem, unit_inv = reference_division_loop(
         Series.monomial(expo, n, f.trunc), f, k, d)
-    prepared = f.guaranteed_degree - d
-    outs.append((quot * unit_inv).with_guarantee(prepared).inverse())
-    rem = rem.with_guarantee(prepared)
-    outs += [-rem.coefficient_series(k, d - i) for i in range(1, d + 1)]
+    outs = [(quot * unit_inv).with_guarantee(prepared).inverse()]
+    outs += [-rem.with_guarantee(prepared).coefficient_series(k, d - i)
+             for i in range(1, d + 1)]
     if d == 1:
-        rem = reference_division_loop(Series.variable(k, n, f.trunc), f, k,
-                                      1)[1]
         outs.append(rem.drop_variable(k).with_guarantee(f.guaranteed_degree))
     return outs
 
 
 def test_division_loop_matches_fixpoint_reference():
     """The graded division loop against the whole-series fixpoint it
-    replaced: nvars 1-4, every k, d 0-3, trunc 0-12, rational
-    coefficients, certificates below the truncation.  ``unit_inv`` is
-    identical, and ``quot`` and ``rem`` agree in table and truncation.
-    Their certificates are compared through ``weierstrass_divide``,
-    ``weierstrass_prepare`` and ``solve_implicit`` against the same outputs
-    built from the fixpoint's loop (:func:`_reference_outputs`): the
-    fixpoint's own certificate shrank by ``d`` per pass, and both callers
-    replaced it."""
+    replaced: nvars 0-4 at trunc 0-12 with every k, and nvars 32 at trunc
+    0-4 with k in {1, 2, 4, 32}; d 0-3; numerators and denominators up to
+    2^40; an x_k^d coefficient of ``f`` (the constant term of ``high``)
+    that is negative at every odd truncation; ``g`` of 0, 1 and 6 terms;
+    certificates below the truncation.  ``quot``, ``rem`` and ``unit_inv``
+    agree in table and truncation; the loop forms no certificate.
+    Certificates are compared through ``weierstrass_divide`` (its quotient
+    against ``f`` is ``quot * unit_inv``), ``weierstrass_prepare`` and
+    ``solve_implicit`` against the same outputs built from the fixpoint's
+    loop.  Every table the loop and those three return is in key order."""
     rng = random.Random(4201)
-    for nvars in range(1, 5):
-        for k in range(1, nvars + 1):
-            for d in range(4):
-                for trunc in range(d, 13):
-                    f = (random_order_d(rng, nvars, trunc, k, d, nterms=6)
-                         if trunc else Series.constant(
-                             nonzero_rational(rng), nvars, 0))
-                    f = f.with_guarantee(rng.randint(d, trunc))
-                    g = random_series(rng, nvars, trunc, nterms=6)
+    for nvars, trunc in kernel_spaces():
+        ks = range(1, min(nvars, 4) + 1) if nvars < 32 else (1, 2, 4, 32)
+        for k in ks:
+            for d in range(min(trunc, 3) + 1):
+                axis = tuple(d if i == k - 1 else 0 for i in range(nvars))
+                extra = kernel_table(rng, nvars, trunc, 5, lo=1).terms
+                f = Series(nvars, trunc, {
+                    **{e: c for e, c in extra.items() if e[k - 1] >= d
+                       or any(v for i, v in enumerate(e) if i != k - 1)},
+                    axis: (-1) ** trunc * abs(wide_coeff(rng))})
+                f = f.with_guarantee(rng.randint(d, trunc))
+                prep = weierstrass_prepare(f, k)
+                outs = [prep.unit, *prep.poly.coeffs,
+                        *([solve_implicit(f, k)] if d == 1 else [])]
+                expected = _fixpoint_preparation(f, k, d)
+                assert len(outs) == len(expected), (f, k)
+                assert all(map(identical, outs, expected)), (f, k)
+                for size in (0, 1, 6):
+                    g = kernel_table(rng, nvars, trunc, size)
                     g = g.with_guarantee(rng.randint(d, trunc))
-                    new = decoded_division_loop(g, f, k, d)
-                    ref = reference_division_loop(g, f, k, d)
-                    for a, b in zip(new, ref):
+                    *loop, keys = wmod._division_loop(g, f, k, d)
+                    new = [keys.series(t, 0) for t in loop]  # uncertified
+                    quot, rem, unit_inv = reference_division_loop(g, f, k, d)
+                    for a, b in zip(new, (quot, rem, unit_inv)):
                         assert a.same_data(b) and a.trunc == b.trunc, (g, f)
-                    assert identical(new[2], ref[2])
                     div = weierstrass_divide(g, f, k)
-                    prep = weierstrass_prepare(f, k)
-                    solved = [solve_implicit(f, k)] if d == 1 else []
-                    outs = [div.quotient, div.remainder, prep.unit,
-                            *prep.poly.coeffs, *solved]
-                    expected = _reference_outputs(g, f, k, d)
-                    assert len(outs) == len(expected)
-                    assert all(map(identical, outs, expected)), (g, f)
+                    gd = min(g.guaranteed_degree, f.guaranteed_degree) - d
+                    assert identical(div.quotient,
+                                     (quot * unit_inv).with_guarantee(gd))
+                    assert identical(div.remainder, rem.with_guarantee(gd))
+                    outs += [*new, div.quotient, div.remainder]
+                # a unit ``f`` (d = 0) prepares as itself, as given
+                assert all(in_key_order(s) for s in outs if s is not f), f
 
 
 def test_division_is_deterministic():
