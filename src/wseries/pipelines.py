@@ -358,8 +358,6 @@ def holomorphic_extension(h: Series) -> ComplexExtension:
         raise PreconditionError(
             "series must be normalized to the x^2 + x^3 profile "
             "(apply normalize_cubic first)")
-    if h.trunc < 4:
-        raise PreconditionError("truncation below 4 cannot run the pipeline")
     n2 = h.trunc
     arg = Series.variable(1, 2, n2) + Series.variable(2, 2, n2)
     split = split_square(h.compose([arg]), 2)

@@ -10,14 +10,15 @@ one positive common denominator, with each exponent packed into one ``int``
 key.  :class:`_Keys` is its one way in (:meth:`_Keys.pack`) and its one way
 out (:meth:`_Keys.series`, which decodes to exponent tuples and ``Fraction``
 coefficients).  The decoder sets the term order: every table it returns
-(the results of ``*``, :meth:`Series.inverse`, Weierstrass division, the
-preparation of a series of positive order, and implicit solving) lists its
-terms in key order, by total degree and then by exponent tuple, so
-``x2^2`` precedes ``x1*x2`` precedes ``x1^2``.  Weierstrass division and preparation stay packed from input
-to output: they pack their inputs once, split, invert, multiply and solve on
+(the results of ``*``, :meth:`Series.inverse`, Weierstrass division and
+preparation, and implicit solving) lists its terms in key order, by total
+degree and then by exponent tuple, so ``x2^2`` precedes ``x1*x2`` precedes
+``x1^2``.  Weierstrass division and preparation stay packed from input to
+output: they pack their inputs once, split, invert, multiply and solve on
 packed tables, and decode once for each series they return.  ``_remap``,
 :func:`_sum`, :meth:`Series.compose` and negation still work on the decoded
-tables.
+tables; ``compose`` scales each power by its coefficient instead of
+multiplying by a constant series, and ``**`` is one composition.
 
 Alongside the truncation bound each value carries a ``guaranteed_degree``:
 the total degree up to which its coefficients are certified to agree with
@@ -37,6 +38,7 @@ immutable: every operation returns a new Series.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -347,30 +349,24 @@ class Series:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        """``self ** n``, certified as ``n`` products are.  A power whose
-        every term lies past the truncation is zero without any product
-        being formed; any other power of a non-unit has ``n <= trunc`` and
-        is ``n`` products.  A unit ``c*(1 + m)`` is ``c^n * sum_{i <= min(n,
-        trunc)} C(n, i) m^i``, as ``m`` has positive order: at most
-        ``trunc`` products, however large ``n`` is."""
+        """``self ** n`` is the composition ``P(self - c)``, with ``c`` the
+        constant term and ``P(y) = (c + y)^n = sum_i C(n, i) c^(n-i) y^i``.
+        As ``self - c`` has positive order, ``P`` needs only the degrees
+        ``i <= min(n, trunc)``, and for ``c = 0`` only ``i = n``: at most
+        ``trunc`` products however large ``n`` is, and none when every term
+        lies past the truncation.  The certificate is ``self``'s, as
+        :meth:`compose` takes the minimum over ``P`` (certified through
+        ``trunc``) and ``self - c``."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a natural number")
-        order = min(map(sum, self._terms), default=None)
-        if exponent and (order is None or exponent * order > self.trunc):
-            return Series(self.nvars, self.trunc, None, self.guaranteed_degree)
-        result = Series.constant(1, self.nvars, self.trunc)
-        result = result.with_guarantee(self.guaranteed_degree)
-        if order != 0:
-            for _ in range(exponent):
-                result = result * self
-            return result
-        c = self.constant_term()
-        m, parts, binomial = (self - c) / c, [result], 1
-        for i in range(1, min(exponent, self.trunc) + 1):
-            binomial = binomial * (exponent - i + 1) // i
-            result = result * m
-            parts.append(result * binomial)
-        return _sum(parts) * c ** exponent
+        n, c = exponent, self.constant_term()
+        poly = {(n,): 1}
+        if c:
+            # each binomial from the last: comb(n, i) alone costs O(i)
+            binoms = accumulate(range(1, min(n, self.trunc) + 1),
+                                lambda b, i: b * (n - i + 1) // i, initial=1)
+            poly = {(i,): b * c ** (n - i) for i, b in enumerate(binoms)}
+        return Series(1, self.trunc, poly).compose([self - c])
 
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term).
@@ -392,6 +388,11 @@ class Series:
         inputs: an unknown coefficient of ``self`` beyond its bound, or of
         some ``g``, can only disturb the result above that degree because
         each ``g`` has positive order.
+
+        The powers of each ``g`` are formed once, as products.  A term scales
+        its first power (or the constant 1) by its coefficient and multiplies
+        by the rest; a term whose degree, weighted by the orders of the
+        ``g``, lies past the truncation is zero and forms no product.
         """
         if len(gs) != self.nvars:
             raise ValueError(f"expected {self.nvars} substituends, got {len(gs)}")
@@ -406,26 +407,20 @@ class Series:
                     "substituend has nonzero constant term")
         trunc = min(self.trunc, min(g.trunc for g in gs))
         gd = min(self.guaranteed_degree, min(g.guaranteed_degree for g in gs))
-        powers: list[dict[int, Series]] = [
-            {0: Series.constant(1, m, trunc)} for _ in gs]
-
-        def power(i: int, j: int) -> "Series":
-            cache = powers[i]
-            top = max(cache)
-            while top < j:
-                cache[top + 1] = cache[top] * gs[i]
-                top += 1
-            return cache[j]
-
+        orders = [min(map(sum, g.terms), default=trunc + 1) for g in gs]
+        one = Series.constant(1, m, trunc)
+        rows = [[one] for _ in gs]
         parts = [Series.zero(m, trunc)]
         for expo, coeff in self._terms.items():
-            if sum(expo) > trunc:
+            if sum(e * o for e, o in zip(expo, orders)) > trunc:
                 continue
-            prod = Series.constant(coeff, m, trunc)
-            for i, e in enumerate(expo):
+            prod = None
+            for row, g, e in zip(rows, gs, expo):
+                while len(row) <= e:
+                    row.append(row[-1] * g)
                 if e:
-                    prod = prod * power(i, e)
-            parts.append(prod)
+                    prod = row[e] * coeff if prod is None else prod * row[e]
+            parts.append(one * coeff if prod is None else prod)
         return _sum(parts).with_guarantee(gd)
 
     def derivative(self, k: int) -> "Series":

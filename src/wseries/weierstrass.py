@@ -45,16 +45,16 @@ class DistinguishedPoly:
                 raise ValueError("distinguished coefficients must vanish at 0")
 
     def expand(self) -> Series:
-        """Embed back into the full space as a single series."""
-        expo = tuple(self.d if i == self.k - 1 else 0 for i in range(self.nvars))
-        parts = [Series.monomial(expo, self.nvars, self.trunc)]
-        gd = self.trunc
-        for i, a in enumerate(self.coeffs, start=1):
-            power = tuple(self.d - i if j == self.k - 1 else 0
-                          for j in range(self.nvars))
-            parts.append(a.embed_variable(self.k) * Series.monomial(
-                power, self.nvars, self.trunc))
-            gd = min(gd, a.guaranteed_degree + self.d - i)
+        """Embed back into the full space as a single series: each
+        ``a_i * x_k^(d-i)``, with ``a_0 = 1``, inserts the exponent ``d - i``
+        at position ``k`` of the terms of ``a_i``."""
+        k, d, n = self.k - 1, self.d, self.nvars
+        parts, gd = [], self.trunc
+        lead = Series.constant(1, n - 1, self.trunc)
+        for i, a in enumerate((lead,) + self.coeffs):
+            parts.append(a._remap(
+                lambda e, c: (e[:k] + (d - i,) + e[k:], c), n))
+            gd = min(gd, a.guaranteed_degree + d - i)
         return _sum(parts).with_guarantee(gd)
 
     def to_dict(self) -> dict:
@@ -170,15 +170,21 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
 
 
 def _distinguished(f: Series, k: int, d: int) -> tuple:
-    """``(P, loop)`` for ``f`` of certified order ``d >= 1`` in x_k: the
-    division loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem`` is decoded
-    here and certified ``d`` below ``f``, and ``loop`` is the loop's packed
-    result, whose ``quot * unit_inv`` is ``U^-1``."""
+    """``(P, loop)`` for ``f`` of certified order ``d`` in x_k: the division
+    loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem`` is decoded here and
+    certified ``d`` below ``f``, and ``loop`` is the loop's packed result,
+    whose ``quot * unit_inv`` is ``U^-1``.  The remainder is negated once,
+    on its numerators, before it is decoded.  At ``d = 0`` the loop divides
+    1 by ``f``: ``low`` and ``b`` are empty, ``quot`` is 1 and the
+    remainder is empty, so ``P = 1``."""
     n = f.nvars
     expo = tuple(d if i == k - 1 else 0 for i in range(n))
     loop = _division_loop(Series.monomial(expo, n, f.trunc), f, k, d)
-    rem = loop[3].series(loop[1], f.guaranteed_degree - d)
-    coeffs = tuple(-rem.coefficient_series(k, d - i) for i in range(1, d + 1))
+    items, den = loop[1]
+    minus_rem = loop[3].series(([(e, -v) for e, v in items], den),
+                               f.guaranteed_degree - d)
+    coeffs = tuple(minus_rem.coefficient_series(k, d - i)
+                   for i in range(1, d + 1))
     if any(a.constant_term() != 0 for a in coeffs):
         raise InternalInvariantError(
             "distinguished coefficient does not vanish at the origin")
@@ -189,11 +195,10 @@ def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     """Factor ``f = U * P`` with ``U`` a unit and ``P`` distinguished in
     variable ``k``: :func:`_distinguished` divides ``x_k^d`` by ``f``, and
     ``U`` is the inverse of the quotient, inverted packed and decoded once.
-    A unit ``f`` (order 0) prepares trivially as ``U = f``, ``P = 1``."""
+    A unit ``f`` (order 0) prepares through the same division: ``P = 1``,
+    and ``U = (f^-1)^-1`` equals ``f`` in table, truncation and
+    certificate, listed in key order."""
     d = _certified_order(f, k, "series", "preparation")
-    if d == 0:
-        poly = DistinguishedPoly(0, k, f.nvars, f.trunc, ())
-        return PreparationResult(f, poly, f.guaranteed_degree)
     poly, (quot, _, unit_inv, keys) = _distinguished(f, k, d)
     quotient = _times(keys, quot, unit_inv)
     if not any(key == 0 for key, _ in quotient[0]):

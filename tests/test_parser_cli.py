@@ -410,6 +410,9 @@ def test_cli_usage_errors(capsys):
     assert run_cli(capsys, "cr-check", "--trunc", "8", "-g", "x1")[0] == 2
     assert run_cli(capsys, "divide", "--vars", "2", "--trunc", "-3",
                    "--var", "2", "-g", "1", "-f", "x2")[0] == 2
+    code, _, err = run_cli(capsys, "prepare", "--vars", "2", "--trunc", "x",
+                           "--var", "2", "-e", "x2")
+    assert code == 2 and "not an integer: 'x'" in err
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
 

@@ -244,6 +244,8 @@ def test_extension_certificate_follows_the_input():
 def test_extension_requires_normalized_input():
     with pytest.raises(PreconditionError):
         holomorphic_extension(S("x1^2", 1, 8))
+    with pytest.raises(PreconditionError, match="truncation below 4"):
+        holomorphic_extension(Series(1, 3, {(2,): 1, (3,): 1}))
     with pytest.raises(ValueError):
         holomorphic_extension(S("x1^2 + x2", 2, 8))
 
@@ -279,6 +281,9 @@ def test_direct_complexification_examples():
     d = direct_complexification(S("x1^3", 1, 6))
     assert d.u.same_data(S("x1^3 - 3*x1*x2^2", 2, 6))
     assert d.v.same_data(S("3*x1^2*x2 - x2^3", 2, 6))
+
+    with pytest.raises(ValueError, match="expected a univariate series"):
+        direct_complexification(S("x1", 2, 6))
 
 
 def test_cauchy_riemann_examples():

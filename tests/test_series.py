@@ -8,8 +8,8 @@ import pytest
 
 from support import (S, agree_through, identical, in_key_order, kernel_table,
                      nonzero_rational, random_series, random_unit)
-from wseries import FLAT, PreconditionError, Series, term_sort_key
-from wseries.series import _Keys, _sum
+from wseries import FLAT, PreconditionError, Series, series, term_sort_key
+from wseries.series import _Keys, _sum, _times
 
 
 # ----------------------------------------------------------------------
@@ -165,27 +165,35 @@ def test_pow():
 
 
 def test_pow_matches_repeated_products():
+    # exponents run past every truncation drawn, with and without a
+    # constant term: both degree ranges of the composed polynomial
     rng = random.Random(409)
     for _ in range(20):
         nvars = rng.choice((1, 2, 3))
         trunc = rng.randint(0, 9)
         s = random_series(rng, nvars, trunc, nterms=4)
         s = s.with_guarantee(rng.randint(0, trunc))
-        for exponent in range(7):
+        m = s - s.constant_term()
+        for base in (m, m + nonzero_rational(rng)):
             expected = Series.constant(1, nvars, trunc).with_guarantee(
-                s.guaranteed_degree)
-            for _ in range(exponent):
-                expected = expected * s
-            assert identical(s ** exponent, expected)
+                base.guaranteed_degree)
+            for exponent in range(12):
+                assert identical(base ** exponent, expected), (base, exponent)
+                expected = expected * base
 
 
-def test_pow_past_the_truncation_is_zero_at_once():
+def test_pow_past_the_truncation_is_zero_at_once(monkeypatch):
     big = 2_000_000_000
     s = S("x1 + x1*x2", 2, 8).with_guarantee(5)
+    square = S("x1^2", 1, 8)
+    products = []
+    monkeypatch.setattr(series, "_times",
+                        lambda *args: products.append(args) or _times(*args))
     assert identical(s ** big, Series(2, 8, None, 5))
     assert identical(Series(2, 8, None, 5) ** 3, Series(2, 8, None, 5))
-    assert identical(S("x1^2", 1, 8) ** 4, S("x1^8", 1, 8))
-    assert (S("x1^2", 1, 8) ** 5).is_zero()
+    assert (square ** 5).is_zero()
+    assert not products
+    assert identical(square ** 4, S("x1^8", 1, 8))
 
 
 def test_ring_axioms_on_random_triples():
@@ -273,6 +281,10 @@ def test_compose_preconditions():
         S("x1", 2, 4).compose([S("x1", 1, 4)])
     with pytest.raises(PreconditionError):
         S("x1", 1, 4).compose([S("1 + x1", 1, 4)])
+    with pytest.raises(ValueError, match="different spaces"):
+        S("x1 + x2", 2, 4).compose([S("x1", 1, 4), S("x1", 2, 4)])
+    with pytest.raises(ValueError, match="at least one variable"):
+        Series.constant(1, 0, 4).compose([])
 
 
 def test_compose_associativity_on_random_inputs():
@@ -342,6 +354,8 @@ def test_substitute_single_variable():
     assert f.substitute(2, phi).is_zero()
     with pytest.raises(PreconditionError):
         f.substitute(2, S("1", 1, 8))
+    with pytest.raises(ValueError, match="substituend must have 1 variables"):
+        f.substitute(2, S("x1", 2, 8))
 
 
 def test_split_in_variable_reconstructs():
@@ -361,6 +375,8 @@ def test_variable_plumbing():
     assert g.nvars == 3 and g.coefficient((0, 2, 0)) == 1
     h = f.embed_variable(1)
     assert h.coefficient((0, 1, 0)) == 1 and h.coefficient((0, 0, 2)) == 1
+    with pytest.raises(ValueError, match="insert position 4 out of range"):
+        f.embed_variable(4)
     assert g.drop_variable(3).same_data(f)
     with pytest.raises(ValueError):
         f.drop_variable(1)

@@ -221,6 +221,9 @@ def test_prepare_unit_input_gives_constant_poly():
     assert prep.poly.d == 0
     assert prep.poly.expand().same_data(S("1", 2, 8))
     assert prep.unit.same_data(f)
+    f = S("-1/3 + x1*x2^2 + x2^5", 2, 8).with_guarantee(5)
+    prep = weierstrass_prepare(f, 2)
+    assert identical(prep.unit, f) and prep.guaranteed_degree == 5
 
 
 def test_prepare_requires_finite_order():
