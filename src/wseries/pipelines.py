@@ -37,7 +37,7 @@ from math import comb
 
 from .errors import InternalInvariantError, PreconditionError
 from .localring import divide_by_variable, even_odd_split, solve_implicit
-from .series import Series, term_sort_key, _check_index
+from .series import Series, term_sort_key, _check_index, _Record, _sum
 from .weierstrass import DistinguishedPoly, _certified_order, _distinguished
 # not called here: perfbench's span recorder test reads the name from here
 from .weierstrass import weierstrass_prepare  # noqa: F401
@@ -48,23 +48,18 @@ from .weierstrass import weierstrass_prepare  # noqa: F401
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SquareSplit:
+class SquareSplit(_Record):
     """Decomposition ``f = f0(x', x_k^2) + x_k * f1(x', x_k^2)``.
 
     Both components are series in ``n`` variables whose last variable
     stands for the square ``x_k^2``; the remaining original variables keep
     their order with indices above ``k`` shifted down."""
 
+    _EXPORT = ("guaranteed_degree", "f0", "f1")
+
     f0: Series
     f1: Series
     guaranteed_degree: int
-
-    def to_dict(self) -> dict:
-        return {
-            "guaranteed_degree": self.guaranteed_degree,
-            "f0": self.f0.to_dict(),
-            "f1": self.f1.to_dict(),
-        }
 
 
 #: coefficients of x_k^0 .. x_k^3 on the x_k axis: the profile x_k^2 + x_k^3
@@ -128,15 +123,14 @@ def _descend_even_square(g: Series, k: int) -> Series:
 
 def reconstruct_split(split: SquareSplit, k: int) -> Series:
     """Reassemble ``f0(x', x_k^2) + x_k * f1(x', x_k^2)`` with the squared
-    variable moved back to position ``k`` of the original space."""
-    n = split.f0.nvars
-    even = split.f0.substitute_square(n)
-    odd = split.f1.substitute_square(n) * Series.variable(n, n, split.f1.trunc)
-    combined = even + odd
-    if k == n:
-        return combined
-    perm = list(range(1, k)) + [n] + list(range(k, n))
-    return combined.permute_variables(perm)
+    variable moved back to position ``k`` of the original space: a term
+    ``x'^a t^j`` of ``f0`` becomes ``x'^a x_k^(2j)``, one of ``f1``
+    ``x'^a x_k^(2j+1)``."""
+    _check_index(k, split.f0.nvars)
+    k -= 1
+    return _sum([part._remap(lambda e, c, odd=odd:
+                             (e[:k] + (2 * e[-1] + odd,) + e[k:-1], c))
+                 for odd, part in enumerate((split.f0, split.f1))])
 
 
 # ----------------------------------------------------------------------
@@ -144,30 +138,25 @@ def reconstruct_split(split: SquareSplit, k: int) -> Series:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SupportCheck:
+class SupportCheck(_Record):
     """Membership verdict for one exponent.  When ``member`` is true the
     ``witness`` generators (with repetition) sum to the exponent plus
     ``shifts`` copies of the distinguished monomial exponent."""
+
+    _EXPORT = ("exponent", "member", "witness", "shifts")
 
     exponent: tuple
     member: bool
     witness: tuple | None = None
     shifts: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "exponent": list(self.exponent),
-            "member": self.member,
-            "witness": None if self.witness is None
-            else [list(w) for w in self.witness],
-            "shifts": self.shifts,
-        }
-
 
 @dataclass(frozen=True)
-class SemigroupReport:
+class SemigroupReport(_Record):
     """Outcome of checking every support exponent of a prepared polynomial
     against the additive semigroup generated by the source support."""
+
+    _EXPORT = ("order_shift", "all_member", "generators", "checks")
 
     generators: tuple
     checks: tuple
@@ -179,14 +168,6 @@ class SemigroupReport:
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.member]
-
-    def to_dict(self) -> dict:
-        return {
-            "order_shift": self.order_shift,
-            "all_member": self.all_member,
-            "generators": [list(g) for g in self.generators],
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def check_membership(targets, generators, *, cap: int | None = None,
@@ -288,40 +269,29 @@ def semigroup_check(poly: DistinguishedPoly, source: Series,
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ComplexExtension:
+class ComplexExtension(_Record):
     """Real and imaginary parts ``u(x1, x2)``, ``v(x1, x2)`` of a formal
     extension, certified through ``guaranteed_degree``."""
+
+    _EXPORT = ("guaranteed_degree", "u", "v")
 
     u: Series
     v: Series
     guaranteed_degree: int
 
-    def to_dict(self) -> dict:
-        return {
-            "guaranteed_degree": self.guaranteed_degree,
-            "u": self.u.to_dict(),
-            "v": self.v.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
-class CauchyRiemannReport:
+class CauchyRiemannReport(_Record):
     """Residuals ``du/dx1 - dv/dx2`` and ``du/dx2 + dv/dx1``; the pair
     passes when both vanish through ``checked_degree`` (one below the
     extension's certified degree, spent on differentiation)."""
+
+    _EXPORT = ("checked_degree", "passed", "residual1", "residual2")
 
     residual1: Series
     residual2: Series
     checked_degree: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "checked_degree": self.checked_degree,
-            "passed": self.passed,
-            "residual1": self.residual1.to_dict(),
-            "residual2": self.residual2.to_dict(),
-        }
 
 
 def normalize_cubic(h: Series) -> tuple[Series, Series]:
@@ -336,10 +306,11 @@ def normalize_cubic(h: Series) -> tuple[Series, Series]:
     return h + q, q
 
 
-def _negate_square(s: Series) -> Series:
-    """Substitute ``t -> -x^2`` in the last variable: flip the sign by the
-    old exponent's parity, then double it."""
-    return s._remap(lambda e, c: (e[:-1] + (2 * e[-1],),
+def _negate_square(s: Series, odd: int) -> Series:
+    """Substitute ``t -> -x^2`` in the last variable and multiply by
+    ``x^odd``: flip the sign by the old exponent's parity, then double it
+    and add ``odd``."""
+    return s._remap(lambda e, c: (e[:-1] + (2 * e[-1] + odd,),
                                   -c if e[-1] % 2 else c))
 
 
@@ -361,8 +332,8 @@ def holomorphic_extension(h: Series) -> ComplexExtension:
     n2 = h.trunc
     arg = Series.variable(1, 2, n2) + Series.variable(2, 2, n2)
     split = split_square(h.compose([arg]), 2)
-    u = _negate_square(split.f0)
-    v = _negate_square(split.f1) * Series.variable(2, 2, n2)
+    u = _negate_square(split.f0, 0)
+    v = _negate_square(split.f1, 1)
     gd = split.guaranteed_degree
     return ComplexExtension(u.with_guarantee(gd), v.with_guarantee(gd), gd)
 

@@ -463,17 +463,6 @@ class Series:
               for i in range(1, self.nvars)]
         return self.compose(xs[:k - 1] + [s] + xs[k - 1:])
 
-    def split_in_variable(self, k: int, d: int) -> tuple["Series", "Series"]:
-        """Split as ``low + x_k^d * high`` where ``low`` collects the terms
-        of x_k-degree < d and ``high`` is shifted down by ``x_k^d``."""
-        _check_index(k, self.nvars)
-        return (
-            self._remap(lambda e, c: (e, c) if e[k - 1] < d else None),
-            self._remap(lambda e, c: None if e[k - 1] < d
-                        else (e[:k - 1] + (e[k - 1] - d,) + e[k:], c),
-                        loss=d),
-        )
-
     def adjoin_variable(self) -> "Series":
         """Append a fresh last variable on which the series does not depend."""
         return self.embed_variable(self.nvars + 1)
@@ -500,6 +489,26 @@ class Series:
         if sorted(perm) != list(range(1, self.nvars + 1)):
             raise ValueError(f"{perm} is not a permutation of 1..{self.nvars}")
         return self._remap(lambda e, c: (tuple(e[p - 1] for p in perm), c))
+
+
+class _Record:
+    """Base of the result records: one structured export.  A record lists
+    its exported attributes, in key order, in ``_EXPORT``."""
+
+    _EXPORT: tuple
+
+    def to_dict(self) -> dict:
+        return {key: _plain(getattr(self, key)) for key in self._EXPORT}
+
+
+def _plain(value):
+    """A series or record as its ``to_dict()``, a tuple as a list of plain
+    items, anything else (int, bool, ``None``) as it is."""
+    if isinstance(value, (Series, _Record)):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _check_index(k: int, nvars: int):

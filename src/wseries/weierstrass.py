@@ -17,17 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import (FLAT, Series, _check_index, _inverse, _Keys, _solve,
-                     _sum, _times)
+from .series import (FLAT, Series, _check_index, _inverse, _Keys, _Record,
+                     _solve, _sum, _times)
 
 
 @dataclass(frozen=True)
-class DistinguishedPoly:
+class DistinguishedPoly(_Record):
     """Monic polynomial ``x_k^d + a_1*x_k^(d-1) + ... + a_d`` in the
     distinguished variable ``k`` of an ``nvars``-dimensional space.  The
     ``coeffs`` tuple holds ``a_1 .. a_d`` as series in the remaining
     ``nvars - 1`` variables (indices above ``k`` shifted down), each
     vanishing at the origin.  ``d = 0`` encodes the constant polynomial 1."""
+
+    _EXPORT = ("d", "k", "nvars", "trunc", "coeffs")
 
     d: int
     k: int
@@ -57,20 +59,13 @@ class DistinguishedPoly:
             gd = min(gd, a.guaranteed_degree + d - i)
         return _sum(parts).with_guarantee(gd)
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "nvars": self.nvars,
-            "trunc": self.trunc,
-            "coeffs": [a.to_dict() for a in self.coeffs],
-        }
-
 
 @dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(_Record):
     """``dividend = quotient * divisor + remainder`` with
     ``deg_{x_k}(remainder) < d``, certified through ``guaranteed_degree``."""
+
+    _EXPORT = ("d", "k", "guaranteed_degree", "quotient", "remainder")
 
     quotient: Series
     remainder: Series
@@ -78,31 +73,20 @@ class DivisionResult:
     k: int
     guaranteed_degree: int
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "guaranteed_degree": self.guaranteed_degree,
-            "quotient": self.quotient.to_dict(),
-            "remainder": self.remainder.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
-class PreparationResult:
+class PreparationResult(_Record):
     """``f = unit * poly.expand()`` certified through ``guaranteed_degree``."""
+
+    _EXPORT = ("guaranteed_degree", "unit", "poly", "poly_expanded")
 
     unit: Series
     poly: DistinguishedPoly
     guaranteed_degree: int
 
-    def to_dict(self) -> dict:
-        return {
-            "guaranteed_degree": self.guaranteed_degree,
-            "unit": self.unit.to_dict(),
-            "poly": self.poly.to_dict(),
-            "poly_expanded": self.poly.expand().to_dict(),
-        }
+    @property
+    def poly_expanded(self) -> Series:
+        return self.poly.expand()
 
 
 def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:

@@ -4,6 +4,7 @@ Randomised suites use seeded ``random.Random`` instances so every run
 exercises identical cases; failures are therefore reproducible verbatim.
 """
 
+import json
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -232,6 +233,17 @@ def naive_member(target, generators):
 # reference implementations
 # ----------------------------------------------------------------------
 
+def split_in_variable(s, k, d):
+    """``(low, high)`` with ``s = low + x_k^d * high``: ``low`` collects the
+    terms of x_k-degree below ``d`` and ``high`` is shifted down by
+    ``x_k^d``, spending ``d`` degrees of certainty."""
+    return (
+        s._remap(lambda e, c: (e, c) if e[k - 1] < d else None),
+        s._remap(lambda e, c: None if e[k - 1] < d
+                 else (e[:k - 1] + (e[k - 1] - d,) + e[k:], c), loss=d),
+    )
+
+
 def reference_division_loop(g, f, k, d):
     """The whole-series fixpoint that Weierstrass division used to run:
     with ``b = -high^-1 * low`` for ``f = low + x_k^d * high``, each pass
@@ -240,15 +252,15 @@ def reference_division_loop(g, f, k, d):
     ``delta`` vanishes.  Each pass raises the degree in the variables other
     than x_k.  ``weierstrass._division_loop`` must match it table for
     table."""
-    low, high = f.split_in_variable(k, d)
+    low, high = split_in_variable(f, k, d)
     unit_inv = high.inverse()
     b = -(unit_inv * low)
-    rem, delta = g.split_in_variable(k, d)
+    rem, delta = split_in_variable(g, k, d)
     quot = delta
     for _ in range(f.trunc + 3):
         if delta.is_zero():
             return quot, rem, unit_inv
-        lo, delta = (delta * b).split_in_variable(k, d)
+        lo, delta = split_in_variable(delta * b, k, d)
         rem = rem + lo
         quot = quot + delta
     raise InternalInvariantError("division iteration did not converge")
@@ -263,3 +275,12 @@ def identical(a, b):
 def in_key_order(s):
     """Terms listed by degree, then by exponent tuple: packed-key order."""
     return list(s.terms) == sorted(s.terms, key=lambda e: (sum(e), e))
+
+
+def exported(record, keys):
+    """``record.to_dict()``, checked to list ``keys`` in that order and to
+    come back unchanged from JSON, so no tuple or series is left inside."""
+    doc = record.to_dict()
+    assert list(doc) == keys
+    assert json.loads(json.dumps(doc)) == doc
+    return doc

@@ -137,8 +137,9 @@ def test_square_split_is_certified():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "the f0/f1 certificate G - 4 counts the squared variable once, but its "
-    "t^j coefficient is the x_k^(2j) coefficient of f: unsound for G >= 9"))
+    "the f0/f1 certificate G - 4 counts the squared variable once, but "
+    "f0's t^j coefficient is f's x_k^(2j) coefficient, f1's its x_k^(2j+1): "
+    "unsound once G >= 8"))
 def test_descended_series_are_certified_in_the_squared_variable():
     """``f0`` of ``x2^2 + x2^3 + c*x2^12`` holds ``c`` at ``t^6``; with
     ``f`` certified through 10, ``f0`` claims degree 10 - 4 = 6."""

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from support import (S, agree_through, descent_polynomials, naive_member,
-                     random_lemma_input, random_normalized_h, random_order_d,
-                     square_window, witness_is_valid)
+from support import (S, agree_through, descent_polynomials, exported,
+                     naive_member, random_lemma_input, random_normalized_h,
+                     random_order_d, square_window, witness_is_valid)
 from wseries import (InternalInvariantError, PreconditionError, Series,
                      cauchy_riemann_check, check_membership,
                      direct_complexification, divide_by_variable,
@@ -68,6 +68,12 @@ def test_descent_in_a_middle_variable():
     sp = split_square(f, 1)
     rec = reconstruct_split(sp, 1)
     assert (rec - f).vanishes_through(8)
+    f = random_lemma_input(random.Random(85), 3, 10, 2, nterms=6)
+    sp = split_square(f, 2)
+    assert (reconstruct_split(sp, 2) - f).vanishes_through(6)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            reconstruct_split(sp, k)
 
 
 def test_descent_flags_surviving_odd_coefficient(monkeypatch):
@@ -117,9 +123,10 @@ def test_descent_certificate_follows_the_input():
 
 def test_split_serialization():
     sp = split_square(S("x2^2 + x2^3", 2, 8), 2)
-    doc = sp.to_dict()
+    doc = exported(sp, ["guaranteed_degree", "f0", "f1"])
     assert doc["guaranteed_degree"] == 4
     assert doc["f0"]["nvars"] == 2
+    assert doc["f0"] == sp.f0.to_dict() and doc["f1"] == sp.f1.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -181,13 +188,27 @@ def test_semigroup_check_on_unit_input():
     assert report.checks[0].witness == ((0, 0),)
 
 
+REPORT_KEYS = ["order_shift", "all_member", "generators", "checks"]
+CHECK_KEYS = ["exponent", "member", "witness", "shifts"]
+
+
 def test_semigroup_report_serialization():
     f = S("x2^2 + x1*x2 + x1^3 + x1*x2^2", 2, 10)
     prep = weierstrass_prepare(f, 2)
-    doc = semigroup_check(prep.poly, f).to_dict()
+    strict = semigroup_check(prep.poly, f)
+    doc = exported(strict, REPORT_KEYS)
+    assert doc["order_shift"] is False
     assert doc["all_member"] is False
     assert [1, 0] in doc["generators"] or [1, 1] in doc["generators"]
-    assert any(not c["member"] for c in doc["checks"])
+    assert doc["checks"] == [exported(c, CHECK_KEYS) for c in strict.checks]
+    assert {"exponent": [2, 1], "member": False, "witness": None,
+            "shifts": 0} in doc["checks"]
+    shifted = semigroup_check(prep.poly, f, order_shift=True)
+    doc = exported(shifted, REPORT_KEYS)
+    assert doc["order_shift"] is True and doc["all_member"] is True
+    assert doc["checks"] == [exported(c, CHECK_KEYS) for c in shifted.checks]
+    assert {"exponent": [2, 1], "member": True, "witness": [[1, 1], [1, 2]],
+            "shifts": 1} in doc["checks"]
 
 
 # ----------------------------------------------------------------------
@@ -301,8 +322,9 @@ def test_cauchy_riemann_examples():
 
 def test_extension_serialization():
     ext = holomorphic_extension(S("x1^2 + x1^3", 1, 8))
-    doc = ext.to_dict()
-    assert set(doc) == {"guaranteed_degree", "u", "v"}
-    report = cauchy_riemann_check(ext).to_dict()
+    doc = exported(ext, ["guaranteed_degree", "u", "v"])
+    assert doc["u"] == ext.u.to_dict() and doc["v"] == ext.v.to_dict()
+    report = exported(cauchy_riemann_check(ext),
+                      ["checked_degree", "passed", "residual1", "residual2"])
     assert report["passed"] is True
     assert report["checked_degree"] == ext.guaranteed_degree - 1

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from support import (S, agree_through, identical, in_key_order, kernel_table,
-                     nonzero_rational, random_series, random_unit)
+                     nonzero_rational, random_series, random_unit,
+                     split_in_variable)
 from wseries import FLAT, PreconditionError, Series, series, term_sort_key
 from wseries.series import _Keys, _sum, _times
 
@@ -363,7 +364,7 @@ def test_split_in_variable_reconstructs():
     for _ in range(10):
         f = random_series(rng, 2, 8, nterms=9)
         d = rng.randint(1, 3)
-        low, high = f.split_in_variable(2, d)
+        low, high = split_in_variable(f, 2, d)
         back = low + Series.monomial((0, d), 2, 8) * high
         assert back.same_data(f)
         assert all(e[1] < d for e in low.support())
@@ -418,12 +419,13 @@ def test_every_operation_keeps_the_table_invariant():
                 f / 3, 2 - f, f ** 3, u.inverse(), f.compose(zs),
                 f.with_guarantee(trunc + 5), f.with_guarantee(-1),
                 f.derivative(k), f.substitute_square(k),
-                f.coefficient_series(k, j), *f.split_in_variable(k, j),
+                f.coefficient_series(k, j), *split_in_variable(f, k, j),
                 f.embed_variable(k), f.adjoin_variable(),
                 f.embed_variable(k).drop_variable(k),
                 f.permute_variables(perm), divide_by_variable(f * xk, k),
                 *even_odd_split(f, k),
-                halve_exponents(f.substitute_square(k), k), _negate_square(f)]
+                halve_exponents(f.substitute_square(k), k),
+                _negate_square(f, 0), _negate_square(f, 1)]
             if nvars > 1:
                 phi = random_series(rng, nvars - 1, trunc, nterms=4,
                                     min_degree=1)

@@ -6,9 +6,9 @@ import random
 import pytest
 
 import wseries.weierstrass as wmod
-from support import (S, identical, in_key_order, kernel_spaces, kernel_table,
-                     random_even_order2, random_order_d, random_series,
-                     reference_division_loop, wide_coeff)
+from support import (S, exported, identical, in_key_order, kernel_spaces,
+                     kernel_table, random_even_order2, random_order_d,
+                     random_series, reference_division_loop, wide_coeff)
 from wseries import (DistinguishedPoly, InternalInvariantError,
                      PreconditionError, Series, solve_implicit,
                      weierstrass_divide, weierstrass_prepare)
@@ -285,16 +285,31 @@ def test_expand_certainty_reflects_weakest_coefficient():
     assert p.expand().guaranteed_degree == 4
 
 
+PREPARATION_KEYS = ["guaranteed_degree", "unit", "poly", "poly_expanded"]
+
+
 def test_serialization_shapes():
     prep = weierstrass_prepare(S("x2^2 + x1", 2, 8), 2)
-    doc = prep.to_dict()
+    doc = exported(prep, PREPARATION_KEYS)
+    assert doc["poly"] == exported(prep.poly,
+                                   ["d", "k", "nvars", "trunc", "coeffs"])
     assert doc["poly"]["d"] == 2
     assert doc["poly"]["k"] == 2
+    assert doc["poly"]["coeffs"] == [a.to_dict() for a in prep.poly.coeffs]
     assert len(doc["poly"]["coeffs"]) == 2
+    assert doc["unit"] == prep.unit.to_dict()
+    assert doc["poly_expanded"] == prep.poly.expand().to_dict()
     assert doc["poly_expanded"]["nvars"] == 2
+    unit = exported(weierstrass_prepare(S("2 + x1 + x2", 2, 6), 1),
+                    PREPARATION_KEYS)
+    assert unit["poly"] == {"d": 0, "k": 1, "nvars": 2, "trunc": 6,
+                            "coeffs": []}
     division = weierstrass_divide(S("x2^3", 2, 8), S("x2^2 + x1", 2, 8), 2)
-    ddoc = division.to_dict()
-    assert set(ddoc) == {"d", "k", "guaranteed_degree", "quotient", "remainder"}
+    ddoc = exported(division, ["d", "k", "guaranteed_degree", "quotient",
+                               "remainder"])
+    assert (ddoc["d"], ddoc["k"]) == (2, 2)
+    assert ddoc["quotient"] == division.quotient.to_dict()
+    assert ddoc["remainder"] == division.remainder.to_dict()
 
 
 def test_internal_error_when_quotient_degenerates(monkeypatch):
