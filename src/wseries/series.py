@@ -613,13 +613,13 @@ class _Keys:
             expos, [Fraction(v, den) for _, v in items])), gd)
 
 
-def _products(acc: dict, xs: list, ys: list, limit: int) -> dict:
-    """The one product kernel: add ``nx*ny`` into ``acc[kx + ky]`` for every
-    pair of packed items of ``xs`` and ``ys`` whose key sum is below
+def _products(acc: dict, xs: list, ys: list, limit: int, scale: int) -> dict:
+    """The one product kernel: add ``scale*nx*ny`` into ``acc[kx + ky]`` for
+    every pair of packed items of ``xs`` and ``ys`` whose key sum is below
     ``limit`` (see :class:`_Keys`); ``ys`` must be sorted by key.  Zero sums
     are left in ``acc``."""
     for kx, nx in xs:
-        bound = limit - kx
+        bound, nx = limit - kx, nx * scale
         for ky, ny in ys:
             if ky >= bound:
                 break
@@ -631,9 +631,9 @@ def _products(acc: dict, xs: list, ys: list, limit: int) -> dict:
 def _times(keys: _Keys, x: tuple, y: tuple) -> tuple:
     """The product of the packed tables ``x = (items, Dx)`` and ``y = (items,
     Dy)``, truncated by ``keys``: its nonzero items over ``Dx*Dy``.  It
-    sorts its operands, as :func:`_products` needs ``ys`` sorted."""
+    sorts ``ys``, as :func:`_products` needs."""
     (xs, dx), (ys, dy) = x, y
-    acc = _products({}, sorted(xs), sorted(ys), keys.limit)
+    acc = _products({}, xs, sorted(ys), keys.limit, 1)
     return [(k, v) for k, v in acc.items() if v], dx * dy
 
 
@@ -647,36 +647,38 @@ def _flatten(parts: list) -> tuple:
 def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
     """Solve ``q = fold(a + q*b)`` on packed tables ``(items, D)``, products
     truncated by ``keys``.  ``grade`` and ``fold`` act on keys.  ``grade``
-    must be additive, kept by ``fold`` and positive on every term of ``b``:
-    then the grade-m part of ``a + q*b``, ``a_m + sum_{j>=1} q_(m-j) *
-    b_j``, reads lower grades of ``q`` only (Brent & Kung, J. ACM 1978), so
-    one walk up the grades reachable from ``a`` by those of ``b`` solves it,
-    multiplying each pair of terms once.
+    must be additive, kept by ``fold``, positive on every term of ``b`` and
+    never above the total degree: then the grade-m part of ``a + q*b``,
+    ``a_m + sum_{j>=1} q_(m-j) * b_j``, reads lower grades of ``q`` only
+    (Brent & Kung, J. ACM 1978), so one walk up the grades solves it,
+    multiplying each pair of terms once.  No key below ``keys.limit`` has a
+    total degree, so no grade, above ``keys.radix - 1``: the walk goes from
+    the lowest grade of ``a`` up to that grade and no further, and skips a
+    grade with no term of ``a`` and no grade of ``q`` to read.
 
     Returns ``(q, rest)``, two packed tables; ``rest`` holds the terms that
     ``fold`` maps to ``None``.  Each grade is summed in int numerators over
-    one common denominator, and ``q``'s part of it is reduced by the gcd of
-    its numerators and that denominator.  Each table is over the lcm of the
-    denominators of the grades it holds terms of.  No certificate is formed
-    here: the caller that decodes a table certifies it."""
+    one common denominator, each read scaled onto it in the kernel, and
+    ``q``'s part of it is reduced by the gcd of its numerators and that
+    denominator.  Each table is over the lcm of the denominators of the
+    grades it holds terms of.  No certificate is formed here: the caller
+    that decodes a table certifies it."""
     (items_a, da), (items_b, db) = a, b
     parts_a, parts_b, parts_q, rest = {}, {}, {}, []
     for items, parts in ((items_a, parts_a), (items_b, parts_b)):
         for k, n in items:
             parts.setdefault(grade(k), []).append((k, n))
     parts_b = {j: sorted(b_j) for j, b_j in parts_b.items()}
-    todo = set(parts_a)
-    while todo:
-        todo.remove(m := min(todo))
+    for m in range(min(parts_a, default=keys.radix), keys.radix):
         a_m = parts_a.get(m, [])
         reads = [(parts_q[m - j], b_j) for j, b_j in parts_b.items()
                  if m - j in parts_q]
+        if not (a_m or reads):
+            continue
         den = lcm(da if a_m else 1, *[dq * db for (_, dq), _ in reads])
         acc = {k: n * (den // da) for k, n in a_m}
         for (q_j, dq), b_j in reads:
-            if (s := den // (dq * db)) != 1:
-                q_j = [(k, n * s) for k, n in q_j]
-            _products(acc, q_j, b_j, keys.limit)
+            _products(acc, q_j, b_j, keys.limit, den // (dq * db))
         part, rest_m = {}, []
         for k, v in acc.items():
             if v and (new := fold(k)) is not None:
@@ -687,19 +689,20 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
         if part:
             g = gcd(den, *part.values())
             parts_q[m] = [(k, v // g) for k, v in part.items()], den // g
-            todo.update(m + j for j in parts_b)
     return _flatten(parts_q.values()), _flatten(rest)
 
 
 def _inverse(keys: _Keys, x: tuple) -> tuple:
     """The inverse of the packed unit ``x = (items, D)`` as one packed
-    table, graded by total degree, exact through the truncation of
-    ``keys``; the caller certifies it.  With ``c/D`` the constant term
-    (``c`` the numerator at key 0), ``q = D/c + q*b`` for ``b = 1 - x*D/c``,
-    whose items are ``-n`` over ``c`` for the nonconstant items ``n`` of
-    ``x``.  A negative ``c`` needs no care: :func:`_solve` takes each
-    grade's denominator as an lcm, which is never negative, and divides
-    only exactly, so the table it returns has a positive denominator."""
+    table, exact through the truncation of ``keys``; the caller certifies
+    it.  With ``c/D`` the constant term (``c`` the numerator at key 0),
+    ``q = D/c + q*b`` for ``b = 1 - x*D/c``, whose items are ``-n`` over
+    ``c`` for the nonconstant items ``n`` of ``x``.  The grade is the total
+    degree, ``k // top``, which meets :func:`_solve`'s contract: it is
+    additive, kept by the identity fold and positive on ``b``.  A negative
+    ``c`` needs no care: :func:`_solve` takes each grade's denominator as an
+    lcm, which is never negative, and divides only exactly, so the table it
+    returns has a positive denominator."""
     items, den = x
     c = next(n for k, n in items if not k)
     b = [(k, -n) for k, n in items if k]

@@ -136,8 +136,10 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     quot*b)``, and ``rem`` is the rest.  On keys, the split reads the x_k
     digit, and ``H`` and the shift to ``high`` take ``d`` off that digit and
     off the degree.  Graded by the degree in the variables other than x_k,
-    which ``H`` keeps and which is positive on ``low`` (``f`` has no axis
-    term below ``x_k^d``).  Total degree can stall: ``f = x2^2 + x1*x2``
+    the total degree less the x_k digit, which meets :func:`_solve`'s
+    contract: it is additive, ``H`` keeps it, it is positive on ``low``
+    (``f`` has no axis term below ``x_k^d``) and it is never above the total
+    degree.  Total degree can stall: ``f = x2^2 + x1*x2``
     gives ``b = -x1*x2``, of degree ``d``, which ``H`` takes back."""
     keys = _Keys(g.nvars, g.trunc)
     r, top, place = keys.radix, keys.top, keys.place(k)

@@ -1,5 +1,6 @@
-"""Import hygiene: every name that a module of ``src/wseries`` or of
-``tests`` imports is used in that module.
+"""Source hygiene for every module of ``src/wseries`` and of ``tests``:
+each name it imports is used in it, and it parses as Python 3.10, the
+oldest version ``pyproject.toml`` admits.
 
 No linter runs on this repository, so this is its unused-import check.  It
 skips ``from __future__`` imports, names that the module exports through
@@ -13,6 +14,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "wseries"
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(text: str) -> set:
@@ -64,8 +66,12 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(text) == {"Iterable", "os"}
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
-                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name} never uses {sorted(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_parses_as_python_3_10(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -139,6 +139,7 @@ def test_membership_examples():
     assert checks[0].witness == ((1, 0), (1, 0), (0, 2))
     checks = check_membership([(0, 1)], [(1, 0), (0, 2)])
     assert not checks[0].member and checks[0].witness is None
+    assert check_membership([], [(1, 0), (0, 2)]) == ()
 
 
 def test_membership_cross_checked_against_naive_oracle():

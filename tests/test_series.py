@@ -9,8 +9,9 @@ import pytest
 from support import (S, agree_through, identical, in_key_order, kernel_table,
                      nonzero_rational, random_series, random_unit,
                      split_in_variable)
-from wseries import FLAT, PreconditionError, Series, series, term_sort_key
-from wseries.series import _Keys, _sum, _times
+from wseries import (FLAT, PreconditionError, Series, series, term_sort_key,
+                     weierstrass_divide, weierstrass_prepare)
+from wseries.series import _Keys, _solve, _sum, _times
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +78,8 @@ def test_term_order_degree_then_earlier_variables_first():
 
 def test_canonical_text_matches_contract():
     s = Series(2, 5, {(2, 0): 1, (1, 1): Fraction(-3, 2)})
-    assert s.canonical() == "x1^2 + -3/2*x1*x2"
+    assert s.canonical() == str(s) == "x1^2 + -3/2*x1*x2"
+    assert repr(FLAT) == "FLAT"
 
 
 def test_canonical_zero_and_exponent_one():
@@ -158,6 +160,15 @@ def test_scalar_mixing():
     assert (3 - s) == S("3 - x1", 2, 4)
 
 
+def test_operators_refuse_what_is_not_a_series_or_scalar():
+    s = S("x1", 2, 4)
+    assert s != "x1"
+    for apply in (lambda: s + "x", lambda: s - "x", lambda: "x" * s,
+                  lambda: s / s):
+        with pytest.raises(TypeError):
+            apply()
+
+
 def test_pow():
     assert S("1 + x1", 1, 4) ** 0 == S("1", 1, 4)
     assert S("1 + x1", 1, 4) ** 3 == S("1 + 3*x1 + 3*x1^2 + x1^3", 1, 4)
@@ -195,6 +206,71 @@ def test_pow_past_the_truncation_is_zero_at_once(monkeypatch):
     assert (square ** 5).is_zero()
     assert not products
     assert identical(square ** 4, S("x1^8", 1, 8))
+
+
+def test_the_graded_solve_reads_no_grade_past_the_truncation(monkeypatch):
+    # every kernel call's operands start at grades summing to at most the
+    # truncation, and a dense inverse forms a term in every call
+    calls = []
+    kernel = series._products
+    monkeypatch.setattr(series, "_products",
+                        lambda *args: calls.append(args) or kernel(*args))
+    unit = Series(2, 6, {(i, j): Fraction(i + 2 * j + 1, j + 1)
+                         for i in range(7) for j in range(7 - i)})
+    keys = _Keys(2, 6)
+    inverse = unit.inverse()
+    assert calls
+    for _, xs, ys, limit, *_ in calls:
+        assert min(xs)[0] // keys.top + ys[0][0] // keys.top <= 6
+        assert min(xs)[0] + ys[0][0] < limit
+    assert unit * inverse == Series.constant(1, 2, 6)
+
+    f = S("x3^2 + x1*x3 + x2^2 + x1*x2*x3^2 + 3*x3^3 + x1^4 + 1/2*x2*x3^5",
+          3, 8)
+    g = S("1 + x1 + 2/3*x2*x3 + x3^5 + x1^2*x2^3 + x1*x3^7", 3, 8)
+    keys = _Keys(3, 8)
+    place = keys.place(3)
+
+    def grade(key):  # the division loop's: the degree off the x3 digit
+        return key // keys.top - key // place % keys.radix
+
+    calls.clear()
+    division = weierstrass_divide(g, f, 3)
+    preparation = weierstrass_prepare(f, 3)
+    assert calls
+    for _, xs, ys, *_ in calls:
+        assert min(grade(k) for k, _ in xs) + min(
+            grade(k) for k, _ in ys) <= 8
+    assert division.d == preparation.poly.d == 2
+
+
+def test_the_graded_solve_at_its_boundaries():
+    # an empty a, a at the last grade only, b past the truncation, trunc 0
+    def degree(keys):
+        return lambda key: key // keys.top
+
+    def kept(key):
+        return key
+
+    keys = _Keys(2, 4)
+    b = keys.pack({(1, 0): Fraction(-1, 3), (0, 2): Fraction(2)})
+    assert _solve(([], 1), b, keys, degree(keys), kept) == (([], 1), ([], 1))
+    # a's one term, 3/2*x1^3*x2, lies at grade trunc: nothing reads it
+    assert keys.pack({(3, 1): Fraction(3, 2)}) == ([(116, 3)], 2)
+    assert _solve(([(116, 6)], 4), b, keys, degree(keys), kept) == (
+        ([(116, 3)], 2), ([], 1))
+    # every grade of b lies past the truncation: q is a
+    keys = _Keys(1, 3)
+    past = keys.pack({(4,): Fraction(1), (6,): Fraction(-2, 5)})
+    assert past == ([(20, 5), (30, -2)], 5)
+    assert _solve(([(0, 3), (10, 7)], 7), past, keys, degree(keys),
+                  kept) == (([(0, 3), (10, 7)], 7), ([], 1))
+    # trunc 0: one grade, kept or folded into the rest
+    keys = _Keys(2, 0)
+    assert _solve(([(0, 3)], 2), ([], 1), keys, degree(keys), kept) == (
+        ([(0, 3)], 2), ([], 1))
+    assert _solve(([(0, 3)], 2), ([(2, 1)], 1), keys, degree(keys),
+                  lambda key: None) == (([], 1), ([(0, 3)], 2))
 
 
 def test_ring_axioms_on_random_triples():
