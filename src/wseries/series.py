@@ -651,10 +651,11 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
     never above the total degree: then the grade-m part of ``a + q*b``,
     ``a_m + sum_{j>=1} q_(m-j) * b_j``, reads lower grades of ``q`` only
     (Brent & Kung, J. ACM 1978), so one walk up the grades solves it,
-    multiplying each pair of terms once.  No key below ``keys.limit`` has a
-    total degree, so no grade, above ``keys.radix - 1``: the walk goes from
-    the lowest grade of ``a`` up to that grade and no further, and skips a
-    grade with no term of ``a`` and no grade of ``q`` to read.
+    multiplying each pair of terms once.  The walk visits only the grades
+    of ``a`` and those that a solved grade of ``q`` reaches through a grade
+    of ``b``, so its cost follows the grades that hold terms, not the
+    truncation.  No key below ``keys.limit`` has a total degree, so no
+    grade, above ``keys.radix - 1``: the walk queues no grade past that.
 
     Returns ``(q, rest)``, two packed tables; ``rest`` holds the terms that
     ``fold`` maps to ``None``.  Each grade is summed in int numerators over
@@ -669,12 +670,12 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
         for k, n in items:
             parts.setdefault(grade(k), []).append((k, n))
     parts_b = {j: sorted(b_j) for j, b_j in parts_b.items()}
-    for m in range(min(parts_a, default=keys.radix), keys.radix):
+    todo = set(parts_a)
+    while todo:
+        todo.remove(m := min(todo))
         a_m = parts_a.get(m, [])
         reads = [(parts_q[m - j], b_j) for j, b_j in parts_b.items()
                  if m - j in parts_q]
-        if not (a_m or reads):
-            continue
         den = lcm(da if a_m else 1, *[dq * db for (_, dq), _ in reads])
         acc = {k: n * (den // da) for k, n in a_m}
         for (q_j, dq), b_j in reads:
@@ -689,6 +690,7 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
         if part:
             g = gcd(den, *part.values())
             parts_q[m] = [(k, v // g) for k, v in part.items()], den // g
+            todo.update(m + j for j in parts_b if m + j < keys.radix)
     return _flatten(parts_q.values()), _flatten(rest)
 
 
