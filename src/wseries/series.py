@@ -3,8 +3,9 @@
 A :class:`Series` stores finitely many monomial coefficients, all of total
 degree <= ``trunc``.  Stored coefficients are :class:`fractions.Fraction`,
 so every operation is exact; a coefficient that prints as zero really is
-zero.  The product kernel and the graded recurrence under ``*``,
-:meth:`Series.inverse` and Weierstrass division work on packed tables.  A
+zero.  The product kernel and the graded recurrence under ``*``, the
+quotient by a unit (:func:`_over`, which :meth:`Series.inverse` runs on
+the constant 1) and Weierstrass division work on packed tables.  A
 packed table has one shape, ``(items, D)``: ``(key, numerator)`` items over
 one positive common denominator, with each exponent packed into one ``int``
 key.  :class:`_Keys` is its one way in (:meth:`_Keys.pack`) and its one way
@@ -14,8 +15,9 @@ coefficients).  The decoder sets the term order: every table it returns
 preparation, and implicit solving) lists its terms in key order, by total
 degree and then by exponent tuple, so ``x2^2`` precedes ``x1*x2`` precedes
 ``x1^2``.  Weierstrass division and preparation stay packed from input to
-output: they pack their inputs once, split, invert, multiply and solve on
-packed tables, and decode once for each series they return.  ``_remap``,
+output: they pack their inputs once, split and solve on packed tables,
+each division by a unit one :func:`_over` and no inverse followed by a
+product, and decode once for each series they return.  ``_remap``,
 :func:`_sum`, :meth:`Series.compose` and negation still work on the decoded
 tables; ``compose`` scales each power by its coefficient instead of
 multiplying by a constant series, and ``**`` is one composition.
@@ -371,13 +373,13 @@ class Series:
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term).
 
-        Packs the table, runs the packed :func:`_inverse` and decodes its
-        table once.  The result is exact through the truncation, so the
-        certified degree is preserved."""
+        Packs the table, runs the packed quotient :func:`_over` of the
+        constant 1 and decodes its table once.  The result is exact through
+        the truncation, so the certified degree is preserved."""
         if self.constant_term() == 0:
             raise PreconditionError("series is not a unit: constant term is zero")
         keys = _Keys(self.nvars, self.trunc)
-        return keys.series(_inverse(keys, keys.pack(self._terms)),
+        return keys.series(_over(keys, ([(0, 1)], 1), keys.pack(self._terms)),
                            self.guaranteed_degree)
 
     def compose(self, gs: Sequence["Series"]) -> "Series":
@@ -644,69 +646,80 @@ def _flatten(parts: list) -> tuple:
     return [(k, v * (den // d)) for items, d in parts for k, v in items], den
 
 
-def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
+def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold=None) -> tuple:
     """Solve ``q = fold(a + q*b)`` on packed tables ``(items, D)``, products
     truncated by ``keys``.  ``grade`` and ``fold`` act on keys.  ``grade``
     must be additive, kept by ``fold``, positive on every term of ``b`` and
     never above the total degree: then the grade-m part of ``a + q*b``,
     ``a_m + sum_{j>=1} q_(m-j) * b_j``, reads lower grades of ``q`` only
     (Brent & Kung, J. ACM 1978), so one walk up the grades solves it,
-    multiplying each pair of terms once.  The walk visits only the grades
-    of ``a`` and those that a solved grade of ``q`` reaches through a grade
-    of ``b``, so its cost follows the grades that hold terms, not the
-    truncation.  No key below ``keys.limit`` has a total degree, so no
-    grade, above ``keys.radix - 1``: the walk queues no grade past that.
+    multiplying each pair of terms once.  Each solved grade ``q_m`` queues
+    its read ``(q_m, b_j)`` at grade ``m + j`` only when its smallest key
+    sum is below ``keys.limit``, so every read forms a term and no kernel
+    call is empty: the grade can stay below the truncation while the total
+    degree passes it.  As a key sum below ``keys.limit`` has a total degree
+    of at most ``keys.radix - 1``, no grade past that is queued.  The walk
+    visits only the grades of ``a`` and the queued ones, so its cost
+    follows the grades that hold terms, not the truncation.
 
     Returns ``(q, rest)``, two packed tables; ``rest`` holds the terms that
-    ``fold`` maps to ``None``.  Each grade is summed in int numerators over
-    one common denominator, each read scaled onto it in the kernel, and
-    ``q``'s part of it is reduced by the gcd of its numerators and that
-    denominator.  Each table is over the lcm of the denominators of the
-    grades it holds terms of.  No certificate is formed here: the caller
-    that decodes a table certifies it."""
+    ``fold`` maps to ``None``.  ``fold=None`` keeps every term (a quotient,
+    as in :func:`_over`), and ``rest`` is then empty.  Each grade is summed
+    in int numerators over one common denominator, each read scaled onto it
+    in the kernel, and ``q``'s part of it is reduced by the gcd of its
+    numerators and that denominator.  Each table is over the lcm of the
+    denominators of the grades it holds terms of.  No certificate is formed
+    here: the caller that decodes a table certifies it."""
     (items_a, da), (items_b, db) = a, b
     parts_a, parts_b, parts_q, rest = {}, {}, {}, []
     for items, parts in ((items_a, parts_a), (items_b, parts_b)):
         for k, n in items:
             parts.setdefault(grade(k), []).append((k, n))
     parts_b = {j: sorted(b_j) for j, b_j in parts_b.items()}
-    todo = set(parts_a)
+    limit, reads_at, todo = keys.limit, {}, set(parts_a)
     while todo:
         todo.remove(m := min(todo))
-        a_m = parts_a.get(m, [])
-        reads = [(parts_q[m - j], b_j) for j, b_j in parts_b.items()
-                 if m - j in parts_q]
+        a_m, reads = parts_a.get(m, []), reads_at.pop(m, [])
         den = lcm(da if a_m else 1, *[dq * db for (_, dq), _ in reads])
         acc = {k: n * (den // da) for k, n in a_m}
         for (q_j, dq), b_j in reads:
-            _products(acc, q_j, b_j, keys.limit, den // (dq * db))
-        part, rest_m = {}, []
-        for k, v in acc.items():
-            if v and (new := fold(k)) is not None:
-                part[new] = v
-            elif v:
-                rest_m.append((k, v))
-        rest.append((rest_m, den))
+            _products(acc, q_j, b_j, limit, den // (dq * db))
+        if fold is None:
+            part = {k: v for k, v in acc.items() if v}
+        else:
+            part, rest_m = {}, []
+            for k, v in acc.items():
+                if v and (new := fold(k)) is not None:
+                    part[new] = v
+                elif v:
+                    rest_m.append((k, v))
+            rest.append((rest_m, den))
         if part:
             g = gcd(den, *part.values())
-            parts_q[m] = [(k, v // g) for k, v in part.items()], den // g
-            todo.update(m + j for j in parts_b if m + j < keys.radix)
+            q_m = parts_q[m] = [(k, v // g) for k, v in part.items()], den // g
+            room = limit - min(part)
+            for j, b_j in parts_b.items():
+                if b_j[0][0] < room:
+                    reads_at.setdefault(m + j, []).append((q_m, b_j))
+                    todo.add(m + j)
     return _flatten(parts_q.values()), _flatten(rest)
 
 
-def _inverse(keys: _Keys, x: tuple) -> tuple:
-    """The inverse of the packed unit ``x = (items, D)`` as one packed
-    table, exact through the truncation of ``keys``; the caller certifies
-    it.  With ``c/D`` the constant term (``c`` the numerator at key 0),
-    ``q = D/c + q*b`` for ``b = 1 - x*D/c``, whose items are ``-n`` over
-    ``c`` for the nonconstant items ``n`` of ``x``.  The grade is the total
+def _over(keys: _Keys, a: tuple, x: tuple) -> tuple:
+    """The quotient ``a/x`` of the packed table ``a = (items, Da)`` by the
+    packed unit ``x = (items, D)`` as one packed table, exact through the
+    truncation of ``keys``; the caller certifies it.  With ``c/D`` the
+    constant term of ``x`` (``c`` the numerator at key 0), ``q = a*D/c +
+    q*b`` for ``b = 1 - x*D/c``, whose items are ``-n`` over ``c`` for the
+    nonconstant items ``n`` of ``x``: one :func:`_solve`, as cheap as the
+    inverse ``1/x``, which is ``a = ([(0, 1)], 1)``.  The grade is the total
     degree, ``k // top``, which meets :func:`_solve`'s contract: it is
-    additive, kept by the identity fold and positive on ``b``.  A negative
-    ``c`` needs no care: :func:`_solve` takes each grade's denominator as an
-    lcm, which is never negative, and divides only exactly, so the table it
+    additive, kept with no fold and positive on ``b``.  A negative ``c``
+    needs no care: :func:`_solve` takes each grade's denominator as an lcm,
+    which is never negative, and divides only exactly, so the table it
     returns has a positive denominator."""
-    items, den = x
+    (items_a, da), (items, den) = a, x
     c = next(n for k, n in items if not k)
-    b = [(k, -n) for k, n in items if k]
-    return _solve(([(0, den)], c), (b, c), keys,
-                  lambda k: k // keys.top, lambda k: k)[0]
+    return _solve(([(k, n * den) for k, n in items_a], da * c),
+                  ([(k, -n) for k, n in items if k], c), keys,
+                  lambda k: k // keys.top)[0]

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import (FLAT, Series, _check_index, _inverse, _Keys, _Record,
-                     _solve, _sum, _times)
+from .series import (FLAT, Series, _check_index, _Keys, _over, _Record,
+                     _solve, _sum)
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ class PreparationResult(_Record):
 
 def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
     """Divide ``g`` by ``f``, distinguished in variable ``k``: the
-    quotient against ``f`` is the loop's quotient times ``unit_inv``."""
+    quotient against ``f`` is ``q = Q/high`` for the loop's quotient ``Q``,
+    one packed :func:`_over`."""
     g._check_space(f)
     d = _certified_order(f, k, "divisor", "division")
     certified = min(g.guaranteed_degree, f.guaranteed_degree) - d
@@ -100,9 +101,9 @@ def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
             f"dividend is certified below the order {d} in x{k}: "
             "division undefined")
     trunc = min(g.trunc, f.trunc)
-    quot, rem, unit_inv, keys = _division_loop(g.truncate(trunc),
-                                               f.truncate(trunc), k, d)
-    return DivisionResult(keys.series(_times(keys, quot, unit_inv), certified),
+    quot, rem, high, keys = _division_loop(g.truncate(trunc),
+                                           f.truncate(trunc), k, d)
+    return DivisionResult(keys.series(_over(keys, quot, high), certified),
                           keys.series(rem, certified), d, k, certified)
 
 
@@ -123,15 +124,16 @@ def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
 
 
 def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
-    """``(quot, rem, unit_inv, keys)`` with ``g = quot * f * unit_inv +
-    rem``, ``deg_{x_k}(rem) < d``, for ``f`` of order ``d`` in x_k and ``g``
-    at the same truncation.  ``quot``, ``rem`` and ``unit_inv`` are packed
-    tables ``(items, D)`` over ``keys``, the one :class:`_Keys` that ``f``
-    and ``g`` are packed with.  The loop forms no certificate: each caller
-    decodes with :meth:`_Keys.series` what it reads, once, and certifies it
-    by its own rule.
+    """``(quot, rem, high, keys)`` with ``g = (quot/high) * f + rem``,
+    ``deg_{x_k}(rem) < d``, for ``f = low + x_k^d * high`` of order ``d`` in
+    x_k and ``g`` at the same truncation.  ``quot``, ``rem`` and the unit
+    ``high`` are packed tables ``(items, D)`` over ``keys``, the one
+    :class:`_Keys` that ``f`` and ``g`` are packed with.  The loop forms no
+    certificate: each caller decodes with :meth:`_Keys.series` what it
+    reads, once, and certifies it by its own rule.
 
-    With ``f = low + x_k^d * high``, ``b = -high^-1 * low`` and ``H`` the
+    With ``b = -low/high``, one packed :func:`_over` (``f``'s denominator
+    cancels, so ``low`` and ``high`` go in over 1), and ``H`` the
     x_k-degree >= d part shifted down by ``x_k^d``: ``quot = H(g +
     quot*b)``, and ``rem`` is the rest.  On keys, the split reads the x_k
     digit, and ``H`` and the shift to ``high`` take ``d`` off that digit and
@@ -147,22 +149,21 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     items, den = keys.pack(f.terms)
     low = [(e, n) for e, n in items if e // place % r < d]
     high = [(e - shift, n) for e, n in items if e // place % r >= d]
-    unit_inv = _inverse(keys, (high, den))
-    b, db = _times(keys, unit_inv, (low, den))
-    quot, rem = _solve(keys.pack(g.terms), ([(e, -n) for e, n in b], db),
-                       keys, lambda e: e // top - e // place % r,
+    b = _over(keys, ([(e, -n) for e, n in low], 1), (high, 1))
+    quot, rem = _solve(keys.pack(g.terms), b, keys,
+                       lambda e: e // top - e // place % r,
                        lambda e: e - shift if e // place % r >= d else None)
-    return quot, rem, unit_inv, keys
+    return quot, rem, (high, den), keys
 
 
 def _distinguished(f: Series, k: int, d: int) -> tuple:
     """``(P, loop)`` for ``f`` of certified order ``d`` in x_k: the division
     loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem`` is decoded here and
     certified ``d`` below ``f``, and ``loop`` is the loop's packed result,
-    whose ``quot * unit_inv`` is ``U^-1``.  The remainder is negated once,
-    on its numerators, before it is decoded.  At ``d = 0`` the loop divides
-    1 by ``f``: ``low`` and ``b`` are empty, ``quot`` is 1 and the
-    remainder is empty, so ``P = 1``."""
+    whose ``quot/high`` is ``U^-1``, so ``U = high/quot``.  The remainder
+    is negated once, on its numerators, before it is decoded.  At ``d = 0``
+    the loop divides 1 by ``f``: ``low`` and ``b`` are empty, ``quot`` is 1
+    and the remainder is empty, so ``P = 1``."""
     n = f.nvars
     expo = tuple(d if i == k - 1 else 0 for i in range(n))
     loop = _division_loop(Series.monomial(expo, n, f.trunc), f, k, d)
@@ -180,15 +181,14 @@ def _distinguished(f: Series, k: int, d: int) -> tuple:
 def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     """Factor ``f = U * P`` with ``U`` a unit and ``P`` distinguished in
     variable ``k``: :func:`_distinguished` divides ``x_k^d`` by ``f``, and
-    ``U`` is the inverse of the quotient, inverted packed and decoded once.
-    A unit ``f`` (order 0) prepares through the same division: ``P = 1``,
-    and ``U = (f^-1)^-1`` equals ``f`` in table, truncation and
-    certificate, listed in key order."""
+    as the quotient against ``f`` is ``Q/high`` for the loop's ``Q``, ``U
+    = high/Q``, one packed :func:`_over` decoded once.  A unit ``f`` (order
+    0) prepares through the same division: ``P = 1``, ``Q = 1`` and ``U =
+    high = f`` in table, truncation and certificate, listed in key order."""
     d = _certified_order(f, k, "series", "preparation")
-    poly, (quot, _, unit_inv, keys) = _distinguished(f, k, d)
-    quotient = _times(keys, quot, unit_inv)
-    if not any(key == 0 for key, _ in quotient[0]):
+    poly, (quot, _, high, keys) = _distinguished(f, k, d)
+    if not any(key == 0 for key, _ in quot[0]):
         raise InternalInvariantError("division quotient lost its unit")
     certified = f.guaranteed_degree - d
-    return PreparationResult(keys.series(_inverse(keys, quotient), certified),
+    return PreparationResult(keys.series(_over(keys, high, quot), certified),
                              poly, certified)

@@ -18,7 +18,7 @@ from support import (S, identical, in_key_order, kernel_spaces, kernel_table,
                      nonzero_rational, random_exponent, random_implicit_input,
                      random_series, random_unit, wide_coeff)
 from wseries import Series, solve_implicit
-from wseries.series import _sum
+from wseries.series import _Keys, _over, _sum
 
 
 @cache
@@ -121,6 +121,27 @@ def test_inverses_match_sympy():
                                    u.trunc + 1)
         got, gd = u.inverse(), u.guaranteed_degree
         assert agrees(got, want, u.trunc, gd) and in_key_order(got), u
+
+
+def test_packed_quotients_match_sympy():
+    """``_over(a, x)``, decoded, is ``a * x^-1`` in sympy on the product
+    grid: ``x`` a unit whose constant term is negative at every other case,
+    ``a`` of 0, 1 and 8 terms spread over the grades, coefficients up to
+    2^40 wide.  The decoded table keeps the truncation and key order."""
+    rng = random.Random(4106)
+    for nvars, trunc in kernel_spaces():
+        keys = _Keys(nvars, trunc)
+        for size in (0, 1, 8):
+            c = (-1) ** (trunc + size) * abs(wide_coeff(rng))
+            x = kernel_table(rng, nvars, trunc, 6, lo=1) + c
+            a = kernel_table(rng, nvars, trunc, size)
+            got = keys.series(_over(keys, keys.pack(a.terms),
+                                    keys.pack(x.terms)), trunc)
+            t = _ring(nvars).gens[-1]
+            want = rs_mul(to_sympy(a), rs_series_inversion(
+                to_sympy(x), t, trunc + 1), t, trunc + 1)
+            assert agrees(got, want, trunc, trunc) and in_key_order(got), (
+                a, x)
 
 
 def test_sums_match_sympy():

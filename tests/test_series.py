@@ -210,7 +210,7 @@ def test_pow_past_the_truncation_is_zero_at_once(monkeypatch):
 
 def test_the_graded_solve_reads_no_grade_past_the_truncation(monkeypatch):
     # every kernel call's operands start at grades summing to at most the
-    # truncation, and a dense inverse forms a term in every call
+    # truncation, and every call forms a term
     calls = []
     kernel = series._products
     monkeypatch.setattr(series, "_products",
@@ -238,9 +238,12 @@ def test_the_graded_solve_reads_no_grade_past_the_truncation(monkeypatch):
     division = weierstrass_divide(g, f, 3)
     preparation = weierstrass_prepare(f, 3)
     assert calls
-    for _, xs, ys, *_ in calls:
+    for _, xs, ys, limit, _ in calls:
         assert min(grade(k) for k, _ in xs) + min(
             grade(k) for k, _ in ys) <= 8
+        # the grade stays at most 8 while the total degree can pass it: a
+        # read whose smallest key sum reaches the limit forms nothing
+        assert min(xs)[0] + ys[0][0] < limit
     assert division.d == preparation.poly.d == 2
 
 

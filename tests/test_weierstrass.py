@@ -2,6 +2,7 @@
 factorization, distinguished in a chosen variable."""
 
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,7 @@ from support import (S, exported, identical, in_key_order, kernel_spaces,
                      kernel_table, random_even_order2, random_order_d,
                      random_series, reference_division_loop, wide_coeff)
 from wseries import (DistinguishedPoly, InternalInvariantError,
-                     PreconditionError, Series, solve_implicit,
+                     PreconditionError, Series, series, solve_implicit,
                      weierstrass_divide, weierstrass_prepare)
 
 
@@ -104,10 +105,11 @@ def test_division_loop_matches_fixpoint_reference():
     0-4 with k in {1, 2, 4, 32}; d 0-3; numerators and denominators up to
     2^40; an x_k^d coefficient of ``f`` (the constant term of ``high``)
     that is negative at every odd truncation; ``g`` of 0, 1 and 6 terms;
-    certificates below the truncation.  ``quot``, ``rem`` and ``unit_inv``
-    agree in table and truncation; the loop forms no certificate.
-    Certificates are compared through ``weierstrass_divide`` (its quotient
-    against ``f`` is ``quot * unit_inv``), ``weierstrass_prepare`` and
+    certificates below the truncation.  ``quot`` and ``rem`` agree in table
+    and truncation, and the loop's ``high`` is the inverse of the
+    fixpoint's ``unit_inv``; the loop forms no certificate.  Certificates
+    are compared through ``weierstrass_divide`` (its quotient against ``f``
+    is ``quot * unit_inv``), ``weierstrass_prepare`` and
     ``solve_implicit`` against the same outputs built from the fixpoint's
     loop.  Every table the loop and those three return is in key order."""
     rng = random.Random(4201)
@@ -134,7 +136,7 @@ def test_division_loop_matches_fixpoint_reference():
                     *loop, keys = wmod._division_loop(g, f, k, d)
                     new = [keys.series(t, 0) for t in loop]  # uncertified
                     quot, rem, unit_inv = reference_division_loop(g, f, k, d)
-                    for a, b in zip(new, (quot, rem, unit_inv)):
+                    for a, b in zip(new, (quot, rem, unit_inv.inverse())):
                         assert a.same_data(b) and a.trunc == b.trunc, (g, f)
                     div = weierstrass_divide(g, f, k)
                     gd = min(g.guaranteed_degree, f.guaranteed_degree) - d
@@ -144,6 +146,53 @@ def test_division_loop_matches_fixpoint_reference():
                     outs += [*new, div.quotient, div.remainder]
                 # a unit ``f`` (d = 0) prepares as itself, as given
                 assert all(in_key_order(s) for s in outs if s is not f), f
+
+
+def _kernel_callers(monkeypatch):
+    """For each call of ``series._products`` from here on, the name of its
+    caller and the number of term pairs it forms."""
+    calls = []
+    kernel = series._products
+
+    def spy(acc, xs, ys, limit, scale):
+        pairs = sum(kx + ky < limit for kx, _ in xs for ky, _ in ys)
+        calls.append((sys._getframe(1).f_code.co_name, pairs))
+        return kernel(acc, xs, ys, limit, scale)
+
+    monkeypatch.setattr(series, "_products", spy)
+    return calls
+
+
+def test_division_preparation_and_implicit_solving_form_no_products(
+        monkeypatch):
+    """Every division by a unit is one graded solve: ``weierstrass_divide``,
+    ``weierstrass_prepare`` and ``solve_implicit`` reach the product kernel
+    through ``_solve`` only, never through ``_times``."""
+    calls = _kernel_callers(monkeypatch)
+    rng = random.Random(4301)
+    for nvars in (2, 3):
+        for d in (0, 1, 2, 3):
+            f = random_order_d(rng, nvars, 9, nvars, d, nterms=7)
+            g = random_series(rng, nvars, 9, nterms=7)
+            weierstrass_divide(g, f, nvars)
+            weierstrass_prepare(f, nvars)
+            if d == 1:
+                solve_implicit(f, nvars)
+    assert calls and {name for name, _ in calls} == {"_solve"}
+
+
+def test_kernel_pairs_of_one_division_and_preparation(monkeypatch):
+    """A work gate free of timing noise: the term pairs the product kernel
+    forms for one division and preparation at nvars 3, trunc 10, d = 2.
+    More pairs is more work; a change that forms fewer lowers the pin."""
+    calls = _kernel_callers(monkeypatch)
+    f = S("x3^2 + x1*x3 + x2^2 + x1*x2*x3^2 + 3*x3^3 + x1^4 + 1/2*x2*x3^5"
+          " - 2/5*x1^3*x3^4 + x2^6", 3, 10)
+    g = S("1 + x1 + 2/3*x2*x3 + x3^5 + x1^2*x2^3 + x1*x3^7 - x2^4*x3^4",
+          3, 10)
+    assert weierstrass_divide(g, f, 3).d == 2
+    assert weierstrass_prepare(f, 3).poly.d == 2
+    assert sum(pairs for _, pairs in calls) == 6418
 
 
 def test_division_is_deterministic():
@@ -318,8 +367,8 @@ def test_internal_error_when_quotient_degenerates(monkeypatch):
 
     def zero_quotient(f, k, d):
         # the empty packed table is zero
-        poly, (_, rem, unit_inv, keys) = real(f, k, d)
-        return poly, (([], 1), rem, unit_inv, keys)
+        poly, (_, rem, high, keys) = real(f, k, d)
+        return poly, (([], 1), rem, high, keys)
 
     monkeypatch.setattr(wmod, "_distinguished", zero_quotient)
     with pytest.raises(InternalInvariantError):
