@@ -646,7 +646,7 @@ def _flatten(parts: list) -> tuple:
     return [(k, v * (den // d)) for items, d in parts for k, v in items], den
 
 
-def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold=None) -> tuple:
+def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
     """Solve ``q = fold(a + q*b)`` on packed tables ``(items, D)``, products
     truncated by ``keys``.  ``grade`` and ``fold`` act on keys.  ``grade``
     must be additive, kept by ``fold``, positive on every term of ``b`` and
@@ -663,13 +663,12 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold=None) -> tuple:
     follows the grades that hold terms, not the truncation.
 
     Returns ``(q, rest)``, two packed tables; ``rest`` holds the terms that
-    ``fold`` maps to ``None``.  ``fold=None`` keeps every term (a quotient,
-    as in :func:`_over`), and ``rest`` is then empty.  Each grade is summed
-    in int numerators over one common denominator, each read scaled onto it
-    in the kernel, and ``q``'s part of it is reduced by the gcd of its
-    numerators and that denominator.  Each table is over the lcm of the
-    denominators of the grades it holds terms of.  No certificate is formed
-    here: the caller that decodes a table certifies it."""
+    ``fold`` maps to ``None``.  Each grade is summed in int numerators over
+    one common denominator, each read scaled onto it in the kernel, and
+    ``q``'s part of it is reduced by the gcd of its numerators and that
+    denominator.  Each table is over the lcm of the denominators of the
+    grades it holds terms of.  No certificate is formed here: the caller
+    that decodes a table certifies it."""
     (items_a, da), (items_b, db) = a, b
     parts_a, parts_b, parts_q, rest = {}, {}, {}, []
     for items, parts in ((items_a, parts_a), (items_b, parts_b)):
@@ -684,16 +683,13 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold=None) -> tuple:
         acc = {k: n * (den // da) for k, n in a_m}
         for (q_j, dq), b_j in reads:
             _products(acc, q_j, b_j, limit, den // (dq * db))
-        if fold is None:
-            part = {k: v for k, v in acc.items() if v}
-        else:
-            part, rest_m = {}, []
-            for k, v in acc.items():
-                if v and (new := fold(k)) is not None:
-                    part[new] = v
-                elif v:
-                    rest_m.append((k, v))
-            rest.append((rest_m, den))
+        part, rest_m = {}, []
+        for k, v in acc.items():
+            if v and (new := fold(k)) is not None:
+                part[new] = v
+            elif v:
+                rest_m.append((k, v))
+        rest.append((rest_m, den))
         if part:
             g = gcd(den, *part.values())
             q_m = parts_q[m] = [(k, v // g) for k, v in part.items()], den // g
@@ -714,12 +710,12 @@ def _over(keys: _Keys, a: tuple, x: tuple) -> tuple:
     nonconstant items ``n`` of ``x``: one :func:`_solve`, as cheap as the
     inverse ``1/x``, which is ``a = ([(0, 1)], 1)``.  The grade is the total
     degree, ``k // top``, which meets :func:`_solve`'s contract: it is
-    additive, kept with no fold and positive on ``b``.  A negative ``c``
-    needs no care: :func:`_solve` takes each grade's denominator as an lcm,
-    which is never negative, and divides only exactly, so the table it
+    additive, kept by the identity fold and positive on ``b``.  A negative
+    ``c`` needs no care: :func:`_solve` takes each grade's denominator as an
+    lcm, which is never negative, and divides only exactly, so the table it
     returns has a positive denominator."""
     (items_a, da), (items, den) = a, x
     c = next(n for k, n in items if not k)
     return _solve(([(k, n * den) for k, n in items_a], da * c),
                   ([(k, -n) for k, n in items if k], c), keys,
-                  lambda k: k // keys.top)[0]
+                  lambda k: k // keys.top, lambda k: k)[0]
