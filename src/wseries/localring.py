@@ -4,8 +4,7 @@ division by a variable, and parity surgery in a chosen variable."""
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .series import Series, _check_index
-from .weierstrass import _division_loop
+from .series import Series, _check_index, _division_loop
 
 
 def solve_implicit(f: Series, k: int) -> Series:

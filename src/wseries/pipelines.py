@@ -186,19 +186,17 @@ def check_membership(targets, generators, *, cap: int | None = None,
     generators = sorted(set(generators), key=term_sort_key)
     if not targets:
         return ()
-    nvars = len(targets[0])
-    zero = (0,) * nvars
+    zero = (0,) * len(targets[0])
+    if bad := [e for e in targets + generators if len(e) != len(zero)]:
+        raise ValueError(
+            f"exponent {bad[0]} has wrong length for nvars={len(zero)}")
     positive = [g for g in generators if sum(g) > 0]
     if cap is None:
         cap = max(sum(t) for t in targets)
 
     # closure with predecessor links for witness reconstruction
-    reach: dict = {}
-    frontier: list = []
-    for g in positive:
-        if sum(g) <= cap:
-            reach[g] = (None, g)
-            frontier.append(g)
+    reach: dict = {zero: None}
+    frontier = [zero]
     while frontier:
         cur = frontier.pop()
         for g in positive:
@@ -209,7 +207,7 @@ def check_membership(targets, generators, *, cap: int | None = None,
         if shift_expo is not None and all(
                 a >= s for a, s in zip(cur, shift_expo)):
             nxt = tuple(a - s for a, s in zip(cur, shift_expo))
-            if nxt != zero and nxt not in reach:
+            if nxt not in reach:
                 reach[nxt] = (cur, None)
                 frontier.append(nxt)
 
@@ -225,7 +223,7 @@ def check_membership(targets, generators, *, cap: int | None = None,
             checks.append(SupportCheck(t, False))
             continue
         used, shifts, cur = [], 0, t
-        while cur is not None:
+        while cur != zero:
             prev, gen = reach[cur]
             if gen is None:
                 shifts += 1

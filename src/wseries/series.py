@@ -8,16 +8,18 @@ quotient by a unit (:func:`_over`, which :meth:`Series.inverse` runs on
 the constant 1) and Weierstrass division work on packed tables.  A
 packed table has one shape, ``(items, D)``: ``(key, numerator)`` items over
 one positive common denominator, with each exponent packed into one ``int``
-key.  :class:`_Keys` is its one way in (:meth:`_Keys.pack`) and its one way
-out (:meth:`_Keys.series`, which decodes to exponent tuples and ``Fraction``
-coefficients).  The decoder sets the term order: every table it returns
-(the results of ``*``, :meth:`Series.inverse`, Weierstrass division and
-preparation, and implicit solving) lists its terms in key order, by total
-degree and then by exponent tuple, so ``x2^2`` precedes ``x1*x2`` precedes
-``x1^2``.  Weierstrass division and preparation stay packed from input to
-output: they pack their inputs once, split and solve on packed tables,
-each division by a unit one :func:`_over` and no inverse followed by a
-product, and decode once for each series they return.  ``_remap``,
+key.  No other module reads a key.  :class:`_Keys` is its one way in
+(:meth:`_Keys.pack`, which keeps only the terms below the truncation) and
+its one way out (:meth:`_Keys.series`, which decodes to exponent tuples and
+``Fraction`` coefficients).  The decoder sets the term order: every table
+it returns (the results of ``*``, :meth:`Series.inverse`, Weierstrass
+division and preparation, and implicit solving) lists its terms in key
+order, by total degree and then by exponent tuple, so ``x2^2`` precedes
+``x1*x2`` precedes ``x1^2``.  Weierstrass division and preparation stay
+packed from input to output: :func:`_division_loop` packs their inputs
+once, splits and solves on packed tables, each division by a unit is one
+:func:`_over`, which checks that its divisor is a unit, and each series
+they return is decoded once.  ``_remap``,
 :func:`_sum`, :meth:`Series.compose` and negation still work on the decoded
 tables; ``compose`` scales each power by its coefficient instead of
 multiplying by a constant series, and ``**`` is one composition.
@@ -44,7 +46,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .errors import PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 
 #: scalar types accepted wherever a coefficient can appear
 _SCALARS = (int, Fraction)
@@ -565,9 +567,8 @@ class _Keys:
     carries, and the sum is below ``limit = (trunc+1)*R^n``.  When
     ``deg(x) + deg(y) > trunc`` the degree digit alone puts the sum at or
     above ``limit``.  So truncation is the one comparison ``kx + ky <
-    limit``, and every key that passes it is carry-free.  A term above the
-    truncation (from an operand truncated higher) packs at or above
-    ``limit`` whatever its digits, so it never passes.
+    limit``, and every key that passes it is carry-free.  :meth:`pack`
+    keeps a term by the same comparison, ``key < limit``.
 
     The packed table ``(items, D)`` is the one packed shape: its ``(key,
     numerator)`` items stand for the coefficients ``numerator / D``, ``D``
@@ -582,23 +583,21 @@ class _Keys:
         self.top = self.radix ** nvars
         self.limit = self.radix * self.top
 
-    def place(self, k: int) -> int:
-        """The place value ``R^(n-k)`` of the digit of ``x_k``."""
-        return self.radix ** (self.nvars - k)
-
     def pack(self, terms: dict) -> tuple:
-        """``(items, D)``: the ``(key, numerator)`` pairs of a term table in
-        table order, with ``D`` the lcm of its denominators and every
-        coefficient equal to ``numerator / D``.  A key folds the digits
-        ``(deg, e_1, ..., e_n)`` by Horner."""
-        r, den = self.radix, lcm(*[c.denominator for c in terms.values()])
-        items = []
+        """``(items, D)``: the ``(key, numerator)`` pairs of the terms of a
+        table below the truncation, in table order, with ``D`` the lcm of
+        their denominators and every coefficient equal to ``numerator / D``.
+        A key folds the digits ``(deg, e_1, ..., e_n)`` by Horner."""
+        r, kept = self.radix, []
         for e, c in terms.items():
             key = sum(e)
             for digit in e:
                 key = key * r + digit
-            items.append((key, c.numerator * (den // c.denominator)))
-        return items, den
+            if key < self.limit:
+                kept.append((key, c))
+        den = lcm(*[c.denominator for _, c in kept])
+        return [(key, c.numerator * (den // c.denominator))
+                for key, c in kept], den
 
     def series(self, x: tuple, gd: int) -> Series:
         """The :class:`Series` of the packed table ``x = (items, D)``, in
@@ -713,9 +712,47 @@ def _over(keys: _Keys, a: tuple, x: tuple) -> tuple:
     additive, kept by the identity fold and positive on ``b``.  A negative
     ``c`` needs no care: :func:`_solve` takes each grade's denominator as an
     lcm, which is never negative, and divides only exactly, so the table it
-    returns has a positive denominator."""
+    returns has a positive denominator.  This is the one check that a
+    packed divisor is a unit: an ``x`` with no item at key 0 raises
+    :class:`InternalInvariantError`."""
     (items_a, da), (items, den) = a, x
-    c = next(n for k, n in items if not k)
+    if not (c := next((n for k, n in items if not k), 0)):
+        raise InternalInvariantError("packed divisor is not a unit")
     return _solve(([(k, n * den) for k, n in items_a], da * c),
                   ([(k, -n) for k, n in items if k], c), keys,
                   lambda k: k // keys.top, lambda k: k)[0]
+
+
+def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
+    """``(quot, rem, high, keys)`` with ``g = (quot/high) * f + rem``,
+    ``deg_{x_k}(rem) < d``, for ``f = low + x_k^d * high`` of order ``d`` in
+    x_k.  ``quot``, ``rem`` and the unit ``high`` are packed tables over
+    ``keys``, which packs ``f`` and ``g`` at the smaller truncation; each
+    caller decodes and certifies what it reads.
+
+    ``fold`` takes ``d`` off the x_k digit and off the degree of a key whose
+    x_k digit is at least ``d`` (that part is shifted down by ``x_k^d``) and
+    maps any other key to ``None``.  It splits ``f`` and folds the solve:
+    with ``b = -low/high``, one :func:`_over` (``f``'s denominator cancels),
+    ``quot = fold(g + quot*b)`` and ``rem`` is the rest.  The grade is the
+    degree in the variables other than x_k, which meets :func:`_solve`'s
+    contract (``f`` has no axis term below ``x_k^d``, so it is positive on
+    ``low``).  Total degree can stall: ``f = x2^2 + x1*x2`` gives ``b =
+    -x1*x2``, of degree ``d``, which ``fold`` takes back."""
+    keys = _Keys(g.nvars, min(g.trunc, f.trunc))
+    r, top, place = keys.radix, keys.top, keys.radix ** (g.nvars - k)
+    shift = d * place + d * top
+
+    def fold(key):
+        return key - shift if key // place % r >= d else None
+
+    items, den = keys.pack(f.terms)
+    low, high = [], []
+    for key, n in items:
+        if (new := fold(key)) is None:
+            low.append((key, -n))
+        else:
+            high.append((new, n))
+    quot, rem = _solve(keys.pack(g.terms), _over(keys, (low, 1), (high, 1)),
+                       keys, lambda key: key // top - key // place % r, fold)
+    return quot, rem, (high, den), keys

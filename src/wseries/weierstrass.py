@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import (FLAT, Series, _check_index, _Keys, _over, _Record,
-                     _solve, _sum)
+from .series import (FLAT, Series, _check_index, _division_loop, _over,
+                     _Record, _sum)
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class DistinguishedPoly(_Record):
     coeffs: tuple
 
     def __post_init__(self):
+        _check_index(self.k, self.nvars)
         if len(self.coeffs) != self.d:
             raise ValueError("need exactly d trailing coefficients")
         for a in self.coeffs:
@@ -92,7 +93,7 @@ class PreparationResult(_Record):
 def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
     """Divide ``g`` by ``f``, distinguished in variable ``k``: the
     quotient against ``f`` is ``q = Q/high`` for the loop's quotient ``Q``,
-    one packed :func:`_over`."""
+    one packed :func:`_over`, at the smaller of the two truncations."""
     g._check_space(f)
     d = _certified_order(f, k, "divisor", "division")
     certified = min(g.guaranteed_degree, f.guaranteed_degree) - d
@@ -100,9 +101,7 @@ def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
         raise PreconditionError(
             f"dividend is certified below the order {d} in x{k}: "
             "division undefined")
-    trunc = min(g.trunc, f.trunc)
-    quot, rem, high, keys = _division_loop(g.truncate(trunc),
-                                           f.truncate(trunc), k, d)
+    quot, rem, high, keys = _division_loop(g, f, k, d)
     return DivisionResult(keys.series(_over(keys, quot, high), certified),
                           keys.series(rem, certified), d, k, certified)
 
@@ -121,39 +120,6 @@ def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
             f"{noun} has order {d} in x{k}, above its certified degree "
             f"{f.guaranteed_degree}: {operation} undefined")
     return d
-
-
-def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
-    """``(quot, rem, high, keys)`` with ``g = (quot/high) * f + rem``,
-    ``deg_{x_k}(rem) < d``, for ``f = low + x_k^d * high`` of order ``d`` in
-    x_k and ``g`` at the same truncation.  ``quot``, ``rem`` and the unit
-    ``high`` are packed tables ``(items, D)`` over ``keys``, the one
-    :class:`_Keys` that ``f`` and ``g`` are packed with.  The loop forms no
-    certificate: each caller decodes with :meth:`_Keys.series` what it
-    reads, once, and certifies it by its own rule.
-
-    With ``b = -low/high``, one packed :func:`_over` (``f``'s denominator
-    cancels, so ``low`` and ``high`` go in over 1), and ``H`` the
-    x_k-degree >= d part shifted down by ``x_k^d``: ``quot = H(g +
-    quot*b)``, and ``rem`` is the rest.  On keys, the split reads the x_k
-    digit, and ``H`` and the shift to ``high`` take ``d`` off that digit and
-    off the degree.  Graded by the degree in the variables other than x_k,
-    the total degree less the x_k digit, which meets :func:`_solve`'s
-    contract: it is additive, ``H`` keeps it, it is positive on ``low``
-    (``f`` has no axis term below ``x_k^d``) and it is never above the total
-    degree.  Total degree can stall: ``f = x2^2 + x1*x2``
-    gives ``b = -x1*x2``, of degree ``d``, which ``H`` takes back."""
-    keys = _Keys(g.nvars, g.trunc)
-    r, top, place = keys.radix, keys.top, keys.place(k)
-    shift = d * place + d * top
-    items, den = keys.pack(f.terms)
-    low = [(e, n) for e, n in items if e // place % r < d]
-    high = [(e - shift, n) for e, n in items if e // place % r >= d]
-    b = _over(keys, ([(e, -n) for e, n in low], 1), (high, 1))
-    quot, rem = _solve(keys.pack(g.terms), b, keys,
-                       lambda e: e // top - e // place % r,
-                       lambda e: e - shift if e // place % r >= d else None)
-    return quot, rem, (high, den), keys
 
 
 def _distinguished(f: Series, k: int, d: int) -> tuple:
@@ -182,13 +148,12 @@ def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     """Factor ``f = U * P`` with ``U`` a unit and ``P`` distinguished in
     variable ``k``: :func:`_distinguished` divides ``x_k^d`` by ``f``, and
     as the quotient against ``f`` is ``Q/high`` for the loop's ``Q``, ``U
-    = high/Q``, one packed :func:`_over` decoded once.  A unit ``f`` (order
+    = high/Q``, one packed :func:`_over` (which checks that ``Q`` is a unit)
+    decoded once.  A unit ``f`` (order
     0) prepares through the same division: ``P = 1``, ``Q = 1`` and ``U =
     high = f`` in table, truncation and certificate, listed in key order."""
     d = _certified_order(f, k, "series", "preparation")
     poly, (quot, _, high, keys) = _distinguished(f, k, d)
-    if not any(key == 0 for key, _ in quot[0]):
-        raise InternalInvariantError("division quotient lost its unit")
     certified = f.guaranteed_degree - d
     return PreparationResult(keys.series(_over(keys, high, quot), certified),
                              poly, certified)

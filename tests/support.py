@@ -250,7 +250,7 @@ def reference_division_loop(g, f, k, d):
     splits ``delta_m * b`` at x_k-degree ``d``, adds the low part to ``rem``
     and the shifted high part (``delta_{m+1}``) to ``quot``, until a
     ``delta`` vanishes.  Each pass raises the degree in the variables other
-    than x_k.  ``weierstrass._division_loop`` must match it table for
+    than x_k.  ``series._division_loop`` must match it table for
     table."""
     low, high = split_in_variable(f, k, d)
     unit_inv = high.inverse()

@@ -1,6 +1,9 @@
 """Source hygiene for every module of ``src/wseries`` and of ``tests``:
 each name it imports is used in it, and it parses as Python 3.10, the
-oldest version ``pyproject.toml`` admits.
+oldest version ``pyproject.toml`` admits.  Every module-level private name
+of ``src/wseries`` (a function, class or constant whose name starts with
+one underscore) is named by some module of ``src/wseries`` outside its own
+definition, so no dead private code is left behind.
 
 No linter runs on this repository, so this is its unused-import check.  It
 skips ``from __future__`` imports, names that the module exports through
@@ -52,6 +55,39 @@ def _annotations(node) -> list:
     return []
 
 
+def dead_private_names(texts: dict) -> set:
+    """``(module, name)`` for each module-level private function, class or
+    constant of the modules ``texts`` (module name to source) that no
+    top-level statement other than its own definition names, as a name,
+    an attribute or an imported name."""
+    defined, named = [], []
+    for module, text in texts.items():
+        for node in ast.parse(text).body:
+            names = set()
+            for c in ast.walk(node):
+                if isinstance(c, ast.Name):
+                    names.add(c.id)
+                elif isinstance(c, ast.Attribute):
+                    names.add(c.attr)
+                elif isinstance(c, ast.alias):
+                    names.add(c.name)
+            named.append((module, node, names))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                own = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                own = []
+            defined += [(module, node, n) for n in own
+                        if n.startswith("_") and not n.startswith("__")]
+    return {(module, n) for module, node, n in defined
+            if not any(n in names for _, other, names in named
+                       if other is not node)}
+
+
 def test_the_check_finds_an_unused_import():
     text = ("from __future__ import annotations\n"
             "from typing import Iterable, Mapping\n"
@@ -64,6 +100,34 @@ def test_the_check_finds_an_unused_import():
             "def f(x: 'Mapping[str, int]') -> 'g':\n"
             "    return compile(x)\n")
     assert unused_imports(text) == {"Iterable", "os"}
+
+
+def test_the_check_finds_a_dead_private_name():
+    texts = {"a": ("_LIMIT = 3\n"
+                   "_SPARE: int = 4\n"
+                   "def _used(x):\n"
+                   "    return x + _LIMIT\n"
+                   "def _recursive(n):\n"
+                   "    return _recursive(n - 1) if n else 0\n"
+                   "class _Lonely:\n"
+                   "    def _method(self):\n"
+                   "        return _Lonely()\n"
+                   "def public(x):\n"
+                   "    return _used(x).__class__\n"),
+             "b": ("from .a import _Helper\n"
+                   "def run(mod):\n"
+                   "    return mod._by_attribute\n"),
+             "c": ("class _Helper:\n"
+                   "    pass\n"
+                   "def _by_attribute():\n"
+                   "    pass\n")}
+    assert dead_private_names(texts) == {
+        ("a", "_SPARE"), ("a", "_recursive"), ("a", "_Lonely")}
+
+
+def test_every_private_name_of_the_package_is_used():
+    texts = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert not dead_private_names(texts)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -142,6 +142,15 @@ def test_membership_examples():
     assert check_membership([], [(1, 0), (0, 2)]) == ()
 
 
+@pytest.mark.parametrize("targets, generators", [
+    ([(1, 0)], [(1,), (0, 1)]),
+    ([(1, 0), (2,)], [(1, 0)]),
+])
+def test_membership_rejects_exponents_of_another_length(targets, generators):
+    with pytest.raises(ValueError, match="wrong length for nvars=2"):
+        check_membership(targets, generators)
+
+
 def test_membership_cross_checked_against_naive_oracle():
     rng = random.Random(89)
     for _ in range(10):

@@ -9,9 +9,10 @@ import pytest
 from support import (S, agree_through, identical, in_key_order, kernel_table,
                      nonzero_rational, random_series, random_unit,
                      split_in_variable)
-from wseries import (FLAT, PreconditionError, Series, series, term_sort_key,
-                     weierstrass_divide, weierstrass_prepare)
-from wseries.series import _Keys, _solve, _sum, _times
+from wseries import (FLAT, InternalInvariantError, PreconditionError, Series,
+                     series, term_sort_key, weierstrass_divide,
+                     weierstrass_prepare)
+from wseries.series import _Keys, _over, _solve, _sum, _times
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +230,9 @@ def test_the_graded_solve_reads_no_grade_past_the_truncation(monkeypatch):
           3, 8)
     g = S("1 + x1 + 2/3*x2*x3 + x3^5 + x1^2*x2^3 + x1*x3^7", 3, 8)
     keys = _Keys(3, 8)
-    place = keys.place(3)
 
     def grade(key):  # the division loop's: the degree off the x3 digit
-        return key // keys.top - key // place % keys.radix
+        return key // keys.top - key % keys.radix
 
     calls.clear()
     division = weierstrass_divide(g, f, 3)
@@ -262,10 +262,10 @@ def test_the_graded_solve_at_its_boundaries():
     assert keys.pack({(3, 1): Fraction(3, 2)}) == ([(116, 3)], 2)
     assert _solve(([(116, 6)], 4), b, keys, degree(keys), kept) == (
         ([(116, 3)], 2), ([], 1))
-    # every grade of b lies past the truncation: q is a
+    # every grade of b lies past the truncation: q is a (pack would drop
+    # x1^4 and -2/5*x1^6, so b is built by hand)
     keys = _Keys(1, 3)
-    past = keys.pack({(4,): Fraction(1), (6,): Fraction(-2, 5)})
-    assert past == ([(20, 5), (30, -2)], 5)
+    past = ([(20, 5), (30, -2)], 5)
     assert _solve(([(0, 3), (10, 7)], 7), past, keys, degree(keys),
                   kept) == (([(0, 3), (10, 7)], 7), ([], 1))
     # trunc 0: one grade, kept or folded into the rest
@@ -274,6 +274,23 @@ def test_the_graded_solve_at_its_boundaries():
         ([(0, 3)], 2), ([], 1))
     assert _solve(([(0, 3)], 2), ([(2, 1)], 1), keys, degree(keys),
                   lambda key: None) == (([], 1), ([(0, 3)], 2))
+
+
+def test_pack_keeps_only_the_terms_below_the_truncation():
+    keys = _Keys(2, 3)
+    assert keys.pack({(4, 0): Fraction(1, 7), (2, 3): Fraction(5)}) == ([], 1)
+    # the denominator is the lcm over the kept terms only
+    assert keys.pack({(1, 2): Fraction(2, 3), (3, 1): Fraction(1, 5),
+                      (0, 1): Fraction(1, 2)}) == ([(54, 4), (17, 3)], 6)
+
+
+def test_a_packed_quotient_by_a_non_unit_is_an_internal_error():
+    keys = _Keys(2, 4)
+    x = keys.pack({(1, 0): Fraction(1), (0, 2): Fraction(-3, 2)})
+    with pytest.raises(InternalInvariantError, match="not a unit"):
+        _over(keys, ([(0, 1)], 1), x)
+    with pytest.raises(InternalInvariantError, match="not a unit"):
+        _over(keys, ([(0, 1)], 1), ([], 1))
 
 
 def test_ring_axioms_on_random_triples():

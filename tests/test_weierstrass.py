@@ -99,6 +99,25 @@ def _fixpoint_preparation(f, k, d):
     return outs
 
 
+def test_division_across_truncations_divides_at_the_smaller_one():
+    """Operands at different truncations divide as their copies truncated
+    at the smaller one: the terms past it are not read."""
+    rng = random.Random(43)
+    for d in range(4):
+        for _ in range(10):
+            nvars = rng.choice((1, 2, 3))
+            k = rng.randint(1, nvars)
+            low, high = rng.randint(max(d, 1), 7), rng.randint(8, 10)
+            g = random_series(rng, nvars, high, nterms=9)
+            f = random_order_d(rng, nvars, high, k, d, nterms=7)
+            f = f.with_guarantee(rng.randint(d, high))
+            common = weierstrass_divide(g.truncate(low), f.truncate(low), k)
+            for a, b in ((g.truncate(low), f), (g, f.truncate(low))):
+                div = weierstrass_divide(a, b, k)
+                assert identical(div.quotient, common.quotient), (a, b, k)
+                assert identical(div.remainder, common.remainder), (a, b, k)
+
+
 def test_division_loop_matches_fixpoint_reference():
     """The graded division loop against the whole-series fixpoint it
     replaced: nvars 0-4 at trunc 0-12 with every k, and nvars 32 at trunc
@@ -133,7 +152,7 @@ def test_division_loop_matches_fixpoint_reference():
                 for size in (0, 1, 6):
                     g = kernel_table(rng, nvars, trunc, size)
                     g = g.with_guarantee(rng.randint(d, trunc))
-                    *loop, keys = wmod._division_loop(g, f, k, d)
+                    *loop, keys = series._division_loop(g, f, k, d)
                     new = [keys.series(t, 0) for t in loop]  # uncertified
                     quot, rem, unit_inv = reference_division_loop(g, f, k, d)
                     for a, b in zip(new, (quot, rem, unit_inv.inverse())):
@@ -324,6 +343,10 @@ def test_distinguished_poly_validation():
         DistinguishedPoly(1, 2, 2, 6, (S("1 + x1", 1, 6),))
     with pytest.raises(ValueError):
         DistinguishedPoly(1, 2, 2, 6, (S("x1", 2, 6),))
+    # k must name one of the nvars variables
+    for k in (5, 0):
+        with pytest.raises(ValueError, match="out of range"):
+            DistinguishedPoly(1, k, 2, 4, (Series(1, 4, {(1,): 1}),))
 
 
 def test_expand_certainty_reflects_weakest_coefficient():
