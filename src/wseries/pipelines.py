@@ -180,16 +180,22 @@ def check_membership(targets, generators, *, cap: int | None = None,
     When ``shift_expo`` is given the reachable set is also closed under
     componentwise subtraction of that exponent; each application counts
     one ``shift`` in the witness, so every witness satisfies
-    ``sum(witness) = target + shifts * shift_expo``.
+    ``sum(witness) = target + shifts * shift_expo``.  It must have the
+    targets' length and no negative entry, which would grow the closure
+    past every degree cap.
     """
     targets = sorted(set(targets), key=term_sort_key)
     generators = sorted(set(generators), key=term_sort_key)
     if not targets:
         return ()
     zero = (0,) * len(targets[0])
-    if bad := [e for e in targets + generators if len(e) != len(zero)]:
+    shifts = [] if shift_expo is None else [tuple(shift_expo)]
+    if bad := [e for e in targets + generators + shifts
+               if len(e) != len(zero)]:
         raise ValueError(
             f"exponent {bad[0]} has wrong length for nvars={len(zero)}")
+    if any(s < 0 for e in shifts for s in e):
+        raise ValueError(f"shift exponent {shifts[0]} has a negative entry")
     positive = [g for g in generators if sum(g) > 0]
     if cap is None:
         cap = max(sum(t) for t in targets)

@@ -10,8 +10,12 @@ packed table has one shape, ``(items, D)``: ``(key, numerator)`` items over
 one positive common denominator, with each exponent packed into one ``int``
 key.  No other module reads a key.  :class:`_Keys` is its one way in
 (:meth:`_Keys.pack`, which keeps only the terms below the truncation) and
-its one way out (:meth:`_Keys.series`, which decodes to exponent tuples and
-``Fraction`` coefficients).  The decoder sets the term order: every table
+its one way out (:meth:`_Keys.series`, which decodes a list of packed
+tables with disjoint keys to exponent tuples and ``Fraction``
+coefficients, each over its own table's denominator).  A solve returns
+its nonempty grades as such a list, each over its own reduced
+denominator, and :func:`_flatten` joins one into a single table only
+where a table is needed whole.  The decoder sets the term order: every table
 it returns (the results of ``*``, :meth:`Series.inverse`, Weierstrass
 division and preparation, and implicit solving) lists its terms in key
 order, by total degree and then by exponent tuple, so ``x2^2`` precedes
@@ -200,8 +204,7 @@ class Series:
         other variables set to zero), or :data:`FLAT` when the restriction
         is identically zero up to the truncation."""
         _check_index(k, self.nvars)
-        axis = [e[k - 1] for e in self._terms
-                if all(v == 0 for i, v in enumerate(e) if i != k - 1)]
+        axis = [e[k - 1] for e in self._terms if sum(e) == e[k - 1]]
         return min(axis) if axis else FLAT
 
     # ------------------------------------------------------------------
@@ -342,8 +345,8 @@ class Series:
         trunc = min(self.trunc, other.trunc)
         gd = min(self.guaranteed_degree, other.guaranteed_degree, trunc)
         keys = _Keys(self.nvars, trunc)
-        return keys.series(
-            _times(keys, keys.pack(self._terms), keys.pack(other._terms)), gd)
+        x, y = keys.pack(self._terms), keys.pack(other._terms)
+        return keys.series([_times(keys, x, y)], gd)
 
     __rmul__ = __mul__
 
@@ -573,8 +576,10 @@ class _Keys:
     The packed table ``(items, D)`` is the one packed shape: its ``(key,
     numerator)`` items stand for the coefficients ``numerator / D``, ``D``
     positive.  :meth:`pack` is the one way in and :meth:`series` the one
-    way out.  Both go digit by digit with the radix alone and keep no
-    place values."""
+    way out, from a list of packed tables with disjoint keys (the solved
+    grades of :func:`_solve`, or a one-element list for a whole table).
+    Both go digit by digit with the radix alone and keep no place
+    values."""
 
     __slots__ = ("nvars", "radix", "top", "limit")
 
@@ -599,19 +604,22 @@ class _Keys:
         return [(key, c.numerator * (den // c.denominator))
                 for key, c in kept], den
 
-    def series(self, x: tuple, gd: int) -> Series:
-        """The :class:`Series` of the packed table ``x = (items, D)``, in
-        key order, truncated at ``radix - 1`` and certified through ``gd``:
-        each item ``(key, v)`` becomes the exponent of ``key``, its digits
-        peeled from the last variable up, and ``Fraction(v, D)``."""
-        items, den, r = sorted(x[0]), x[1], self.radix
+    def series(self, grades: list, gd: int) -> Series:
+        """The :class:`Series` of the packed tables ``grades``, whose keys
+        are disjoint (a whole table is a one-element list), in key order,
+        truncated at ``radix - 1`` and certified through ``gd``: each item
+        ``(key, v)`` of a table ``(items, D)`` becomes the exponent of
+        ``key``, its digits peeled from the last variable up, and
+        ``Fraction(v, D)``, over its own table's denominator."""
+        r, items = self.radix, sorted(
+            [(k, Fraction(v, d)) for xs, d in grades for k, v in xs])
         keys, digits = [k for k, _ in items], []
         for _ in range(self.nvars):
             digits.append([k % r for k in keys])
             keys = [k // r for k in keys]
         expos = zip(*reversed(digits)) if digits else [()] * len(items)
-        return Series._make(self.nvars, r - 1, dict(zip(
-            expos, [Fraction(v, den) for _, v in items])), gd)
+        return Series._make(self.nvars, r - 1,
+                            dict(zip(expos, [c for _, c in items])), gd)
 
 
 def _products(acc: dict, xs: list, ys: list, limit: int, scale: int) -> dict:
@@ -639,9 +647,11 @@ def _times(keys: _Keys, x: tuple, y: tuple) -> tuple:
 
 
 def _flatten(parts: list) -> tuple:
-    """Packed tables ``(items, D)`` with distinct keys, in order, as one
-    packed table over the lcm of the denominators of those with items."""
-    den = lcm(*[d for items, d in parts if items])
+    """Packed tables ``(items, D)`` with disjoint keys, such as the grades
+    :func:`_solve` returns, as one packed table over the lcm of their
+    denominators: only where a table is needed whole, as a solve's ``b``
+    or a divisor, since the decoder takes the grades as they are."""
+    den = lcm(*[d for _, d in parts])
     return [(k, v * (den // d)) for items, d in parts for k, v in items], den
 
 
@@ -661,15 +671,18 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
     visits only the grades of ``a`` and the queued ones, so its cost
     follows the grades that hold terms, not the truncation.
 
-    Returns ``(q, rest)``, two packed tables; ``rest`` holds the terms that
+    Returns ``(q, rest)``, each the list of its nonempty solved grades in
+    grade order, each grade a packed table; ``rest`` holds the terms that
     ``fold`` maps to ``None``.  Each grade is summed in int numerators over
-    one common denominator, each read scaled onto it in the kernel, and
-    ``q``'s part of it is reduced by the gcd of its numerators and that
-    denominator.  Each table is over the lcm of the denominators of the
-    grades it holds terms of.  No certificate is formed here: the caller
-    that decodes a table certifies it."""
+    one common denominator, the lcm of ``a``'s and its reads' (a read of
+    ``q_j`` carries ``D_j * D_b``, formed once when ``q_j`` is solved), each
+    read scaled onto it in the kernel, and ``q``'s part of it is reduced by
+    the gcd of its numerators and that denominator.  :meth:`_Keys.series`
+    decodes the lists as they are, and :func:`_flatten` joins one where a
+    table is needed whole.  No certificate is formed here: the caller that
+    decodes a table certifies it."""
     (items_a, da), (items_b, db) = a, b
-    parts_a, parts_b, parts_q, rest = {}, {}, {}, []
+    parts_a, parts_b, q, rest = {}, {}, [], []
     for items, parts in ((items_a, parts_a), (items_b, parts_b)):
         for k, n in items:
             parts.setdefault(grade(k), []).append((k, n))
@@ -678,43 +691,47 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
     while todo:
         todo.remove(m := min(todo))
         a_m, reads = parts_a.get(m, []), reads_at.pop(m, [])
-        den = lcm(da if a_m else 1, *[dq * db for (_, dq), _ in reads])
+        den = lcm(da if a_m else 1, *[d for _, _, d in reads])
         acc = {k: n * (den // da) for k, n in a_m}
-        for (q_j, dq), b_j in reads:
-            _products(acc, q_j, b_j, limit, den // (dq * db))
+        for q_j, b_j, d in reads:
+            _products(acc, q_j, b_j, limit, den // d)
         part, rest_m = {}, []
         for k, v in acc.items():
             if v and (new := fold(k)) is not None:
                 part[new] = v
             elif v:
                 rest_m.append((k, v))
-        rest.append((rest_m, den))
+        if rest_m:
+            rest.append((rest_m, den))
         if part:
             g = gcd(den, *part.values())
-            q_m = parts_q[m] = [(k, v // g) for k, v in part.items()], den // g
-            room = limit - min(part)
+            q_m, d_m = [(k, v // g) for k, v in part.items()], den // g
+            q.append((q_m, d_m))
+            room, d = limit - min(part), d_m * db
             for j, b_j in parts_b.items():
                 if b_j[0][0] < room:
-                    reads_at.setdefault(m + j, []).append((q_m, b_j))
+                    reads_at.setdefault(m + j, []).append((q_m, b_j, d))
                     todo.add(m + j)
-    return _flatten(parts_q.values()), _flatten(rest)
+    return q, rest
 
 
-def _over(keys: _Keys, a: tuple, x: tuple) -> tuple:
+def _over(keys: _Keys, a, x) -> list:
     """The quotient ``a/x`` of the packed table ``a = (items, Da)`` by the
-    packed unit ``x = (items, D)`` as one packed table, exact through the
-    truncation of ``keys``; the caller certifies it.  With ``c/D`` the
-    constant term of ``x`` (``c`` the numerator at key 0), ``q = a*D/c +
-    q*b`` for ``b = 1 - x*D/c``, whose items are ``-n`` over ``c`` for the
-    nonconstant items ``n`` of ``x``: one :func:`_solve`, as cheap as the
-    inverse ``1/x``, which is ``a = ([(0, 1)], 1)``.  The grade is the total
-    degree, ``k // top``, which meets :func:`_solve`'s contract: it is
-    additive, kept by the identity fold and positive on ``b``.  A negative
-    ``c`` needs no care: :func:`_solve` takes each grade's denominator as an
-    lcm, which is never negative, and divides only exactly, so the table it
-    returns has a positive denominator.  This is the one check that a
-    packed divisor is a unit: an ``x`` with no item at key 0 raises
-    :class:`InternalInvariantError`."""
+    packed unit ``x = (items, D)`` as the list of its solved grades, exact
+    through the truncation of ``keys``; the caller certifies it.  Either
+    operand may be such a list of grades, which is flattened first.  With
+    ``c/D`` the constant term of ``x`` (``c`` the numerator at key 0), ``q
+    = a*D/c + q*b`` for ``b = 1 - x*D/c``, whose items are ``-n`` over ``c``
+    for the nonconstant items ``n`` of ``x``: one :func:`_solve`, as cheap
+    as the inverse ``1/x``, which is ``a = ([(0, 1)], 1)``.  The grade is
+    the total degree, ``k // top``, which meets :func:`_solve`'s contract:
+    it is additive, kept by the identity fold and positive on ``b``.  A
+    negative ``c`` needs no care: :func:`_solve` takes each grade's
+    denominator as an lcm, which is never negative, and divides only
+    exactly, so every grade it returns has a positive denominator.  This is
+    the one check that a packed divisor is a unit: an ``x`` with no item at
+    key 0 raises :class:`InternalInvariantError`."""
+    a, x = (_flatten(t) if isinstance(t, list) else t for t in (a, x))
     (items_a, da), (items, den) = a, x
     if not (c := next((n for k, n in items if not k), 0)):
         raise InternalInvariantError("packed divisor is not a unit")
@@ -726,19 +743,21 @@ def _over(keys: _Keys, a: tuple, x: tuple) -> tuple:
 def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     """``(quot, rem, high, keys)`` with ``g = (quot/high) * f + rem``,
     ``deg_{x_k}(rem) < d``, for ``f = low + x_k^d * high`` of order ``d`` in
-    x_k.  ``quot``, ``rem`` and the unit ``high`` are packed tables over
-    ``keys``, which packs ``f`` and ``g`` at the smaller truncation; each
-    caller decodes and certifies what it reads.
+    x_k.  ``quot`` and ``rem`` are lists of solved grades and the unit
+    ``high`` is a packed table, all over ``keys``, which packs ``f`` and
+    ``g`` at the smaller truncation; each caller decodes and certifies what
+    it reads.
 
     ``fold`` takes ``d`` off the x_k digit and off the degree of a key whose
     x_k digit is at least ``d`` (that part is shifted down by ``x_k^d``) and
     maps any other key to ``None``.  It splits ``f`` and folds the solve:
-    with ``b = -low/high``, one :func:`_over` (``f``'s denominator cancels),
-    ``quot = fold(g + quot*b)`` and ``rem`` is the rest.  The grade is the
-    degree in the variables other than x_k, which meets :func:`_solve`'s
-    contract (``f`` has no axis term below ``x_k^d``, so it is positive on
-    ``low``).  Total degree can stall: ``f = x2^2 + x1*x2`` gives ``b =
-    -x1*x2``, of degree ``d``, which ``fold`` takes back."""
+    with ``b = -low/high``, one :func:`_over` flattened (``f``'s denominator
+    cancels), ``quot = fold(g + quot*b)`` and ``rem`` is the rest.  The
+    grade is the degree in the variables other than x_k, which meets
+    :func:`_solve`'s contract (``f`` has no axis term below ``x_k^d``, so
+    it is positive on ``low``).  Total degree can stall: ``f = x2^2 +
+    x1*x2`` gives ``b = -x1*x2``, of degree ``d``, which ``fold`` takes
+    back."""
     keys = _Keys(g.nvars, min(g.trunc, f.trunc))
     r, top, place = keys.radix, keys.top, keys.radix ** (g.nvars - k)
     shift = d * place + d * top
@@ -753,6 +772,7 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
             low.append((key, -n))
         else:
             high.append((new, n))
-    quot, rem = _solve(keys.pack(g.terms), _over(keys, (low, 1), (high, 1)),
-                       keys, lambda key: key // top - key // place % r, fold)
+    b = _flatten(_over(keys, (low, 1), (high, 1)))
+    quot, rem = _solve(keys.pack(g.terms), b, keys,
+                       lambda key: key // top - key // place % r, fold)
     return quot, rem, (high, den), keys

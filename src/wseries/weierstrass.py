@@ -27,7 +27,8 @@ class DistinguishedPoly(_Record):
     distinguished variable ``k`` of an ``nvars``-dimensional space.  The
     ``coeffs`` tuple holds ``a_1 .. a_d`` as series in the remaining
     ``nvars - 1`` variables (indices above ``k`` shifted down), each
-    vanishing at the origin.  ``d = 0`` encodes the constant polynomial 1."""
+    vanishing at the origin and truncated at ``trunc``.  ``d = 0`` encodes
+    the constant polynomial 1."""
 
     _EXPORT = ("d", "k", "nvars", "trunc", "coeffs")
 
@@ -44,6 +45,9 @@ class DistinguishedPoly(_Record):
         for a in self.coeffs:
             if a.nvars != self.nvars - 1:
                 raise ValueError("coefficient lives in the wrong space")
+            if a.trunc != self.trunc:
+                raise ValueError(f"coefficient truncated at {a.trunc}, "
+                                 f"not at {self.trunc}")
             if a.constant_term() != 0:
                 raise ValueError("distinguished coefficients must vanish at 0")
 
@@ -133,8 +137,8 @@ def _distinguished(f: Series, k: int, d: int) -> tuple:
     n = f.nvars
     expo = tuple(d if i == k - 1 else 0 for i in range(n))
     loop = _division_loop(Series.monomial(expo, n, f.trunc), f, k, d)
-    items, den = loop[1]
-    minus_rem = loop[3].series(([(e, -v) for e, v in items], den),
+    minus_rem = loop[3].series([([(e, -v) for e, v in items], den)
+                                for items, den in loop[1]],
                                f.guaranteed_degree - d)
     coeffs = tuple(minus_rem.coefficient_series(k, d - i)
                    for i in range(1, d + 1))

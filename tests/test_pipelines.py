@@ -2,6 +2,7 @@
 extension with its Cauchy-Riemann verification."""
 
 import random
+import signal
 from types import SimpleNamespace
 
 import pytest
@@ -149,6 +150,32 @@ def test_membership_examples():
 def test_membership_rejects_exponents_of_another_length(targets, generators):
     with pytest.raises(ValueError, match="wrong length for nvars=2"):
         check_membership(targets, generators)
+
+
+def test_membership_checks_the_length_of_the_shift():
+    # ``zip`` would drop the missing coordinate of a short shift
+    assert check_membership([(0, 1)], [(1, 1)], cap=2,
+                            shift_expo=(1, 0))[0].member
+    for shift in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="wrong length for nvars=2"):
+            check_membership([(0, 1)], [(1, 1)], cap=2, shift_expo=shift)
+
+
+def test_membership_rejects_a_negative_shift_at_once():
+    # adding a negative shift has no degree cap, so the closure would not
+    # end; a 1 s CPU alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("check_membership did not return")
+
+    previous = signal.signal(signal.SIGPROF, hang)
+    signal.setitimer(signal.ITIMER_PROF, 1)
+    try:
+        for shift in ((-1, 0), (2, -1)):
+            with pytest.raises(ValueError, match="negative entry"):
+                check_membership([(0, 1)], [(1, 1)], cap=2, shift_expo=shift)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 def test_membership_cross_checked_against_naive_oracle():

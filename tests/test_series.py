@@ -12,7 +12,7 @@ from support import (S, agree_through, identical, in_key_order, kernel_table,
 from wseries import (FLAT, InternalInvariantError, PreconditionError, Series,
                      series, term_sort_key, weierstrass_divide,
                      weierstrass_prepare)
-from wseries.series import _Keys, _over, _solve, _sum, _times
+from wseries.series import _flatten, _Keys, _over, _solve, _sum, _times
 
 
 # ----------------------------------------------------------------------
@@ -257,23 +257,24 @@ def test_the_graded_solve_at_its_boundaries():
 
     keys = _Keys(2, 4)
     b = keys.pack({(1, 0): Fraction(-1, 3), (0, 2): Fraction(2)})
-    assert _solve(([], 1), b, keys, degree(keys), kept) == (([], 1), ([], 1))
+    assert _solve(([], 1), b, keys, degree(keys), kept) == ([], [])
     # a's one term, 3/2*x1^3*x2, lies at grade trunc: nothing reads it
     assert keys.pack({(3, 1): Fraction(3, 2)}) == ([(116, 3)], 2)
     assert _solve(([(116, 6)], 4), b, keys, degree(keys), kept) == (
-        ([(116, 3)], 2), ([], 1))
-    # every grade of b lies past the truncation: q is a (pack would drop
-    # x1^4 and -2/5*x1^6, so b is built by hand)
+        [([(116, 3)], 2)], [])
+    # every grade of b lies past the truncation: q is a, one reduced table
+    # per grade, 3/7 and x1^2 (pack would drop x1^4 and -2/5*x1^6, so b is
+    # built by hand)
     keys = _Keys(1, 3)
     past = ([(20, 5), (30, -2)], 5)
     assert _solve(([(0, 3), (10, 7)], 7), past, keys, degree(keys),
-                  kept) == (([(0, 3), (10, 7)], 7), ([], 1))
+                  kept) == ([([(0, 3)], 7), ([(10, 1)], 1)], [])
     # trunc 0: one grade, kept or folded into the rest
     keys = _Keys(2, 0)
     assert _solve(([(0, 3)], 2), ([], 1), keys, degree(keys), kept) == (
-        ([(0, 3)], 2), ([], 1))
+        [([(0, 3)], 2)], [])
     assert _solve(([(0, 3)], 2), ([(2, 1)], 1), keys, degree(keys),
-                  lambda key: None) == (([], 1), ([(0, 3)], 2))
+                  lambda key: None) == ([], [([(0, 3)], 2)])
 
 
 def test_pack_keeps_only_the_terms_below_the_truncation():
@@ -345,7 +346,7 @@ def test_inverse_multiplies_back_to_one():
 # ----------------------------------------------------------------------
 
 def test_packed_tables_decode_to_the_tables_they_pack():
-    """``keys.series(keys.pack(t), gd)`` is the table ``t`` with
+    """``keys.series([keys.pack(t)], gd)`` is the table ``t`` with
     ``Fraction`` coefficients, listed in key order, with the same
     truncation and certificate."""
     rng = random.Random(4100)
@@ -355,9 +356,36 @@ def test_packed_tables_decode_to_the_tables_they_pack():
             for size in (0, 1, 8):
                 t = kernel_table(rng, nvars, trunc, size)
                 t = t.with_guarantee(rng.randint(0, trunc))
-                back = keys.series(keys.pack(t.terms), t.guaranteed_degree)
+                back = keys.series([keys.pack(t.terms)], t.guaranteed_degree)
                 assert identical(back, t) and in_key_order(back), t
                 assert all(type(c) is Fraction for c in back.terms.values())
+
+
+def test_a_list_of_grades_decodes_as_its_flattened_table():
+    """``keys.series(grades, gd)`` takes each coefficient over its own
+    grade's denominator, and gives the same table, dict order, ``Fraction``
+    coefficients, truncation and certificate as decoding the grades joined
+    over the lcm of their denominators.  The grades share factors, hold
+    negative and unreduced numerators, and some are empty."""
+    rng = random.Random(4110)
+    for _ in range(300):
+        nvars, trunc = rng.randint(1, 4), rng.randint(0, 8)
+        keys = _Keys(nvars, trunc)
+        expos = list(kernel_table(rng, nvars, trunc, rng.randint(0, 12)).terms)
+        rng.shuffle(expos)
+        cuts = sorted(rng.randint(0, len(expos)) for _ in range(3))
+        grades, common = [], rng.choice((1, 6, 2 ** 40))
+        for lo, hi in zip([0, *cuts], [*cuts, len(expos)]):
+            den = common * rng.choice((1, 2, 3, 10, 7 ** 5))
+            items = keys.pack({e: Fraction(1) for e in expos[lo:hi]})[0]
+            grades.append(([(k, rng.choice((-1, 1)) * rng.randint(1, 3 * den))
+                            for k, _ in items], den))
+        gd = rng.randint(0, trunc)
+        got = keys.series(grades, gd)
+        want = keys.series([_flatten(grades)], gd)
+        assert identical(got, want) and list(got.terms) == list(want.terms)
+        assert in_key_order(got) and len(got.terms) == len(expos)
+        assert all(type(c) is Fraction for c in got.terms.values())
 
 
 # ----------------------------------------------------------------------

@@ -152,8 +152,9 @@ def test_division_loop_matches_fixpoint_reference():
                 for size in (0, 1, 6):
                     g = kernel_table(rng, nvars, trunc, size)
                     g = g.with_guarantee(rng.randint(d, trunc))
-                    *loop, keys = series._division_loop(g, f, k, d)
-                    new = [keys.series(t, 0) for t in loop]  # uncertified
+                    *loop, high, keys = series._division_loop(g, f, k, d)
+                    new = [keys.series(t, 0)  # uncertified
+                           for t in (*loop, [high])]
                     quot, rem, unit_inv = reference_division_loop(g, f, k, d)
                     for a, b in zip(new, (quot, rem, unit_inv.inverse())):
                         assert a.same_data(b) and a.trunc == b.trunc, (g, f)
@@ -198,6 +199,31 @@ def test_division_preparation_and_implicit_solving_form_no_products(
             if d == 1:
                 solve_implicit(f, nvars)
     assert calls and {name for name, _ in calls} == {"_solve"}
+
+
+def test_only_a_solve_operand_or_a_divisor_is_flattened(monkeypatch):
+    """The decoder takes solved grades as they are, so ``_flatten`` joins a
+    table only where it is needed whole: the division loop's ``b`` (the
+    one call of ``solve_implicit``), and the loop's quotient ``Q``, which
+    ``weierstrass_divide`` divides by ``high`` and ``weierstrass_prepare``
+    divides ``high`` by."""
+    calls = []
+    flatten = series._flatten
+    monkeypatch.setattr(series, "_flatten",
+                        lambda parts: calls.append(1) or flatten(parts))
+    rng = random.Random(4302)
+    for nvars in (2, 3):
+        for d in (0, 1, 2, 3):
+            f = random_order_d(rng, nvars, 9, nvars, d, nterms=7)
+            g = random_series(rng, nvars, 9, nterms=7)
+            cases = [(weierstrass_divide, (g, f, nvars), 2),
+                     (weierstrass_prepare, (f, nvars), 2)]
+            if d == 1:
+                cases.append((solve_implicit, (f, nvars), 1))
+            for op, args, want in cases:
+                calls.clear()
+                op(*args)
+                assert len(calls) == want, (op.__name__, f)
 
 
 def test_kernel_pairs_of_one_division_and_preparation(monkeypatch):
@@ -343,6 +369,11 @@ def test_distinguished_poly_validation():
         DistinguishedPoly(1, 2, 2, 6, (S("1 + x1", 1, 6),))
     with pytest.raises(ValueError):
         DistinguishedPoly(1, 2, 2, 6, (S("x1", 2, 6),))
+    # a coefficient truncated elsewhere: expand() would drop its x1^6
+    with pytest.raises(ValueError, match="truncated at 8, not at 4"):
+        DistinguishedPoly(1, 2, 2, 4, (Series(1, 8, {(1,): 1, (6,): 1}),))
+    with pytest.raises(ValueError, match="truncated at 3, not at 4"):
+        DistinguishedPoly(1, 2, 2, 4, (Series(1, 3, {(1,): 1}),))
     # k must name one of the nvars variables
     for k in (5, 0):
         with pytest.raises(ValueError, match="out of range"):
@@ -389,9 +420,9 @@ def test_internal_error_when_quotient_degenerates(monkeypatch):
     real = wmod._distinguished
 
     def zero_quotient(f, k, d):
-        # the empty packed table is zero
+        # the empty list of solved grades is zero
         poly, (_, rem, high, keys) = real(f, k, d)
-        return poly, (([], 1), rem, high, keys)
+        return poly, ([], rem, high, keys)
 
     monkeypatch.setattr(wmod, "_distinguished", zero_quotient)
     with pytest.raises(InternalInvariantError):
