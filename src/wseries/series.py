@@ -13,9 +13,9 @@ key.  No other module reads a key.  :class:`_Keys` is its one way in
 its one way out (:meth:`_Keys.series`, which decodes a list of packed
 tables with disjoint keys to exponent tuples and ``Fraction``
 coefficients, each over its own table's denominator).  A solve returns
-its nonempty grades as such a list, each over its own reduced
-denominator, and :func:`_flatten` joins one into a single table only
-where a table is needed whole.  The decoder sets the term order: every table
+its nonempty grades as such a list, each over its own denominator, and
+:func:`_flatten` joins one into a single table only where a table is
+needed whole.  The decoder sets the term order: every table
 it returns (the results of ``*``, :meth:`Series.inverse`, Weierstrass
 division and preparation, and implicit solving) lists its terms in key
 order, by total degree and then by exponent tuple, so ``x2^2`` precedes
