@@ -57,13 +57,16 @@ def halve_exponents(f: Series, k: int) -> Series:
     """Inverse of :meth:`Series.substitute_square` on series even in
     ``x_k``: halves every ``x_k`` exponent.
 
-    A lossless table rewrite: each stored coefficient is a verbatim source
-    coefficient, so the certification bound is carried over per term (the
-    result's coefficient at ``(a', j)`` is the source's at ``(a', 2j)``).
+    Each stored coefficient is a verbatim source coefficient, but halving
+    lowers the degree: the result's coefficient at ``(a', j)``, of degree
+    ``|a'| + j``, is the source's at ``(a', 2j)``, of degree up to twice
+    that.  So the result is certified through ``G // 2`` for ``f``
+    certified through ``G``.
     """
     _check_index(k, f.nvars)
     bad = next((e for e in f.terms if e[k - 1] % 2), None)
     if bad is not None:
         raise PreconditionError(
             f"term {bad} has odd x{k} exponent: cannot halve")
-    return f._remap(lambda e, c: (e[:k - 1] + (e[k - 1] // 2,) + e[k:], c))
+    return f._remap(lambda e, c: (e[:k - 1] + (e[k - 1] // 2,) + e[k:], c),
+                    loss=(f.guaranteed_degree + 1) // 2)

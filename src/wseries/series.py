@@ -23,7 +23,11 @@ order, by total degree and then by exponent tuple, so ``x2^2`` precedes
 packed from input to output: :func:`_division_loop` packs their inputs
 once, splits and solves on packed tables, each division by a unit is one
 :func:`_over`, which checks that its divisor is a unit, and each series
-they return is decoded once.  ``_remap``,
+they return is decoded once.  :func:`_solve` works along an axis, given
+by the place value of the x_k digit in a key, and an order; its docstring
+states the one axis rule.  The division loop splits ``f`` and solves
+along x_k at order ``d``, and :func:`_over` solves along no axis at order
+0.  ``*`` calls the product kernel :func:`_products` directly.  ``_remap``,
 :func:`_sum`, :meth:`Series.compose` and negation still work on the decoded
 tables; ``compose`` scales each power by its coefficient instead of
 multiplying by a constant series, and ``**`` is one composition.
@@ -99,8 +103,9 @@ class Series:
         if not 0 <= gd <= trunc:
             raise ValueError("guaranteed_degree must lie in [0, trunc]")
         clean: dict = {}
-        for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+        for key, coeff in (terms or {}).items():
+            if (expo := tuple(map(int, key))) != tuple(key):
+                raise ValueError(f"exponent {key!r} is not integral")
             if len(expo) != nvars:
                 raise ValueError(f"exponent {expo} has wrong length for nvars={nvars}")
             if any(e < 0 for e in expo):
@@ -345,8 +350,9 @@ class Series:
         trunc = min(self.trunc, other.trunc)
         gd = min(self.guaranteed_degree, other.guaranteed_degree, trunc)
         keys = _Keys(self.nvars, trunc)
-        x, y = keys.pack(self._terms), keys.pack(other._terms)
-        return keys.series([_times(keys, x, y)], gd)
+        (xs, dx), (ys, dy) = keys.pack(self._terms), keys.pack(other._terms)
+        acc = _products({}, xs, sorted(ys), keys.limit, 1).items()
+        return keys.series([([(k, v) for k, v in acc if v], dx * dy)], gd)
 
     __rmul__ = __mul__
 
@@ -637,15 +643,6 @@ def _products(acc: dict, xs: list, ys: list, limit: int, scale: int) -> dict:
     return acc
 
 
-def _times(keys: _Keys, x: tuple, y: tuple) -> tuple:
-    """The product of the packed tables ``x = (items, Dx)`` and ``y = (items,
-    Dy)``, truncated by ``keys``: its nonzero items over ``Dx*Dy``.  It
-    sorts ``ys``, as :func:`_products` needs."""
-    (xs, dx), (ys, dy) = x, y
-    acc = _products({}, xs, sorted(ys), keys.limit, 1)
-    return [(k, v) for k, v in acc.items() if v], dx * dy
-
-
 def _flatten(parts: list) -> tuple:
     """Packed tables ``(items, D)`` with disjoint keys, such as the grades
     :func:`_solve` returns, as one packed table over the lcm of their
@@ -655,37 +652,48 @@ def _flatten(parts: list) -> tuple:
     return [(k, v * (den // d)) for items, d in parts for k, v in items], den
 
 
-def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
+def _solve(a: tuple, b: tuple, keys: _Keys, place: int, order: int) -> tuple:
     """Solve ``q = fold(a + q*b)`` on packed tables ``(items, D)``, products
-    truncated by ``keys``.  ``grade`` and ``fold`` act on keys.  ``grade``
-    must be additive, kept by ``fold``, positive on every term of ``b`` and
-    never above the total degree: then the grade-m part of ``a + q*b``,
-    ``a_m + sum_{j>=1} q_(m-j) * b_j``, reads lower grades of ``q`` only
-    (Brent & Kung, J. ACM 1978), so one walk up the grades solves it,
-    multiplying each pair of terms once.  Each solved grade ``q_m`` queues
-    its read ``(q_m, b_j)`` at grade ``m + j`` only when its smallest key
-    sum is below ``keys.limit``, so every read forms a term and no kernel
-    call is empty: the grade can stay below the truncation while the total
-    degree passes it.  As a key sum below ``keys.limit`` has a total degree
-    of at most ``keys.radix - 1``, no grade past that is queued.  The walk
-    visits only the grades of ``a`` and the queued ones, so its cost
-    follows the grades that hold terms, not the truncation.
+    truncated by ``keys``, along the axis whose digit has the place value
+    ``place`` in a key (``keys.radix ** (nvars - k)`` for x_k).  The axis
+    rule: a key's grade is its degree off the axis digit, ``key // top -
+    key // place % radix``, and ``fold`` keeps a term whose axis digit is at
+    least ``order``, shifted down by ``x_k^order`` (its key less ``order *
+    (place + top)``, which leaves its grade as it is); every other term goes
+    to the rest.  With ``place = keys.limit`` the axis digit of every key
+    below the limit is 0, so the grade is the total degree and ``order = 0``
+    keeps every term as it is.
+
+    Keys add without carry (see :class:`_Keys`), so the grade is additive,
+    and it is never above the total degree.  The caller makes it positive
+    on every term of ``b``: then the grade-m part of ``a + q*b``, ``a_m +
+    sum_{j>=1} q_(m-j) * b_j``, reads lower grades of ``q`` only (Brent &
+    Kung, J. ACM 1978), so one walk up the grades solves it, multiplying
+    each pair of terms once.  Each solved grade ``q_m`` queues its read
+    ``(q_m, b_j)`` at grade ``m + j`` only when its smallest key sum is
+    below ``keys.limit``, so every read forms a term and no kernel call is
+    empty: the grade can stay below the truncation while the total degree
+    passes it.  As a key sum below ``keys.limit`` has a total degree of at
+    most ``keys.radix - 1``, no grade past that is queued.  The walk visits
+    only the grades of ``a`` and the queued ones, so its cost follows the
+    grades that hold terms, not the truncation.
 
     Returns ``(q, rest)``, each the list of its nonempty solved grades in
-    grade order, each grade a packed table; ``rest`` holds the terms that
-    ``fold`` maps to ``None``.  Each grade is summed in int numerators over
-    one common denominator, the lcm of ``a``'s and its reads' (a read of
-    ``q_j`` carries ``D_j * D_b``, formed once when ``q_j`` is solved), each
-    read scaled onto it in the kernel, and ``q``'s part of it is reduced by
-    the gcd of its numerators and that denominator.  :meth:`_Keys.series`
-    decodes the lists as they are, and :func:`_flatten` joins one where a
-    table is needed whole.  No certificate is formed here: the caller that
-    decodes a table certifies it."""
+    grade order, each grade a packed table.  Each grade is summed in int
+    numerators over one common denominator, the lcm of ``a``'s and its
+    reads' (a read of ``q_j`` carries ``D_j * D_b``, formed once when
+    ``q_j`` is solved), each read scaled onto it in the kernel, and ``q``'s
+    part of it is reduced by the gcd of its numerators and that
+    denominator.  :meth:`_Keys.series` decodes the lists as they are, and
+    :func:`_flatten` joins one where a table is needed whole.  No
+    certificate is formed here: the caller that decodes a table certifies
+    it."""
     (items_a, da), (items_b, db) = a, b
+    r, top, shift = keys.radix, keys.top, order * (place + keys.top)
     parts_a, parts_b, q, rest = {}, {}, [], []
     for items, parts in ((items_a, parts_a), (items_b, parts_b)):
         for k, n in items:
-            parts.setdefault(grade(k), []).append((k, n))
+            parts.setdefault(k // top - k // place % r, []).append((k, n))
     parts_b = {j: sorted(b_j) for j, b_j in parts_b.items()}
     limit, reads_at, todo = keys.limit, {}, set(parts_a)
     while todo:
@@ -697,8 +705,8 @@ def _solve(a: tuple, b: tuple, keys: _Keys, grade, fold) -> tuple:
             _products(acc, q_j, b_j, limit, den // d)
         part, rest_m = {}, []
         for k, v in acc.items():
-            if v and (new := fold(k)) is not None:
-                part[new] = v
+            if v and k // place % r >= order:
+                part[k - shift] = v
             elif v:
                 rest_m.append((k, v))
         if rest_m:
@@ -723,21 +731,20 @@ def _over(keys: _Keys, a, x) -> list:
     ``c/D`` the constant term of ``x`` (``c`` the numerator at key 0), ``q
     = a*D/c + q*b`` for ``b = 1 - x*D/c``, whose items are ``-n`` over ``c``
     for the nonconstant items ``n`` of ``x``: one :func:`_solve`, as cheap
-    as the inverse ``1/x``, which is ``a = ([(0, 1)], 1)``.  The grade is
-    the total degree, ``k // top``, which meets :func:`_solve`'s contract:
-    it is additive, kept by the identity fold and positive on ``b``.  A
-    negative ``c`` needs no care: :func:`_solve` takes each grade's
-    denominator as an lcm, which is never negative, and divides only
-    exactly, so every grade it returns has a positive denominator.  This is
-    the one check that a packed divisor is a unit: an ``x`` with no item at
-    key 0 raises :class:`InternalInvariantError`."""
+    as the inverse ``1/x``, which is ``a = ([(0, 1)], 1)``.  It solves along
+    no axis, ``(keys.limit, 0)``: the grade is the total degree, positive
+    on ``b``, and every term is kept.  A negative ``c`` needs no care:
+    :func:`_solve` takes each grade's denominator as an lcm, which is never
+    negative, and divides only exactly, so every grade it returns has a
+    positive denominator.  This is the one check that a packed divisor is a
+    unit: an ``x`` with no item at key 0 raises
+    :class:`InternalInvariantError`."""
     a, x = (_flatten(t) if isinstance(t, list) else t for t in (a, x))
-    (items_a, da), (items, den) = a, x
-    if not (c := next((n for k, n in items if not k), 0)):
+    (items_a, da), (xs, den) = a, x
+    if not (c := next((n for k, n in xs if not k), 0)):
         raise InternalInvariantError("packed divisor is not a unit")
     return _solve(([(k, n * den) for k, n in items_a], da * c),
-                  ([(k, -n) for k, n in items if k], c), keys,
-                  lambda k: k // keys.top, lambda k: k)[0]
+                  ([(k, -n) for k, n in xs if k], c), keys, keys.limit, 0)[0]
 
 
 def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
@@ -748,31 +755,24 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     ``g`` at the smaller truncation; each caller decodes and certifies what
     it reads.
 
-    ``fold`` takes ``d`` off the x_k digit and off the degree of a key whose
-    x_k digit is at least ``d`` (that part is shifted down by ``x_k^d``) and
-    maps any other key to ``None``.  It splits ``f`` and folds the solve:
-    with ``b = -low/high``, one :func:`_over` flattened (``f``'s denominator
-    cancels), ``quot = fold(g + quot*b)`` and ``rem`` is the rest.  The
-    grade is the degree in the variables other than x_k, which meets
-    :func:`_solve`'s contract (``f`` has no axis term below ``x_k^d``, so
-    it is positive on ``low``).  Total degree can stall: ``f = x2^2 +
-    x1*x2`` gives ``b = -x1*x2``, of degree ``d``, which ``fold`` takes
-    back."""
+    Both the split of ``f`` and the solve follow :func:`_solve`'s axis rule
+    at x_k's place value and ``order = d``: a term of ``f`` whose x_k digit
+    is at least ``d`` goes to ``high``, shifted down by ``x_k^d``, and any
+    other to ``low``.  With ``b = -low/high``, one :func:`_over` flattened
+    (``f``'s denominator cancels), ``quot = fold(g + quot*b)`` and ``rem``
+    is the rest.  The grade, the degree in the variables other than x_k, is
+    positive on ``low``, as ``f`` has no axis term below ``x_k^d``.  Total
+    degree can stall: ``f = x2^2 + x1*x2`` gives ``b = -x1*x2``, of degree
+    ``d``, which ``fold`` takes back."""
     keys = _Keys(g.nvars, min(g.trunc, f.trunc))
-    r, top, place = keys.radix, keys.top, keys.radix ** (g.nvars - k)
-    shift = d * place + d * top
-
-    def fold(key):
-        return key - shift if key // place % r >= d else None
-
+    place = keys.radix ** (g.nvars - k)
     items, den = keys.pack(f.terms)
     low, high = [], []
     for key, n in items:
-        if (new := fold(key)) is None:
+        if key // place % keys.radix < d:
             low.append((key, -n))
         else:
-            high.append((new, n))
+            high.append((key - d * (place + keys.top), n))
     b = _flatten(_over(keys, (low, 1), (high, 1)))
-    quot, rem = _solve(keys.pack(g.terms), b, keys,
-                       lambda key: key // top - key // place % r, fold)
+    quot, rem = _solve(keys.pack(g.terms), b, keys, place, d)
     return quot, rem, (high, den), keys

@@ -1,0 +1,215 @@
+"""A seeded hostile-input fuzzer over the ``wseries`` command line.
+
+Each case is an ``argv`` for one of the eight subcommands, built by a
+seeded generator from the expression grammar with hostile pieces mixed
+in: wide and malformed constants, ``inv(...)``, powers up to ``10^12``,
+broken tokens, variables past ``--vars``, invalid or missing ``--trunc``
+and ``--var`` values, and ``--coeffs`` lists.  Every case runs in process
+through ``cli.main``, with no subprocess, under a CPU alarm
+(``ITIMER_PROF``), and must end with a documented exit code (0, 2, 3 or
+4) and no traceback.  A case that exits 0 runs again with ``--json``
+toggled: every printed series re-parses to the table that the JSON
+document holds for it, and every series in the document loads through
+``Series.from_dict`` to the same table and certificate.
+
+``--vars`` stays at most 4 and ``--trunc`` at most 10, as no work budget
+bounds either yet.  The parser builds an exponent of ``--vars`` entries
+for every monomial before anything else checks the input, so a large
+count costs memory and time in proportion to it.  And the work of a
+valid input grows with the truncation without a ceiling: ``prepare
+--trunc 99999999999999999999 --vars 2 --var 1 -e "(x1)^1000000000000"``
+builds one coefficient series for each of the 10^12 degrees below the
+order.
+"""
+
+import contextlib
+import io
+import json
+import random
+import signal
+
+import pytest
+
+from wseries import ExpressionError, Series, cli, parse_series
+
+#: cases drawn; each runs once, and once more with ``--json`` toggled when
+#: it exits 0
+CASES = 400
+#: CPU seconds one run may take
+CPU_LIMIT = 2.0
+
+#: labels of the text lines whose value is not a series (a verdict line
+#: is its own label)
+NOT_SERIES = {"d", "k", "guaranteed_degree", "checked_degree", "generators",
+              "all_member", "CR: PASS", "CR: FAIL"}
+
+
+class CaseTimeout(BaseException):
+    """Raised by the CPU alarm; not an ``Exception``, so ``cli.main``
+    cannot catch it."""
+
+
+def _on_alarm(signum, frame):
+    raise CaseTimeout
+
+
+def run(argv):
+    """``(exit code, stdout, stderr)`` of ``cli.main(argv)`` in process."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGPROF, _on_alarm)
+    signal.setitimer(signal.ITIMER_PROF, CPU_LIMIT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except CaseTimeout:
+        pytest.fail(f"{argv} took more than {CPU_LIMIT} s of CPU")
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+def constant(rng):
+    if rng.random() < 0.1:  # malformed, or past the 4300-digit limit
+        return rng.choice(("1/0", "0.5", "1e3", "--1", "1/-2", "9" * 4301))
+    return rng.choice([
+        str(rng.randint(0, 9)), f"{rng.randint(0, 99)}/{rng.randint(1, 99)}",
+        f"-{rng.randint(1, 9)}/{rng.randint(1, 9)}",
+        str(rng.getrandbits(200)), "9" * 400])
+
+
+def variable(rng, nvars):
+    if rng.random() < 0.05:  # x0 and x(nvars + 1) lie past the count
+        return f"x{rng.choice((0, nvars + 1))}"
+    return f"x{rng.randint(1, max(nvars, 1))}"
+
+
+def expression(rng, nvars, depth=0):
+    roll = rng.random()
+    if depth >= 3 or roll < 0.3:
+        return (constant(rng) if rng.random() < 0.3
+                else variable(rng, nvars))
+    if roll < 0.5:
+        sign = rng.choice((" + ", " - "))
+        return sign.join(expression(rng, nvars, depth + 1)
+                         for _ in range(rng.randint(2, 4)))
+    if roll < 0.65:
+        return "*".join(expression(rng, nvars, depth + 1)
+                        for _ in range(rng.randint(2, 3)))
+    if roll < 0.8:
+        power = rng.choice((0, 1, 2, 3, 5, 10 ** 12))
+        return f"({expression(rng, nvars, depth + 1)})^{power}"
+    if roll < 0.9:
+        inner = expression(rng, nvars, depth + 1)
+        return f"inv({rng.randint(1, 3)} + {inner})"
+    # a broken token spliced into a valid expression
+    text = expression(rng, nvars, depth + 1)
+    cut = rng.randint(0, len(text))
+    junk = rng.choice(("x", "^", "**", "(", ")", "", "inv(", "x-1", "1..2",
+                       "^-1", "+", "#", "é"))
+    return text[:cut] + junk + text[cut:]
+
+
+def univariate(rng):
+    """An ``h`` for ``holo`` and ``cr-check``, usually with the ``x1^2``
+    profile the extension needs."""
+    if rng.random() < 0.2:
+        return expression(rng, 1)
+    tail = " + ".join(f"{constant(rng)}*x1^{j}"
+                      for j in rng.sample(range(2, 9), rng.randint(0, 3)))
+    return "x1^2 + x1^3" + (" + " + tail if tail else "")
+
+
+def argv_case(rng):
+    command = rng.choice(("prepare", "divide", "implicit", "split", "lemma",
+                          "holo", "cr-check", "semigroup"))
+    nvars = rng.randint(1, 4) if rng.random() < 0.95 else 0
+    trunc = str(rng.randint(0 if rng.random() < 0.2 else 4, 10))
+    if rng.random() < 0.05:
+        trunc = rng.choice(("-1", "abc", "", "1.5", "0x10"))
+    argv = [command, "--trunc", trunc]
+    if command in ("holo", "cr-check"):
+        if command == "cr-check" and rng.random() < 0.5:
+            argv += ["-g", expression(rng, 2), "-f", expression(rng, 2)]
+        elif rng.random() < 0.3:
+            argv += ["--coeffs", ",".join(constant(rng) for _ in range(
+                rng.randint(1, 8)))]
+        else:
+            argv += ["-e", univariate(rng)]
+    else:
+        var = rng.randint(1, nvars) if nvars and rng.random() < 0.9 else (
+            rng.randint(0, nvars + 2))
+        argv += ["--vars", str(nvars), "--var", str(var)]
+        f = expression(rng, nvars)
+        if rng.random() < 0.5:  # an axis profile each command can read
+            lead = {"lemma": f"x{var}^2 + x{var}^3", "implicit": f"x{var}"}
+            f = (lead.get(command, f"x{var}^{rng.randint(0, 3)}")
+                 + f" + x{rng.randint(1, max(nvars, 1))}*({f})")
+        if command == "divide":
+            argv += ["-g", expression(rng, nvars)]
+        argv += ["-f" if command == "divide" else "-e", f]
+        if command == "semigroup" and rng.random() < 0.5:
+            argv.append("--order-shift")
+    if rng.random() < 0.3:
+        argv.append("--json")
+    if rng.random() < 0.03:
+        argv.remove(rng.choice(argv[1:]))
+    return argv
+
+
+def json_series(doc):
+    """Every series dict in a ``--json`` document."""
+    if isinstance(doc, dict):
+        if set(doc) == {"nvars", "trunc", "guaranteed_degree", "terms"}:
+            yield doc
+        else:
+            for value in doc.values():
+                yield from json_series(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from json_series(value)
+
+
+def check_outputs(argv, text, document):
+    """The printed series of ``text`` re-parse to tables of the JSON
+    ``document``, whose series all load to the same table and
+    certificate."""
+    loaded = []
+    for data in json_series(json.loads(document)):
+        s = Series.from_dict(data)
+        assert s.to_dict() == data, (argv, data)
+        loaded.append(s)
+    for line in text.splitlines():
+        label, _, value = line.partition(" = ")
+        if label in NOT_SERIES or label.endswith(": member"):
+            continue
+        assert any(reparses_to(value, s) for s in loaded), (argv, line)
+
+
+def reparses_to(text, s):
+    """Whether ``text`` parses, in the space of ``s``, to its table."""
+    try:
+        return parse_series(text, s.nvars, s.trunc).same_data(s)
+    except ExpressionError:
+        return False
+
+
+def test_hostile_command_lines_end_with_a_documented_exit_code():
+    rng = random.Random(1010)
+    codes = []
+    for _ in range(CASES):
+        argv = argv_case(rng)
+        code, out, err = run(argv)
+        codes.append(code)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in out + err, (argv, err)
+        if code != 0:
+            continue
+        toggled = ([a for a in argv if a != "--json"] if "--json" in argv
+                   else argv + ["--json"])
+        again, out2, err2 = run(toggled)
+        assert again == 0, (toggled, again, err2)
+        text, document = (out2, out) if "--json" in argv else (out, out2)
+        check_outputs(argv, text, document)
+    # the mix reaches success, usage errors and failed preconditions
+    assert {0, 2, 3} <= set(codes), codes

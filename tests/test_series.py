@@ -12,7 +12,7 @@ from support import (S, agree_through, identical, in_key_order, kernel_table,
 from wseries import (FLAT, InternalInvariantError, PreconditionError, Series,
                      series, term_sort_key, weierstrass_divide,
                      weierstrass_prepare)
-from wseries.series import _flatten, _Keys, _over, _solve, _sum, _times
+from wseries.series import _flatten, _Keys, _over, _solve, _sum
 
 
 # ----------------------------------------------------------------------
@@ -36,6 +36,17 @@ def test_constructor_validates_exponents():
         Series(2, 5, {(-1, 0): 1})
     with pytest.raises(ValueError):
         Series(2, 5, {}, guaranteed_degree=6)
+
+
+def test_constructor_rejects_non_integral_exponents():
+    for expo in ((1.5, 0), ("2", 0), (1, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="is not integral"):
+            Series(2, 4, {expo: 1})
+    # an int, a bool or an integral numpy int is stored as an int
+    numpy = pytest.importorskip("numpy")
+    for expo in ((2, 1), (True, 0), (numpy.int64(2), numpy.uint8(1))):
+        (stored,) = Series(2, 4, {expo: 1}).terms
+        assert stored == expo and all(type(e) is int for e in stored)
 
 
 def test_leaf_constructors_match_the_public_constructor():
@@ -200,8 +211,9 @@ def test_pow_past_the_truncation_is_zero_at_once(monkeypatch):
     s = S("x1 + x1*x2", 2, 8).with_guarantee(5)
     square = S("x1^2", 1, 8)
     products = []
-    monkeypatch.setattr(series, "_times",
-                        lambda *args: products.append(args) or _times(*args))
+    kernel = series._products
+    monkeypatch.setattr(series, "_products",
+                        lambda *args: products.append(args) or kernel(*args))
     assert identical(s ** big, Series(2, 8, None, 5))
     assert identical(Series(2, 8, None, 5) ** 3, Series(2, 8, None, 5))
     assert (square ** 5).is_zero()
@@ -248,33 +260,29 @@ def test_the_graded_solve_reads_no_grade_past_the_truncation(monkeypatch):
 
 
 def test_the_graded_solve_at_its_boundaries():
-    # an empty a, a at the last grade only, b past the truncation, trunc 0
-    def degree(keys):
-        return lambda key: key // keys.top
-
-    def kept(key):
-        return key
-
+    # an empty a, a at the last grade only, b past the truncation, trunc 0;
+    # along no axis (place keys.limit) the grade is the total degree, and
+    # order 0 keeps every term while order 1 sends every term to the rest
     keys = _Keys(2, 4)
     b = keys.pack({(1, 0): Fraction(-1, 3), (0, 2): Fraction(2)})
-    assert _solve(([], 1), b, keys, degree(keys), kept) == ([], [])
+    assert _solve(([], 1), b, keys, keys.limit, 0) == ([], [])
     # a's one term, 3/2*x1^3*x2, lies at grade trunc: nothing reads it
     assert keys.pack({(3, 1): Fraction(3, 2)}) == ([(116, 3)], 2)
-    assert _solve(([(116, 6)], 4), b, keys, degree(keys), kept) == (
+    assert _solve(([(116, 6)], 4), b, keys, keys.limit, 0) == (
         [([(116, 3)], 2)], [])
     # every grade of b lies past the truncation: q is a, one reduced table
     # per grade, 3/7 and x1^2 (pack would drop x1^4 and -2/5*x1^6, so b is
     # built by hand)
     keys = _Keys(1, 3)
     past = ([(20, 5), (30, -2)], 5)
-    assert _solve(([(0, 3), (10, 7)], 7), past, keys, degree(keys),
-                  kept) == ([([(0, 3)], 7), ([(10, 1)], 1)], [])
+    assert _solve(([(0, 3), (10, 7)], 7), past, keys, keys.limit, 0) == (
+        [([(0, 3)], 7), ([(10, 1)], 1)], [])
     # trunc 0: one grade, kept or folded into the rest
     keys = _Keys(2, 0)
-    assert _solve(([(0, 3)], 2), ([], 1), keys, degree(keys), kept) == (
+    assert _solve(([(0, 3)], 2), ([], 1), keys, keys.limit, 0) == (
         [([(0, 3)], 2)], [])
-    assert _solve(([(0, 3)], 2), ([(2, 1)], 1), keys, degree(keys),
-                  lambda key: None) == ([], [([(0, 3)], 2)])
+    assert _solve(([(0, 3)], 2), ([(2, 1)], 1), keys, keys.limit, 1) == (
+        [], [([(0, 3)], 2)])
 
 
 def test_pack_keeps_only_the_terms_below_the_truncation():

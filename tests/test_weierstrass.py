@@ -187,7 +187,7 @@ def test_division_preparation_and_implicit_solving_form_no_products(
         monkeypatch):
     """Every division by a unit is one graded solve: ``weierstrass_divide``,
     ``weierstrass_prepare`` and ``solve_implicit`` reach the product kernel
-    through ``_solve`` only, never through ``_times``."""
+    through ``_solve`` only, never through ``Series.__mul__``."""
     calls = _kernel_callers(monkeypatch)
     rng = random.Random(4301)
     for nvars in (2, 3):
