@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import log2
 
 from .errors import ExpressionError
-from .series import Series, _check_size, _sum
+from .series import Series, _sum
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +218,10 @@ def _is_monomial(node) -> bool:
 
 def _monomial(factors: list, nvars: int, trunc: int) -> Series:
     """The product of rationals, variables and variable powers as one
-    term, built directly: a term past ``trunc`` gives zero, and the result
-    is certified through ``trunc``, as the product of the factors is."""
-    _check_size(nvars, trunc)
+    term, formed without a series product and built by
+    :meth:`Series.monomial`, which checks it: a term past ``trunc`` or
+    with coefficient 0 gives zero, and the result is certified through
+    ``trunc``, as the product of the factors is."""
     coeff, expo = Fraction(1), [0] * nvars
     for f in factors:
         match f:
@@ -230,9 +231,7 @@ def _monomial(factors: list, nvars: int, trunc: int) -> Series:
                 expo[index - 1] += 1
             case ("^", (_, index), power):
                 expo[index - 1] += power
-    keep = coeff and sum(expo) <= trunc
-    return Series._make(nvars, trunc, {tuple(expo): coeff} if keep else {},
-                        trunc)
+    return Series.monomial(expo, nvars, trunc, coeff)
 
 
 def _check_power_size(c: Fraction, exponent: int):

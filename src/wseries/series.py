@@ -98,9 +98,10 @@ class Series:
     def __init__(self, nvars: int, trunc: int,
                  terms: Mapping | None = None,
                  guaranteed_degree: int | None = None):
-        _check_size(nvars, trunc)
-        gd = trunc if guaranteed_degree is None else guaranteed_degree
-        if not 0 <= gd <= trunc:
+        nvars, trunc = _size(nvars, "nvars"), _size(trunc, "trunc")
+        gd = trunc if guaranteed_degree is None else _size(
+            guaranteed_degree, "guaranteed_degree")
+        if gd > trunc:
             raise ValueError("guaranteed_degree must lie in [0, trunc]")
         clean: dict = {}
         for key, coeff in (terms or {}).items():
@@ -125,7 +126,10 @@ class Series:
         """Wrap ``terms`` without checking or copying it.  The caller holds
         the invariant :meth:`__init__` enforces: exponents are int tuples of
         length ``nvars`` with total degree <= ``trunc``, coefficients are
-        nonzero ``Fraction``s, and ``0 <= gd <= trunc``."""
+        nonzero ``Fraction``s, and ``0 <= gd <= trunc``.  Only the
+        operations of this module call it, where the invariant follows
+        from their inputs; every other module builds a series through the
+        checked constructors or through such an operation."""
         s = object.__new__(cls)
         object.__setattr__(s, "nvars", nvars)
         object.__setattr__(s, "trunc", trunc)
@@ -138,7 +142,11 @@ class Series:
         returns the new pair, or ``None`` to drop the term; it keeps the
         :meth:`_make` invariant for ``nvars`` (default: unchanged) variables
         and sends distinct terms to distinct exponents.  Terms pushed past
-        the truncation are dropped; ``loss`` degrees of certainty are spent."""
+        the truncation are dropped; ``loss`` degrees of certainty are spent,
+        and the certificate is clamped to ``[0, trunc]``.  A negative
+        ``loss`` raises the certificate, for a rewrite that raises every
+        degree by that much: a result term of degree ``D`` then reads only
+        a term of degree ``D + loss``."""
         acc = {}
         for e, c in self._terms.items():
             new = fn(e, c)
@@ -161,23 +169,19 @@ class Series:
 
     @classmethod
     def constant(cls, value, nvars: int, trunc: int) -> "Series":
-        c = _coeff(value)
-        _check_size(nvars, trunc)
-        return cls._make(nvars, trunc, {(0,) * nvars: c} if c else {}, trunc)
+        return cls.monomial((0,) * nvars, nvars, trunc, value)
 
     @classmethod
     def variable(cls, k: int, nvars: int, trunc: int) -> "Series":
         """The series ``x_k`` (1-based index)."""
         _check_index(k, nvars)
-        _check_size(nvars, trunc)
-        expo = (0,) * (k - 1) + (1,) + (0,) * (nvars - k)
-        return cls._make(nvars, trunc, {expo: Fraction(1)} if trunc else {},
-                         trunc)
+        return cls.monomial((0,) * (k - 1) + (1,) + (0,) * (nvars - k),
+                            nvars, trunc)
 
     @classmethod
     def monomial(cls, expo: Sequence[int], nvars: int, trunc: int,
                  coeff=1) -> "Series":
-        return cls(nvars, trunc, {tuple(expo): _coeff(coeff)})
+        return cls(nvars, trunc, {tuple(expo): coeff})
 
     # ------------------------------------------------------------------
     # inspection
@@ -529,11 +533,16 @@ def _check_index(k: int, nvars: int):
         raise ValueError(f"variable index {k} out of range 1..{nvars}")
 
 
-def _check_size(nvars: int, trunc: int):
-    if nvars < 0:
-        raise ValueError("nvars must be nonnegative")
-    if trunc < 0:
-        raise ValueError("trunc must be nonnegative")
+def _size(value, name: str) -> int:
+    """A size (a variable count, a truncation, a certificate or an order)
+    as a nonnegative ``int``.  It takes the rule :class:`Series` applies to
+    an exponent: the value must equal its ``int``, so ``2.0`` is stored as
+    ``2``, and ``2.5`` and the string ``"2"`` are rejected."""
+    if (n := int(value)) != value:
+        raise ValueError(f"{name} {value!r} is not integral")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return n
 
 
 def _sum(parts: Sequence[Series]) -> Series:

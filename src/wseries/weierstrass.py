@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
 from .series import (FLAT, Series, _check_index, _division_loop, _over,
-                     _Record, _sum)
+                     _Record, _size, _sum)
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class DistinguishedPoly(_Record):
     coeffs: tuple
 
     def __post_init__(self):
+        for name in ("d", "nvars", "trunc"):
+            object.__setattr__(self, name, _size(getattr(self, name), name))
         _check_index(self.k, self.nvars)
         if len(self.coeffs) != self.d:
             raise ValueError("need exactly d trailing coefficients")
@@ -54,15 +56,14 @@ class DistinguishedPoly(_Record):
     def expand(self) -> Series:
         """Embed back into the full space as a single series: each
         ``a_i * x_k^(d-i)``, with ``a_0 = 1``, inserts the exponent ``d - i``
-        at position ``k`` of the terms of ``a_i``."""
-        k, d, n = self.k - 1, self.d, self.nvars
-        parts, gd = [], self.trunc
-        lead = Series.constant(1, n - 1, self.trunc)
-        for i, a in enumerate((lead,) + self.coeffs):
-            parts.append(a._remap(
-                lambda e, c: (e[:k] + (d - i,) + e[k:], c), n))
-            gd = min(gd, a.guaranteed_degree + d - i)
-        return _sum(parts).with_guarantee(gd)
+        at position ``k`` of the terms of ``a_i``.  That raises every degree
+        by ``d - i``, so the part is certified ``d - i`` above ``a_i``
+        (clamped at ``trunc``), and the sum through the least of those."""
+        k, d = self.k - 1, self.d
+        lead = Series.constant(1, self.nvars - 1, self.trunc)
+        return _sum([a._remap(lambda e, c, s=d - i: (e[:k] + (s,) + e[k:], c),
+                              self.nvars, i - d)
+                     for i, a in enumerate((lead,) + self.coeffs)])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@ each name it imports is used in it, and it parses as Python 3.10, the
 oldest version ``pyproject.toml`` admits.  Every module-level private name
 of ``src/wseries`` (a function, class or constant whose name starts with
 one underscore) is named by some module of ``src/wseries`` outside its own
-definition, so no dead private code is left behind.
+definition, so no dead private code is left behind.  No module other
+than ``series.py`` names the unchecked constructor ``Series._make`` or a
+packed-table helper (:data:`SERIES_ONLY`), so every other module builds a
+series through a checked constructor or a ``series.py`` operation.
 
 No linter runs on this repository, so this is its unused-import check.  It
 skips ``from __future__`` imports, names that the module exports through
@@ -18,6 +21,8 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "wseries"
 MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+#: names that only ``series.py`` may use within ``src/wseries``
+SERIES_ONLY = {"_make", "_Keys", "_solve", "_products", "_flatten"}
 
 
 def unused_imports(text: str) -> set:
@@ -55,23 +60,29 @@ def _annotations(node) -> list:
     return []
 
 
+def named(tree) -> set:
+    """Every name the syntax tree ``tree`` uses: as a name, an attribute
+    or an imported name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
 def dead_private_names(texts: dict) -> set:
     """``(module, name)`` for each module-level private function, class or
     constant of the modules ``texts`` (module name to source) that no
     top-level statement other than its own definition names, as a name,
     an attribute or an imported name."""
-    defined, named = [], []
+    defined, users = [], []
     for module, text in texts.items():
         for node in ast.parse(text).body:
-            names = set()
-            for c in ast.walk(node):
-                if isinstance(c, ast.Name):
-                    names.add(c.id)
-                elif isinstance(c, ast.Attribute):
-                    names.add(c.attr)
-                elif isinstance(c, ast.alias):
-                    names.add(c.name)
-            named.append((module, node, names))
+            users.append((module, node, named(node)))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 own = [node.name]
@@ -84,7 +95,7 @@ def dead_private_names(texts: dict) -> set:
             defined += [(module, node, n) for n in own
                         if n.startswith("_") and not n.startswith("__")]
     return {(module, n) for module, node, n in defined
-            if not any(n in names for _, other, names in named
+            if not any(n in names for _, other, names in users
                        if other is not node)}
 
 
@@ -128,6 +139,21 @@ def test_the_check_finds_a_dead_private_name():
 def test_every_private_name_of_the_package_is_used():
     texts = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert not dead_private_names(texts)
+
+
+def test_the_check_finds_a_series_only_name():
+    text = ("from .series import Series, _Keys as K\n"
+            "def leaf(n, t):\n"
+            "    return Series._make(n, t, {}, t)\n")
+    assert named(ast.parse(text)) & SERIES_ONLY == {"_Keys", "_make"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "series.py"],
+    ids=lambda p: p.name)
+def test_only_series_py_builds_unchecked_or_reads_packed_tables(path):
+    used = named(ast.parse(path.read_text())) & SERIES_ONLY
+    assert not used, f"{path.name} names {sorted(used)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -49,6 +49,31 @@ def test_constructor_rejects_non_integral_exponents():
         assert stored == expo and all(type(e) is int for e in stored)
 
 
+def test_constructor_rejects_non_integral_sizes():
+    """``nvars``, ``trunc`` and ``guaranteed_degree`` take the exponent
+    rule.  A ``trunc`` of 4.5 used to build, and the inverse of ``1 + x1 +
+    2*x2`` at it printed ``x1^2.0`` and kept terms such as ``x1^2.5``."""
+    doc = Series(2, 4, {(1, 0): 1}, 3).to_dict()
+    for make, message in [
+            (lambda: Series(2, 4.5, {(1, 0): 1, (0, 1): 2}),
+             "trunc 4.5 is not integral"),
+            (lambda: Series("2", 4), "nvars '2' is not integral"),
+            (lambda: Series(2, 4, {}, 2.5),
+             "guaranteed_degree 2.5 is not integral"),
+            (lambda: Series(2, 4, {}, -1),
+             "guaranteed_degree must be nonnegative"),
+            (lambda: Series.from_dict({**doc, "trunc": 3.5}),
+             "trunc 3.5 is not integral")]:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+    # an integral float or Fraction is stored as an int, so ``*`` works
+    s = Series(2.0, Fraction(4), {(1, 0): 1}, 3.0)
+    sizes = (s.nvars, s.trunc, s.guaranteed_degree)
+    assert sizes == (2, 4, 3) and all(type(v) is int for v in sizes)
+    assert identical(s * s, Series(2, 4, {(2, 0): 1}, 3))
+
+
 def test_leaf_constructors_match_the_public_constructor():
     for nvars in range(4):
         for trunc in range(3):

@@ -380,6 +380,25 @@ def test_distinguished_poly_validation():
             DistinguishedPoly(1, k, 2, 4, (Series(1, 4, {(1,): 1}),))
 
 
+def test_distinguished_poly_rejects_non_integral_sizes():
+    """``d``, ``nvars`` and ``trunc`` take the exponent rule.  ``d = 2.0``
+    used to expand to ``x1 + x2^2.0``, and ``d = 0`` at ``trunc = -1``
+    built a polynomial that could not expand."""
+    x1 = Series.variable(1, 1, 4)
+    poly = DistinguishedPoly(2.0, 2, 2.0, 4.0, (Series.zero(1, 4), x1))
+    sizes = (poly.d, poly.nvars, poly.trunc)
+    assert sizes == (2, 2, 4) and all(type(v) is int for v in sizes)
+    assert identical(poly.expand(), Series(2, 4, {(0, 2): 1, (1, 0): 1}))
+    for args, message in [
+            ((2.5, 2, 2, 4, (Series.zero(1, 4), x1)), "d 2.5 is not integral"),
+            ((1, 2, "2", 4, (x1,)), "nvars '2' is not integral"),
+            ((1, 2, 2, 4.5, (x1,)), "trunc 4.5 is not integral"),
+            ((0, 1, 1, -1, ()), "trunc must be nonnegative")]:
+        with pytest.raises(ValueError) as err:
+            DistinguishedPoly(*args)
+        assert str(err.value) == message
+
+
 def test_expand_certainty_reflects_weakest_coefficient():
     a1 = Series(1, 8, {(1,): 1}, guaranteed_degree=3)
     a2 = Series(1, 8, {(2,): 1}, guaranteed_degree=8)
