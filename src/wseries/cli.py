@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import ExpressionError, InternalInvariantError, PreconditionError
@@ -52,21 +53,17 @@ class _UsageError(Exception):
     pass
 
 
-def _natural(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = _natural(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _at_least(low: int):
+    """The argparse type of an integer option that must be ``>= low``."""
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return check
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         space = name not in ("holo", "cr-check")
         if space:
-            p.add_argument("--vars", type=_positive, required=True,
+            p.add_argument("--vars", type=_at_least(1), required=True,
                            help="number of variables")
-        p.add_argument("--trunc", type=_natural, required=True,
+        p.add_argument("--trunc", type=_at_least(0), required=True,
                        help="truncation degree")
         if space:
-            p.add_argument("--var", type=_positive, required=True,
+            p.add_argument("--var", type=_at_least(1), required=True,
                            help="distinguished variable index k")
         for flag, spec in inputs.items():
             p.add_argument(flag, **spec)
@@ -248,26 +245,19 @@ def _run_semigroup(args):
     return {"preparation": prep.to_dict(), "result": report.to_dict()}, lines
 
 
-_KNOWN_FLAGS = {"-e", "-f", "-g", "-h", "--help", "--vars", "--trunc",
-                "--var", "--coeffs", "--json", "--order-shift"}
-
-
 def _preprocess(argv: list) -> list:
     """Let expression values start with a minus sign (e.g. -f "-1*x2"):
-    attach such a value to its short flag so argparse does not read it as
-    an option."""
+    attach such a value to the expression flag just before it, so argparse
+    does not read it as an option.  A token of an option's shape, ``-x``
+    or ``--name`` (a letter after the dashes), stays an option: no
+    expression starts that way, as a leading minus takes a number."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in ("-e", "-f", "-g", "--coeffs") and nxt is not None
-                and nxt.startswith("-") and nxt not in _KNOWN_FLAGS):
-            out.append(tok + nxt if tok != "--coeffs" else tok + "=" + nxt)
-            i += 2
+    for tok in argv:
+        if (out and out[-1] in ("-e", "-f", "-g", "--coeffs")
+                and tok.startswith("-") and not re.match("--?[A-Za-z]", tok)):
+            out[-1] += "=" + tok if out[-1] == "--coeffs" else tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import log2
 
 from .errors import ExpressionError
-from .series import Series, _sum
+from .series import Series, _size, _sum
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +222,7 @@ def _monomial(factors: list, nvars: int, trunc: int) -> Series:
     :meth:`Series.monomial`, which checks it: a term past ``trunc`` or
     with coefficient 0 gives zero, and the result is certified through
     ``trunc``, as the product of the factors is."""
-    coeff, expo = Fraction(1), [0] * nvars
+    coeff, expo = Fraction(1), [0] * _size(nvars, "nvars")
     for f in factors:
         match f:
             case ("lit", value):

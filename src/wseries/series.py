@@ -169,12 +169,13 @@ class Series:
 
     @classmethod
     def constant(cls, value, nvars: int, trunc: int) -> "Series":
-        return cls.monomial((0,) * nvars, nvars, trunc, value)
+        return cls.monomial((0,) * _size(nvars, "nvars"), nvars, trunc, value)
 
     @classmethod
     def variable(cls, k: int, nvars: int, trunc: int) -> "Series":
         """The series ``x_k`` (1-based index)."""
         _check_index(k, nvars)
+        nvars = _size(nvars, "nvars")
         return cls.monomial((0,) * (k - 1) + (1,) + (0,) * (nvars - k),
                             nvars, trunc)
 
@@ -296,10 +297,10 @@ class Series:
     # ------------------------------------------------------------------
 
     def with_guarantee(self, degree: int) -> "Series":
-        """Copy with the certification bound replaced (clamped to the valid
-        range).  Used by operations whose loss analysis is sharper than the
-        generic minimum rule."""
-        gd = max(0, min(degree, self.trunc))
+        """Copy with the certification bound replaced by the integral
+        ``degree``, clamped to the valid range.  Used by operations whose
+        loss analysis is sharper than the generic minimum rule."""
+        gd = max(0, min(_integral(degree, "guaranteed_degree"), self.trunc))
         return Series._make(self.nvars, self.trunc, self._terms, gd)
 
     def truncate(self, trunc: int) -> "Series":
@@ -465,7 +466,7 @@ class Series:
         _check_index(k, self.nvars)
         return self._remap(
             lambda e, c: (e[:k - 1] + e[k:], c) if e[k - 1] == j else None,
-            self.nvars - 1, loss=j)
+            self.nvars - 1, loss=_size(j, "j"))
 
     def substitute(self, k: int, s: "Series") -> "Series":
         """Substitute ``s`` (a series in the remaining n-1 variables, with
@@ -487,7 +488,7 @@ class Series:
     def embed_variable(self, k: int) -> "Series":
         """Insert a fresh variable at 1-based position ``k``; existing
         variables at or above ``k`` shift up by one."""
-        if not 1 <= k <= self.nvars + 1:
+        if not isinstance(k, int) or not 1 <= k <= self.nvars + 1:
             raise ValueError(f"insert position {k} out of range")
         return self._remap(lambda e, c: (e[:k - 1] + (0,) + e[k - 1:], c),
                            self.nvars + 1)
@@ -503,7 +504,8 @@ class Series:
     def permute_variables(self, perm: Sequence[int]) -> "Series":
         """Reorder variables: new position ``i`` reads old variable
         ``perm[i-1]`` (1-based, a bijection)."""
-        if sorted(perm) != list(range(1, self.nvars + 1)):
+        if (not all(isinstance(p, int) for p in perm)
+                or sorted(perm) != list(range(1, self.nvars + 1))):
             raise ValueError(f"{perm} is not a permutation of 1..{self.nvars}")
         return self._remap(lambda e, c: (tuple(e[p - 1] for p in perm), c))
 
@@ -533,14 +535,19 @@ def _check_index(k: int, nvars: int):
         raise ValueError(f"variable index {k} out of range 1..{nvars}")
 
 
-def _size(value, name: str) -> int:
-    """A size (a variable count, a truncation, a certificate or an order)
-    as a nonnegative ``int``.  It takes the rule :class:`Series` applies to
-    an exponent: the value must equal its ``int``, so ``2.0`` is stored as
-    ``2``, and ``2.5`` and the string ``"2"`` are rejected."""
+def _integral(value, name: str) -> int:
+    """``value`` as an ``int``, by the rule :class:`Series` applies to an
+    exponent: the value must equal its ``int``, so ``2.0`` gives ``2``, and
+    ``2.5`` and the string ``"2"`` are rejected."""
     if (n := int(value)) != value:
         raise ValueError(f"{name} {value!r} is not integral")
-    if n < 0:
+    return n
+
+
+def _size(value, name: str) -> int:
+    """A size (a variable count, a truncation, a certificate, an order or
+    a power) as a nonnegative ``int``, integral as :func:`_integral` asks."""
+    if (n := _integral(value, name)) < 0:
         raise ValueError(f"{name} must be nonnegative")
     return n
 

@@ -213,3 +213,47 @@ def test_hostile_command_lines_end_with_a_documented_exit_code():
         check_outputs(argv, text, document)
     # the mix reaches success, usage errors and failed preconditions
     assert {0, 2, 3} <= set(codes), codes
+
+
+#: cases drawn by the dash-led test; its own seed keeps the mix above as
+#: it is
+DASH_CASES = 300
+
+EXPRESSION_FLAGS = ("-e", "-f", "-g", "--coeffs")
+
+
+def dash_led(rng):
+    """A value that starts with a minus: a signed rational, with or
+    without a blank after the minus, alone or times ``x1``; or a malformed
+    one, of which ``-x`` and ``--foo`` have an option's shape."""
+    if rng.random() < 0.25:
+        return rng.choice(("--1", "-x", "--foo"))
+    number = rng.choice((str(rng.randint(0, 9)),
+                         f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"))
+    return rng.choice(("-", "- ")) + number + rng.choice(("", "*x1"))
+
+
+def splice_dash_led(rng, argv):
+    """``argv`` with the value after one of its expression flags replaced
+    by a dash-led value, or by one ahead of the old value."""
+    flags = [i for i, a in enumerate(argv[:-1]) if a in EXPRESSION_FLAGS]
+    if not flags:
+        return argv
+    i = rng.choice(flags)
+    value = dash_led(rng)
+    if rng.random() < 0.5:
+        value += ("," if argv[i] == "--coeffs" else " + ") + argv[i + 1]
+    return argv[:i + 1] + [value] + argv[i + 2:]
+
+
+def test_dash_led_expression_values_end_with_a_documented_exit_code():
+    rng = random.Random(2323)
+    codes = []
+    for _ in range(DASH_CASES):
+        argv = splice_dash_led(rng, argv_case(rng))
+        code, out, err = run(argv)
+        codes.append(code)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in out + err, (argv, err)
+    # signed rationals reach success; malformed values, usage errors
+    assert {0, 2} <= set(codes), codes

@@ -417,6 +417,38 @@ def test_cli_usage_errors(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 2
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["prepare", "--vars", "2", "--trunc", "6", "--var", "2"], "-e",
+     "-1*x1 + x2^2"),
+    (["split", "--vars", "2", "--trunc", "4", "--var", "1"], "-e",
+     "- 2 + x1"),
+    (["divide", "--vars", "2", "--trunc", "6", "--var", "2", "-f",
+      "x2^2 + x1"], "-g", "-3/4*x2^3"),
+    (["divide", "--vars", "2", "--trunc", "6", "--var", "2", "-g", "x2^3"],
+     "-f", "-1*x2^2 + x1"),
+    (["cr-check", "--trunc", "6", "-g", "x1"], "-f", "-1*x2"),
+    (["holo", "--trunc", "8"], "--coeffs", "-5,2,3")])
+def test_cli_expression_flags_take_a_dash_led_value(capsys, argv, flag,
+                                                    value):
+    """A value after an expression flag may start with a signed rational:
+    it reads as the same value behind ``0 + ``, which does not start with
+    a minus.  ``--coeffs`` takes it in its ``=`` form."""
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, *argv, flag, "0 + " + value)
+
+
+def test_cli_integer_options_report_their_bound(capsys):
+    prepare = {"--vars": "2", "--trunc": "4", "--var": "1"}
+    for flag, low in (("--vars", 1), ("--var", 1), ("--trunc", 0)):
+        for text in ("-1", str(low - 1)):
+            args = [a for key, v in {**prepare, flag: text}.items()
+                    for a in (key, v)]
+            code, out, err = run_cli(capsys, "prepare", *args, "-e", "x1")
+            assert code == 2 and out == ""
+            assert f"argument {flag}: must be >= {low}" in err
+
+
 def test_cli_math_precondition_errors(capsys):
     assert run_cli(capsys, "prepare", "--vars", "2", "--trunc", "8",
                    "--var", "2", "-e", "inv(x1)")[0] == 3

@@ -102,6 +102,79 @@ def test_leaf_constructors_match_the_public_constructor():
         assert str(err.value) == message
 
 
+def test_leaves_take_the_size_rule_before_building_an_exponent():
+    """``Series.constant``, ``Series.variable`` and the parser's terms
+    size their exponent by the rule of ``Series(...)``: an integral float
+    count builds, as it does for ``Series.zero`` and ``Series.monomial``,
+    and a fractional one is a ``ValueError``, not a ``TypeError`` from
+    ``(0,) * 2.5``."""
+    for built, want in [
+            (Series.constant(1, 2.0, 4), Series.constant(1, 2, 4)),
+            (Series.variable(1, 2.0, 4), Series.variable(1, 2, 4)),
+            (S("x1", 2.0, 4), S("x1", 2, 4)),
+            (S("3 + x1*x2^2", 2.0, 4), S("3 + x1*x2^2", 2, 4)),
+            (Series.zero(2.0, 4), Series.zero(2, 4)),
+            (Series.monomial((1, 0), 2.0, 4), Series.variable(1, 2, 4))]:
+        assert identical(built, want) and type(built.nvars) is int
+        assert all(type(e) is int for expo in built.terms for e in expo)
+    for make in (lambda: Series.constant(1, 2.5, 4),
+                 lambda: Series.variable(1, 2.5, 4),
+                 lambda: S("x1", 2.5, 4)):
+        with pytest.raises(ValueError, match=r"^nvars 2\.5 is not integral$"):
+            make()
+
+
+def test_certificates_stay_integers():
+    """``with_guarantee`` and ``coefficient_series`` reach the unchecked
+    ``_make``, so they apply the size rule themselves: a fractional
+    certificate or power is rejected, an integral one is stored as an
+    ``int``, and ``with_guarantee`` still clamps integral values."""
+    s = S("x1 + 2*x2 + x1*x2^2", 2, 4)
+    for degree, want in [(2.0, 2), (Fraction(3), 3), (-3, 0), (-3.0, 0),
+                         (99, 4), (True, 1)]:
+        gd = s.with_guarantee(degree).guaranteed_degree
+        assert gd == want and type(gd) is int
+    part = s.coefficient_series(1, 1.0)
+    assert identical(part, s.coefficient_series(1, 1))
+    assert part.guaranteed_degree == 3
+    assert type(part.guaranteed_degree) is int
+    for make, message in [
+            (lambda: s.with_guarantee(2.5),
+             "guaranteed_degree 2.5 is not integral"),
+            (lambda: s.with_guarantee(-2.5),
+             "guaranteed_degree -2.5 is not integral"),
+            (lambda: s.with_guarantee(10.5),
+             "guaranteed_degree 10.5 is not integral"),
+            (lambda: s.coefficient_series(1, 1.5), "j 1.5 is not integral"),
+            (lambda: s.coefficient_series(1, -1), "j must be nonnegative")]:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+
+def test_index_arguments_fail_before_any_rewrite():
+    """An index that is not an ``int`` is a ``ValueError`` with the
+    method's own message, as ``derivative``'s is, not a ``TypeError``
+    from inside the exponent rewrite."""
+    s = S("x1 + 2*x2 + x1*x2^2", 2, 4)
+    for make, message in [
+            (lambda: s.embed_variable(1.0), "insert position 1.0 out of range"),
+            (lambda: s.embed_variable(4), "insert position 4 out of range"),
+            (lambda: s.permute_variables([2.0, 1.0]),
+             "[2.0, 1.0] is not a permutation of 1..2"),
+            (lambda: s.permute_variables([1, 1]),
+             "[1, 1] is not a permutation of 1..2"),
+            (lambda: s.derivative(1.0),
+             "variable index 1.0 out of range 1..2")]:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+    # a one-shot iterator is used up by the check; it used to leave the
+    # rewrite no entries, and so exponents of length 0 in 2 variables
+    with pytest.raises(ValueError, match="is not a permutation of 1..2"):
+        s.permute_variables(iter([2, 1]))
+
+
 def test_series_is_immutable():
     s = Series(2, 5, {(1, 0): 1})
     with pytest.raises(AttributeError):
