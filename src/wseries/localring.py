@@ -22,7 +22,7 @@ def solve_implicit(f: Series, k: int) -> Series:
     ``phi = -(1/c) * rest(x', phi)``, and as ``phi(0) = 0`` the degree-``D``
     part of the right side reads ``f`` through degree ``D`` only.
     """
-    _check_index(k, f.nvars)
+    k = _check_index(k, f.nvars)
     if f.constant_term() != 0:
         raise PreconditionError("implicit solve requires a root at the origin")
     if f.order_in(k) != 1:
@@ -36,7 +36,7 @@ def divide_by_variable(f: Series, k: int) -> Series:
     """Exact division by the monomial ``x_k``: every term must carry a
     positive ``x_k`` exponent.  One degree of certainty is spent (a result
     term of degree D reads a source term of degree D + 1)."""
-    _check_index(k, f.nvars)
+    k = _check_index(k, f.nvars)
     bad = next((e for e in f.terms if e[k - 1] == 0), None)
     if bad is not None:
         raise PreconditionError(
@@ -48,7 +48,7 @@ def divide_by_variable(f: Series, k: int) -> Series:
 def even_odd_split(f: Series, k: int) -> tuple[Series, Series]:
     """Split by parity of the ``x_k`` exponent; the parts sum to ``f``
     exactly and keep its certification."""
-    _check_index(k, f.nvars)
+    k = _check_index(k, f.nvars)
     return (f._remap(lambda e, c: None if e[k - 1] % 2 else (e, c)),
             f._remap(lambda e, c: (e, c) if e[k - 1] % 2 else None))
 
@@ -63,7 +63,7 @@ def halve_exponents(f: Series, k: int) -> Series:
     that.  So the result is certified through ``G // 2`` for ``f``
     certified through ``G``.
     """
-    _check_index(k, f.nvars)
+    k = _check_index(k, f.nvars)
     bad = next((e for e in f.terms if e[k - 1] % 2), None)
     if bad is not None:
         raise PreconditionError(

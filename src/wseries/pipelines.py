@@ -38,7 +38,7 @@ from math import comb
 from .errors import InternalInvariantError, PreconditionError
 from .localring import divide_by_variable, even_odd_split, solve_implicit
 from .series import Series, term_sort_key, _check_index, _Record, _sum
-from .weierstrass import DistinguishedPoly, _certified_order, _distinguished
+from .weierstrass import DistinguishedPoly, _distinguished
 # not called here: perfbench's span recorder test reads the name from here
 from .weierstrass import weierstrass_prepare  # noqa: F401
 
@@ -87,7 +87,7 @@ def split_square(f: Series, k: int) -> SquareSplit:
     part - t``.  Four degrees are reserved (two order-2 divisions, one
     monomial division, slack): the result is certified four below ``f``.
     """
-    _check_index(k, f.nvars)
+    k = _check_index(k, f.nvars)
     if f.trunc < 4:
         raise PreconditionError("truncation below 4 cannot hold the profile")
     mismatch = _profile_mismatch(f, k)
@@ -107,11 +107,11 @@ def _descend_even_square(g: Series, k: int) -> Series:
     standing for the square."""
     n = g.nvars
     F = g.adjoin_variable() - Series.variable(n + 1, n + 1, g.trunc)
-    d = _certified_order(F, k, "series", "preparation")
-    if d != 2:
+    poly = _distinguished(F, k)[0]
+    if poly.d != 2:
         raise InternalInvariantError(
-            f"expected order 2 in x{k}, preparation found {d}")
-    odd_coeff, const_coeff = _distinguished(F, k, d)[0].coeffs
+            f"expected order 2 in x{k}, preparation found {poly.d}")
+    odd_coeff, const_coeff = poly.coeffs
     if not odd_coeff.is_zero():
         # parity through every step of the division makes this exact zero
         raise InternalInvariantError(
@@ -126,8 +126,7 @@ def reconstruct_split(split: SquareSplit, k: int) -> Series:
     variable moved back to position ``k`` of the original space: a term
     ``x'^a t^j`` of ``f0`` becomes ``x'^a x_k^(2j)``, one of ``f1``
     ``x'^a x_k^(2j+1)``."""
-    _check_index(k, split.f0.nvars)
-    k -= 1
+    k = _check_index(k, split.f0.nvars) - 1
     return _sum([part._remap(lambda e, c, odd=odd:
                              (e[:k] + (2 * e[-1] + odd,) + e[k:-1], c))
                  for odd, part in enumerate((split.f0, split.f1))])
@@ -178,11 +177,12 @@ def check_membership(targets, generators, *, cap: int | None = None,
     target degree).
 
     When ``shift_expo`` is given the reachable set is also closed under
-    componentwise subtraction of that exponent; each application counts
-    one ``shift`` in the witness, so every witness satisfies
-    ``sum(witness) = target + shifts * shift_expo``.  It must have the
-    targets' length and no negative entry, which would grow the closure
-    past every degree cap.
+    componentwise subtraction of that exponent, as long as no entry goes
+    negative; each application counts one ``shift`` in the witness, so
+    every witness satisfies ``sum(witness) = target + shifts *
+    shift_expo``.  Every exponent, target, generator and shift alike, must
+    have the targets' length and no negative entry: a negative generator
+    or shift would grow the closure past every degree cap.
     """
     targets = sorted(set(targets), key=term_sort_key)
     generators = sorted(set(generators), key=term_sort_key)
@@ -190,32 +190,34 @@ def check_membership(targets, generators, *, cap: int | None = None,
         return ()
     zero = (0,) * len(targets[0])
     shifts = [] if shift_expo is None else [tuple(shift_expo)]
-    if bad := [e for e in targets + generators + shifts
-               if len(e) != len(zero)]:
-        raise ValueError(
-            f"exponent {bad[0]} has wrong length for nvars={len(zero)}")
-    if any(s < 0 for e in shifts for s in e):
-        raise ValueError(f"shift exponent {shifts[0]} has a negative entry")
-    positive = [g for g in generators if sum(g) > 0]
+    for e in targets + generators + shifts:
+        if len(e) != len(zero):
+            raise ValueError(
+                f"exponent {e} has wrong length for nvars={len(zero)}")
+        if min(e, default=0) < 0:
+            raise ValueError(f"exponent {e} has a negative entry")
+    # a step is (exponent to add, its degree, witness entry): each
+    # generator of positive degree adds, and the shift subtracts and
+    # leaves None for the witness
+    steps = [(g, sum(g), g) for g in generators if sum(g) > 0]
+    steps += [(tuple(-s for s in e), -sum(e), None) for e in shifts]
     if cap is None:
         cap = max(sum(t) for t in targets)
 
-    # closure with predecessor links for witness reconstruction
+    # closure with predecessor links for witness reconstruction; the
+    # frontier carries each exponent's degree, so a step past the cap
+    # builds no exponent, and only a shift can fail the sign test
     reach: dict = {zero: None}
-    frontier = [zero]
+    frontier = [(zero, 0)]
     while frontier:
-        cur = frontier.pop()
-        for g in positive:
-            nxt = tuple(a + b for a, b in zip(cur, g))
-            if sum(nxt) <= cap and nxt not in reach:
-                reach[nxt] = (cur, g)
-                frontier.append(nxt)
-        if shift_expo is not None and all(
-                a >= s for a, s in zip(cur, shift_expo)):
-            nxt = tuple(a - s for a, s in zip(cur, shift_expo))
-            if nxt not in reach:
-                reach[nxt] = (cur, None)
-                frontier.append(nxt)
+        cur, deg = frontier.pop()
+        for step, size, gen in steps:
+            if deg + size > cap:
+                continue
+            nxt = tuple(a + b for a, b in zip(cur, step))
+            if nxt not in reach and min(nxt, default=0) >= 0:
+                reach[nxt] = (cur, gen)
+                frontier.append((nxt, deg + size))
 
     checks = []
     for t in targets:
@@ -336,10 +338,10 @@ def holomorphic_extension(h: Series) -> ComplexExtension:
     n2 = h.trunc
     arg = Series.variable(1, 2, n2) + Series.variable(2, 2, n2)
     split = split_square(h.compose([arg]), 2)
-    u = _negate_square(split.f0, 0)
-    v = _negate_square(split.f1, 1)
-    gd = split.guaranteed_degree
-    return ComplexExtension(u.with_guarantee(gd), v.with_guarantee(gd), gd)
+    # a remap with no loss: u and v keep the certificate of f0 and f1
+    return ComplexExtension(_negate_square(split.f0, 0),
+                            _negate_square(split.f1, 1),
+                            split.guaranteed_degree)
 
 
 def direct_complexification(h: Series) -> ComplexExtension:

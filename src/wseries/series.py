@@ -52,6 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import index
 from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
@@ -174,7 +175,7 @@ class Series:
     @classmethod
     def variable(cls, k: int, nvars: int, trunc: int) -> "Series":
         """The series ``x_k`` (1-based index)."""
-        _check_index(k, nvars)
+        k = _check_index(k, nvars)
         nvars = _size(nvars, "nvars")
         return cls.monomial((0,) * (k - 1) + (1,) + (0,) * (nvars - k),
                             nvars, trunc)
@@ -197,7 +198,10 @@ class Series:
         return set(self._terms)
 
     def coefficient(self, expo: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(expo), Fraction(0))
+        if len(expo := tuple(expo)) != self.nvars:
+            raise ValueError(
+                f"exponent {expo} has wrong length for nvars={self.nvars}")
+        return self._terms.get(expo, Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self.nvars, Fraction(0))
@@ -213,7 +217,7 @@ class Series:
         """Least ``d`` with a nonzero ``x_k^d`` term on the x_k axis (all
         other variables set to zero), or :data:`FLAT` when the restriction
         is identically zero up to the truncation."""
-        _check_index(k, self.nvars)
+        k = _check_index(k, self.nvars)
         axis = [e[k - 1] for e in self._terms if sum(e) == e[k - 1]]
         return min(axis) if axis else FLAT
 
@@ -290,6 +294,8 @@ class Series:
     def from_dict(cls, data: dict) -> "Series":
         terms = {tuple(t["expo"]): Fraction(t["numerator"], t["denominator"])
                  for t in data["terms"]}
+        if len(terms) != len(data["terms"]):
+            raise ValueError("document lists an exponent twice")
         return cls(data["nvars"], data["trunc"], terms, data["guaranteed_degree"])
 
     # ------------------------------------------------------------------
@@ -331,14 +337,12 @@ class Series:
         return self._scaled(-1)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Series.constant(other, self.nvars, self.trunc)
-        if not isinstance(other, Series):
+        if not isinstance(other, (Series, *_SCALARS)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def _scaled(self, value) -> "Series":
         c = _coeff(value)
@@ -443,7 +447,7 @@ class Series:
 
     def derivative(self, k: int) -> "Series":
         """Partial derivative in ``x_k``; certainty drops by one degree."""
-        _check_index(k, self.nvars)
+        k = _check_index(k, self.nvars)
         return self._remap(
             lambda e, c: (e[:k - 1] + (e[k - 1] - 1,) + e[k:], c * e[k - 1])
             if e[k - 1] else None, loss=1)
@@ -456,14 +460,14 @@ class Series:
         """Replace ``x_k`` by ``x_k^2`` (doubles the k-th exponent, dropping
         terms pushed past the truncation).  Certainty is preserved: a result
         term of degree D pulls only source terms of degree <= D."""
-        _check_index(k, self.nvars)
+        k = _check_index(k, self.nvars)
         return self._remap(
             lambda e, c: (e[:k - 1] + (2 * e[k - 1],) + e[k:], c))
 
     def coefficient_series(self, k: int, j: int) -> "Series":
         """The coefficient of ``x_k^j`` as a series in the remaining
         variables (indices above ``k`` shift down by one)."""
-        _check_index(k, self.nvars)
+        k = _check_index(k, self.nvars)
         return self._remap(
             lambda e, c: (e[:k - 1] + e[k:], c) if e[k - 1] == j else None,
             self.nvars - 1, loss=_size(j, "j"))
@@ -473,7 +477,7 @@ class Series:
         zero constant term) for ``x_k``; other variables keep their order
         with indices above ``k`` shifted down.  This is :meth:`compose`
         with every other variable mapped to itself."""
-        _check_index(k, self.nvars)
+        k = _check_index(k, self.nvars)
         if s.nvars != self.nvars - 1:
             raise ValueError(
                 f"substituend must have {self.nvars - 1} variables, has {s.nvars}")
@@ -494,12 +498,13 @@ class Series:
                            self.nvars + 1)
 
     def drop_variable(self, k: int) -> "Series":
-        """Remove variable ``k``; the series must not depend on it."""
-        _check_index(k, self.nvars)
+        """Remove variable ``k``; the series must not depend on it.  This
+        is :meth:`coefficient_series` at ``j = 0`` once the dependence is
+        ruled out."""
+        k = _check_index(k, self.nvars)
         if any(e[k - 1] for e in self._terms):
             raise ValueError(f"series depends on x{k}")
-        return self._remap(lambda e, c: (e[:k - 1] + e[k:], c),
-                           self.nvars - 1)
+        return self.coefficient_series(k, 0)
 
     def permute_variables(self, perm: Sequence[int]) -> "Series":
         """Reorder variables: new position ``i`` reads old variable
@@ -530,9 +535,13 @@ def _plain(value):
     return value
 
 
-def _check_index(k: int, nvars: int):
-    if not isinstance(k, int) or not 1 <= k <= nvars:
+def _check_index(k, nvars: int) -> int:
+    """The variable index ``k`` as an ``int`` in ``1..nvars``, by Python's
+    index rule (:func:`operator.index`): ``True`` gives ``1`` and a numpy
+    integer its ``int``, and a float or a string is refused."""
+    if not hasattr(type(k), "__index__") or not 1 <= (i := index(k)) <= nvars:
         raise ValueError(f"variable index {k} out of range 1..{nvars}")
+    return i
 
 
 def _integral(value, name: str) -> int:

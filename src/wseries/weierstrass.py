@@ -41,7 +41,7 @@ class DistinguishedPoly(_Record):
     def __post_init__(self):
         for name in ("d", "nvars", "trunc"):
             object.__setattr__(self, name, _size(getattr(self, name), name))
-        _check_index(self.k, self.nvars)
+        object.__setattr__(self, "k", _check_index(self.k, self.nvars))
         if len(self.coeffs) != self.d:
             raise ValueError("need exactly d trailing coefficients")
         for a in self.coeffs:
@@ -100,7 +100,7 @@ def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
     quotient against ``f`` is ``q = Q/high`` for the loop's quotient ``Q``,
     one packed :func:`_over`, at the smaller of the two truncations."""
     g._check_space(f)
-    d = _certified_order(f, k, "divisor", "division")
+    k, d = _certified_order(f, k, "divisor", "division")
     certified = min(g.guaranteed_degree, f.guaranteed_degree) - d
     if certified < 0:
         raise PreconditionError(
@@ -111,11 +111,12 @@ def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
                           keys.series(rem, certified), d, k, certified)
 
 
-def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
-    """The order ``d`` of ``f`` on the x_k axis.  It must be finite and
+def _certified_order(f: Series, k: int, noun: str, operation: str) -> tuple:
+    """``(k, d)``: the index ``k`` as :func:`_check_index` returns it and
+    the order ``d`` of ``f`` on the x_k axis.  The order must be finite and
     certified: a ``d`` above the certified degree of ``f`` is read from
     coefficients that the inputs do not determine."""
-    _check_index(k, f.nvars)
+    k = _check_index(k, f.nvars)
     d = f.order_in(k)
     if d is FLAT:
         raise PreconditionError(
@@ -124,17 +125,19 @@ def _certified_order(f: Series, k: int, noun: str, operation: str) -> int:
         raise PreconditionError(
             f"{noun} has order {d} in x{k}, above its certified degree "
             f"{f.guaranteed_degree}: {operation} undefined")
-    return d
+    return k, d
 
 
-def _distinguished(f: Series, k: int, d: int) -> tuple:
-    """``(P, loop)`` for ``f`` of certified order ``d`` in x_k: the division
-    loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem`` is decoded here and
-    certified ``d`` below ``f``, and ``loop`` is the loop's packed result,
-    whose ``quot/high`` is ``U^-1``, so ``U = high/quot``.  The remainder
-    is negated once, on its numerators, before it is decoded.  At ``d = 0``
-    the loop divides 1 by ``f``: ``low`` and ``b`` are empty, ``quot`` is 1
-    and the remainder is empty, so ``P = 1``."""
+def _distinguished(f: Series, k: int) -> tuple:
+    """``(P, loop)`` for ``f`` of certified order ``d`` in x_k, checked
+    here once for every preparation (callers read ``d`` as ``P.d``): the
+    division loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem`` is decoded
+    here and certified ``d`` below ``f``, and ``loop`` is the loop's packed
+    result, whose ``quot/high`` is ``U^-1``, so ``U = high/quot``.  The
+    remainder is negated once, on its numerators, before it is decoded.  At
+    ``d = 0`` the loop divides 1 by ``f``: ``low`` and ``b`` are empty,
+    ``quot`` is 1 and the remainder is empty, so ``P = 1``."""
+    k, d = _certified_order(f, k, "series", "preparation")
     n = f.nvars
     expo = tuple(d if i == k - 1 else 0 for i in range(n))
     loop = _division_loop(Series.monomial(expo, n, f.trunc), f, k, d)
@@ -157,8 +160,7 @@ def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     decoded once.  A unit ``f`` (order
     0) prepares through the same division: ``P = 1``, ``Q = 1`` and ``U =
     high = f`` in table, truncation and certificate, listed in key order."""
-    d = _certified_order(f, k, "series", "preparation")
-    poly, (quot, _, high, keys) = _distinguished(f, k, d)
-    certified = f.guaranteed_degree - d
+    poly, (quot, _, high, keys) = _distinguished(f, k)
+    certified = f.guaranteed_degree - poly.d
     return PreparationResult(keys.series(_over(keys, high, quot), certified),
                              poly, certified)

@@ -1,8 +1,9 @@
 """Source hygiene for every module of ``src/wseries`` and of ``tests``:
 each name it imports is used in it, and it parses as Python 3.10, the
-oldest version ``pyproject.toml`` admits.  Every module-level private name
-of ``src/wseries`` (a function, class or constant whose name starts with
-one underscore) is named by some module of ``src/wseries`` outside its own
+oldest version ``pyproject.toml`` admits.  Every private name of
+``src/wseries`` (a module-level function, class or constant, or a method
+or class attribute of a module-level class, whose name starts with one
+underscore) is named by some module of ``src/wseries`` outside its own
 definition, so no dead private code is left behind.  No module other
 than ``series.py`` names the unchecked constructor ``Series._make`` or a
 packed-table helper (:data:`SERIES_ONLY`), so every other module builds a
@@ -74,29 +75,44 @@ def named(tree) -> set:
     return names
 
 
+def _own(node) -> list:
+    """The private names the statement ``node`` defines: a function or
+    class, or the plain targets of an assignment, named with one leading
+    underscore."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        own = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target])
+        own = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        own = []
+    return [n for n in own if n.startswith("_") and not n.startswith("__")]
+
+
 def dead_private_names(texts: dict) -> set:
-    """``(module, name)`` for each module-level private function, class or
-    constant of the modules ``texts`` (module name to source) that no
-    top-level statement other than its own definition names, as a name,
-    an attribute or an imported name."""
+    """``(module, name)`` for each private name of the modules ``texts``
+    (module name to source) that nothing outside its own definition names,
+    as a name, an attribute or an imported name.  A module-level function,
+    class or constant is reported as ``name``, and a use anywhere in its
+    own top-level statement does not count.  A method or class attribute of
+    a module-level class is reported as ``Class.name``, and a use in its
+    own statement of the class body does not count, but one in another
+    member of the class does."""
     defined, users = [], []
     for module, text in texts.items():
-        for node in ast.parse(text).body:
-            users.append((module, node, named(node)))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                own = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                own = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                own = []
-            defined += [(module, node, n) for n in own
-                        if n.startswith("_") and not n.startswith("__")]
-    return {(module, n) for module, node, n in defined
-            if not any(n in names for _, other, names in users
-                       if other is not node)}
+        for top in ast.parse(text).body:
+            members = top.body if isinstance(top, ast.ClassDef) else []
+            users += [(top, part, named(part)) for part in [top] + members]
+            defined += [(module, n, top, None) for n in _own(top)]
+            defined += [(module, f"{top.name}.{n}", top, part)
+                        for part in members for n in _own(part)]
+    return {(module, name) for module, name, top, part in defined
+            if not any(name.split(".")[-1] in names
+                       for t, p, names in users
+                       if (t is not top if part is None
+                           else p is not part and p is not top))}
 
 
 def test_the_check_finds_an_unused_import():
@@ -127,13 +143,21 @@ def test_the_check_finds_a_dead_private_name():
                    "    return _used(x).__class__\n"),
              "b": ("from .a import _Helper\n"
                    "def run(mod):\n"
-                   "    return mod._by_attribute\n"),
+                   "    return mod._by_attribute, mod.Shape()._bump()\n"),
              "c": ("class _Helper:\n"
                    "    pass\n"
                    "def _by_attribute():\n"
-                   "    pass\n")}
+                   "    pass\n"
+                   "class Shape:\n"
+                   "    _count = 0\n"
+                   "    _spare: int = 1\n"
+                   "    def _bump(self):\n"
+                   "        return self._count + 1\n"
+                   "    def _loop(self):\n"
+                   "        return self._loop()\n")}
     assert dead_private_names(texts) == {
-        ("a", "_SPARE"), ("a", "_recursive"), ("a", "_Lonely")}
+        ("a", "_SPARE"), ("a", "_recursive"), ("a", "_Lonely"),
+        ("a", "_Lonely._method"), ("c", "Shape._spare"), ("c", "Shape._loop")}
 
 
 def test_every_private_name_of_the_package_is_used():

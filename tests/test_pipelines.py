@@ -80,7 +80,7 @@ def test_descent_in_a_middle_variable():
 def test_descent_flags_surviving_odd_coefficient(monkeypatch):
     import wseries.pipelines as pmod
 
-    def fake_distinguished(F, k, d):
+    def fake_distinguished(F, k):
         bad = Series.variable(1, F.nvars - 1, F.trunc)
         poly = SimpleNamespace(d=2, coeffs=(bad, bad))
         return poly, None, None
@@ -159,6 +159,18 @@ def test_membership_checks_the_length_of_the_shift():
     for shift in ((1,), (1, 0, 0)):
         with pytest.raises(ValueError, match="wrong length for nvars=2"):
             check_membership([(0, 1)], [(1, 1)], cap=2, shift_expo=shift)
+
+
+@pytest.mark.parametrize("targets, generators", [
+    ([(1, -1)], [(1, 0)]),
+    ([(1, -1)], [(1, -1)]),
+    ([(1, 0)], [(2, -1), (-1, 1)]),
+])
+def test_membership_rejects_a_negative_target_or_generator(targets,
+                                                           generators):
+    # a target that is itself a generator used to read member=False
+    with pytest.raises(ValueError, match="negative entry"):
+        check_membership(targets, generators)
 
 
 def test_membership_rejects_a_negative_shift_at_once():

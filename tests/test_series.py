@@ -1,6 +1,7 @@
 """Core series arithmetic: construction, canonical form, ring operations,
 exponent surgery, and the certified-degree bookkeeping."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -175,6 +176,24 @@ def test_index_arguments_fail_before_any_rewrite():
         s.permute_variables(iter([2, 1]))
 
 
+def test_index_arguments_follow_the_index_rule():
+    """An index goes through :func:`operator.index` and the records store
+    the ``int``: ``True`` used to be kept and exported as JSON ``true``, and
+    an in-range numpy integer was refused as out of range."""
+    s, f = S("x1 + 2*x2 + x1*x2^2", 2, 4), S("x2^2 + x1", 2, 6)
+    numpy = pytest.importorskip("numpy")
+    for k in (True, numpy.int64(1), numpy.uint8(1)):
+        assert s.derivative(k).same_data(s.derivative(1))
+        assert Series.variable(k, 2, 4).same_data(Series.variable(1, 2, 4))
+        division = weierstrass_divide(S("x2^3", 2, 6), f, k)
+        poly = weierstrass_prepare(f, k).poly
+        for record in (division, poly):
+            assert type(record.k) is int
+            assert json.dumps(record.to_dict()["k"]) == "1"
+        assert division.quotient.same_data(
+            weierstrass_divide(S("x2^3", 2, 6), f, 1).quotient)
+
+
 def test_series_is_immutable():
     s = Series(2, 5, {(1, 0): 1})
     with pytest.raises(AttributeError):
@@ -215,6 +234,14 @@ def test_dict_export_round_trip():
     assert data["guaranteed_degree"] == 5
     assert Series.from_dict(data).same_data(s)
     assert Series.from_dict(data).guaranteed_degree == 5
+
+
+def test_from_dict_rejects_an_exponent_listed_twice():
+    # the second entry used to overwrite the first: 2*x1, with no error
+    doc = Series(2, 4, {(1, 0): 1}).to_dict()
+    doc["terms"].append({"expo": [1, 0], "numerator": 2, "denominator": 1})
+    with pytest.raises(ValueError, match="lists an exponent twice"):
+        Series.from_dict(doc)
 
 
 def test_equality_is_bounded_by_certified_degree():
@@ -273,9 +300,12 @@ def test_scalar_mixing():
 def test_operators_refuse_what_is_not_a_series_or_scalar():
     s = S("x1", 2, 4)
     assert s != "x1"
-    for apply in (lambda: s + "x", lambda: s - "x", lambda: "x" * s,
-                  lambda: s / s):
+    for apply in (lambda: s + "x", lambda: "x" * s, lambda: s / s):
         with pytest.raises(TypeError):
+            apply()
+    # subtraction refuses what addition refuses, on either side, as ``-``
+    for apply in (lambda: s - "x", lambda: "x" - s, lambda: [] - s):
+        with pytest.raises(TypeError, match="for -:"):
             apply()
 
 
@@ -571,6 +601,15 @@ def test_substitute_square_examples():
     assert S("x1^2 + x2", 2, 6).substitute_square(2) == S("x1^2 + x2^2", 2, 6)
     assert S("1", 2, 6).substitute_square(2) == S("1", 2, 6)
     assert S("x1 + 3*x2^2", 2, 4).substitute_square(2) == S("x1 + 3*x2^4", 2, 4)
+
+
+def test_coefficient_takes_an_exponent_of_the_series_length():
+    # a short exponent used to read as absent: coefficient((1,)) was 0
+    s = S("x1 + 2*x2", 2, 4)
+    assert s.coefficient((0, 1)) == 2 and s.coefficient([1, 0]) == 1
+    for expo in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="wrong length for nvars=2"):
+            s.coefficient(expo)
 
 
 def test_coefficient_series_extracts_and_renumbers():

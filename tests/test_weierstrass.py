@@ -438,9 +438,9 @@ def test_internal_error_when_quotient_degenerates(monkeypatch):
     # an impossible division result must be flagged, not silently inverted
     real = wmod._distinguished
 
-    def zero_quotient(f, k, d):
+    def zero_quotient(f, k):
         # the empty list of solved grades is zero
-        poly, (_, rem, high, keys) = real(f, k, d)
+        poly, (_, rem, high, keys) = real(f, k)
         return poly, ([], rem, high, keys)
 
     monkeypatch.setattr(wmod, "_distinguished", zero_quotient)
