@@ -37,7 +37,8 @@ from math import comb
 
 from .errors import InternalInvariantError, PreconditionError
 from .localring import divide_by_variable, even_odd_split, solve_implicit
-from .series import Series, term_sort_key, _check_index, _Record, _sum
+from .series import (Series, term_sort_key, _axis, _check_index, _exponent,
+                     _Record, _size, _sum)
 from .weierstrass import DistinguishedPoly, _distinguished
 # not called here: perfbench's span recorder test reads the name from here
 from .weierstrass import weierstrass_prepare  # noqa: F401
@@ -70,8 +71,7 @@ def _profile_mismatch(f: Series, k: int) -> str | None:
     """The first coefficient on the ``x_k`` axis that departs from
     :data:`_AXIS_PROFILE`, described, or ``None`` when none does."""
     for j, want in enumerate(_AXIS_PROFILE):
-        have = f.coefficient(tuple(j if i == k - 1 else 0
-                                   for i in range(f.nvars)))
+        have = f.coefficient(_axis(f.nvars, k, j))
         if have != want:
             return f"coefficient of x{k}^{j} is {have}, want {want}"
     return None
@@ -173,36 +173,32 @@ def check_membership(targets, generators, *, cap: int | None = None,
                      shift_expo: tuple | None = None) -> tuple:
     """Decide membership of each target exponent in the set of finite
     nonempty sums of the generator exponents, by forward closure over the
-    box of exponents of total degree <= ``cap`` (default: the largest
-    target degree).
+    box of exponents of total degree <= ``cap``.  ``cap`` is a size, and
+    it is raised to the largest target degree (its default) when below it.
 
     When ``shift_expo`` is given the reachable set is also closed under
     componentwise subtraction of that exponent, as long as no entry goes
     negative; each application counts one ``shift`` in the witness, so
     every witness satisfies ``sum(witness) = target + shifts *
-    shift_expo``.  Every exponent, target, generator and shift alike, must
-    have the targets' length and no negative entry: a negative generator
-    or shift would grow the closure past every degree cap.
+    shift_expo``.  Every exponent, target, generator and shift alike, goes
+    through :func:`_exponent` at the length of the first target: a negative
+    generator or shift would grow the closure past every degree cap.
     """
-    targets = sorted(set(targets), key=term_sort_key)
-    generators = sorted(set(generators), key=term_sort_key)
-    if not targets:
+    if not (targets := list(targets)):
         return ()
-    zero = (0,) * len(targets[0])
-    shifts = [] if shift_expo is None else [tuple(shift_expo)]
-    for e in targets + generators + shifts:
-        if len(e) != len(zero):
-            raise ValueError(
-                f"exponent {e} has wrong length for nvars={len(zero)}")
-        if min(e, default=0) < 0:
-            raise ValueError(f"exponent {e} has a negative entry")
+    n = len(targets[0])
+    targets = sorted({_exponent(t, n) for t in targets}, key=term_sort_key)
+    generators = sorted({_exponent(g, n) for g in generators},
+                        key=term_sort_key)
+    zero = (0,) * n
+    shifts = [] if shift_expo is None else [_exponent(shift_expo, n)]
     # a step is (exponent to add, its degree, witness entry): each
     # generator of positive degree adds, and the shift subtracts and
     # leaves None for the witness
     steps = [(g, sum(g), g) for g in generators if sum(g) > 0]
     steps += [(tuple(-s for s in e), -sum(e), None) for e in shifts]
-    if cap is None:
-        cap = max(sum(t) for t in targets)
+    top = max(sum(t) for t in targets)
+    cap = top if cap is None else max(_size(cap, "cap"), top)
 
     # closure with predecessor links for witness reconstruction; the
     # frontier carries each exponent's degree, so a step past the cap
@@ -260,12 +256,9 @@ def semigroup_check(poly: DistinguishedPoly, source: Series,
     bound = expanded.guaranteed_degree
     targets = [e for e in expanded.support() if sum(e) <= bound]
     generators = sorted(source.support(), key=term_sort_key)
-    shift = None
-    cap = None
+    shift = cap = None
     if order_shift and poly.d:
-        shift = tuple(poly.d if i == poly.k - 1 else 0
-                      for i in range(source.nvars))
-        cap = source.trunc
+        shift, cap = _axis(source.nvars, poly.k, poly.d), source.trunc
     checks = check_membership(targets, generators, cap=cap, shift_expo=shift)
     return SemigroupReport(tuple(generators), checks, order_shift)
 

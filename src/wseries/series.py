@@ -44,7 +44,10 @@ Variables are named ``x1 .. xn`` and all public indices are 1-based to match
 the textual form.  Exponent vectors are plain int tuples.  The printed form
 orders them canonically (:func:`term_sort_key`): by total degree, then
 lexicographically with earlier variables dominant.  Instances are
-immutable: every operation returns a new Series.
+immutable: every operation returns a new Series.  Each kind of argument a
+caller passes has one rule here: :func:`_exponent` for an exponent,
+:func:`_index` for a variable position, :func:`_size` for a count, a
+degree or a power, and :func:`_axis` builds the exponent of ``x_k^j``.
 """
 
 from __future__ import annotations
@@ -106,13 +109,7 @@ class Series:
             raise ValueError("guaranteed_degree must lie in [0, trunc]")
         clean: dict = {}
         for key, coeff in (terms or {}).items():
-            if (expo := tuple(map(int, key))) != tuple(key):
-                raise ValueError(f"exponent {key!r} is not integral")
-            if len(expo) != nvars:
-                raise ValueError(f"exponent {expo} has wrong length for nvars={nvars}")
-            if any(e < 0 for e in expo):
-                raise ValueError(f"negative exponent in {expo}")
-            if sum(expo) > trunc:
+            if sum(expo := _exponent(key, nvars)) > trunc:
                 continue  # truncation by construction
             c = _coeff(coeff)
             if c != 0:
@@ -175,10 +172,7 @@ class Series:
     @classmethod
     def variable(cls, k: int, nvars: int, trunc: int) -> "Series":
         """The series ``x_k`` (1-based index)."""
-        k = _check_index(k, nvars)
-        nvars = _size(nvars, "nvars")
-        return cls.monomial((0,) * (k - 1) + (1,) + (0,) * (nvars - k),
-                            nvars, trunc)
+        return cls.monomial(_axis(nvars, k, 1), nvars, trunc)
 
     @classmethod
     def monomial(cls, expo: Sequence[int], nvars: int, trunc: int,
@@ -198,10 +192,7 @@ class Series:
         return set(self._terms)
 
     def coefficient(self, expo: Sequence[int]) -> Fraction:
-        if len(expo := tuple(expo)) != self.nvars:
-            raise ValueError(
-                f"exponent {expo} has wrong length for nvars={self.nvars}")
-        return self._terms.get(expo, Fraction(0))
+        return self._terms.get(_exponent(expo, self.nvars), Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self.nvars, Fraction(0))
@@ -379,9 +370,7 @@ class Series:
         lies past the truncation.  The certificate is ``self``'s, as
         :meth:`compose` takes the minimum over ``P`` (certified through
         ``trunc``) and ``self - c``."""
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a natural number")
-        n, c = exponent, self.constant_term()
+        n, c = _size(exponent, "exponent"), self.constant_term()
         poly = {(n,): 1}
         if c:
             # each binomial from the last: comb(n, i) alone costs O(i)
@@ -492,9 +481,9 @@ class Series:
     def embed_variable(self, k: int) -> "Series":
         """Insert a fresh variable at 1-based position ``k``; existing
         variables at or above ``k`` shift up by one."""
-        if not isinstance(k, int) or not 1 <= k <= self.nvars + 1:
+        if (i := _index(k)) is None or not 1 <= i <= self.nvars + 1:
             raise ValueError(f"insert position {k} out of range")
-        return self._remap(lambda e, c: (e[:k - 1] + (0,) + e[k - 1:], c),
+        return self._remap(lambda e, c: (e[:i - 1] + (0,) + e[i - 1:], c),
                            self.nvars + 1)
 
     def drop_variable(self, k: int) -> "Series":
@@ -509,8 +498,8 @@ class Series:
     def permute_variables(self, perm: Sequence[int]) -> "Series":
         """Reorder variables: new position ``i`` reads old variable
         ``perm[i-1]`` (1-based, a bijection)."""
-        if (not all(isinstance(p, int) for p in perm)
-                or sorted(perm) != list(range(1, self.nvars + 1))):
+        if (any(_index(p) is None for p in perm)
+                or sorted(map(_index, perm)) != list(range(1, self.nvars + 1))):
             raise ValueError(f"{perm} is not a permutation of 1..{self.nvars}")
         return self._remap(lambda e, c: (tuple(e[p - 1] for p in perm), c))
 
@@ -535,27 +524,57 @@ def _plain(value):
     return value
 
 
+def _index(k) -> int | None:
+    """The one rule for a variable position: ``k`` as an ``int`` by
+    Python's index rule (:func:`operator.index`), so ``True`` gives ``1``
+    and a numpy integer its ``int``, or ``None`` when the type of ``k`` has
+    no ``__index__`` (a float or a string)."""
+    return index(k) if hasattr(type(k), "__index__") else None
+
+
 def _check_index(k, nvars: int) -> int:
-    """The variable index ``k`` as an ``int`` in ``1..nvars``, by Python's
-    index rule (:func:`operator.index`): ``True`` gives ``1`` and a numpy
-    integer its ``int``, and a float or a string is refused."""
-    if not hasattr(type(k), "__index__") or not 1 <= (i := index(k)) <= nvars:
+    """The variable index ``k`` as an ``int`` in ``1..nvars`` by
+    :func:`_index`."""
+    if (i := _index(k)) is None or not 1 <= i <= nvars:
         raise ValueError(f"variable index {k} out of range 1..{nvars}")
     return i
 
 
+def _axis(nvars: int, k, power: int) -> tuple:
+    """The exponent of ``x_k^power`` in ``nvars`` variables, with ``k``
+    checked by :func:`_check_index` and then ``nvars`` as a size."""
+    k = _check_index(k, nvars)
+    return (0,) * (k - 1) + (power,) + (0,) * (_size(nvars, "nvars") - k)
+
+
+def _exponent(e, nvars: int) -> tuple:
+    """The one exponent rule: ``e`` as an ``int`` tuple of length
+    ``nvars`` with no negative entry, each entry integral as
+    :func:`_integral` asks (``2.0`` gives ``2``; ``1.5`` and ``"2"`` are
+    refused)."""
+    e = tuple(e)
+    if (expo := tuple(map(int, e))) != e:
+        raise ValueError(f"exponent {e!r} is not integral")
+    if len(expo) != nvars:
+        raise ValueError(f"exponent {expo} has wrong length for nvars={nvars}")
+    if min(expo, default=0) < 0:
+        raise ValueError(f"exponent {expo} has a negative entry")
+    return expo
+
+
 def _integral(value, name: str) -> int:
-    """``value`` as an ``int``, by the rule :class:`Series` applies to an
-    exponent: the value must equal its ``int``, so ``2.0`` gives ``2``, and
-    ``2.5`` and the string ``"2"`` are rejected."""
+    """``value`` as an ``int``, by the rule :func:`_exponent` applies to an
+    exponent's entries: the value must equal its ``int``, so ``2.0`` gives
+    ``2``, and ``2.5`` and the string ``"2"`` are rejected."""
     if (n := int(value)) != value:
         raise ValueError(f"{name} {value!r} is not integral")
     return n
 
 
 def _size(value, name: str) -> int:
-    """A size (a variable count, a truncation, a certificate, an order or
-    a power) as a nonnegative ``int``, integral as :func:`_integral` asks."""
+    """A size (a variable count, a truncation, a certificate, an order, a
+    degree cap or a power) as a nonnegative ``int``, integral as
+    :func:`_integral` asks."""
     if (n := _integral(value, name)) < 0:
         raise ValueError(f"{name} must be nonnegative")
     return n

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import (FLAT, Series, _check_index, _division_loop, _over,
-                     _Record, _size, _sum)
+from .series import (FLAT, Series, _axis, _check_index, _division_loop,
+                     _over, _Record, _size, _sum)
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,7 @@ def _distinguished(f: Series, k: int) -> tuple:
     ``quot`` is 1 and the remainder is empty, so ``P = 1``."""
     k, d = _certified_order(f, k, "series", "preparation")
     n = f.nvars
-    expo = tuple(d if i == k - 1 else 0 for i in range(n))
-    loop = _division_loop(Series.monomial(expo, n, f.trunc), f, k, d)
+    loop = _division_loop(Series.monomial(_axis(n, k, d), n, f.trunc), f, k, d)
     minus_rem = loop[3].series([([(e, -v) for e, v in items], den)
                                 for items, den in loop[1]],
                                f.guaranteed_degree - d)

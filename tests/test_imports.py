@@ -7,7 +7,13 @@ underscore) is named by some module of ``src/wseries`` outside its own
 definition, so no dead private code is left behind.  No module other
 than ``series.py`` names the unchecked constructor ``Series._make`` or a
 packed-table helper (:data:`SERIES_ONLY`), so every other module builds a
-series through a checked constructor or a ``series.py`` operation.
+series through a checked constructor or a ``series.py`` operation.  No
+module of ``src/wseries`` tests an argument with ``isinstance(..., int)``
+(:func:`int_type_checks`): an integer argument goes through one rule of
+``series.py``, ``_size`` or ``_integral`` for a count, an order or a power,
+``_index`` for a variable position, ``_exponent`` for an exponent and
+``_axis`` for the exponent of ``x_k^j``, so a numpy integer or an integral
+float is taken or refused the same way everywhere.
 
 No linter runs on this repository, so this is its unused-import check.  It
 skips ``from __future__`` imports, names that the module exports through
@@ -113,6 +119,36 @@ def dead_private_names(texts: dict) -> set:
                        for t, p, names in users
                        if (t is not top if part is None
                            else p is not part and p is not top))}
+
+
+def int_type_checks(text: str) -> list:
+    """The line numbers of the calls ``isinstance(value, int)`` in the
+    module ``text``, and of those whose literal tuple of types holds
+    ``int``."""
+    lines = []
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_finds_an_int_type_check():
+    text = ("def f(k, p, c):\n"
+            "    if isinstance(k, int):\n"
+            "        return all(isinstance(q, (float, int)) for q in p)\n"
+            "    return isinstance(c, (Fraction, str)) or isinstance(c, _T)\n")
+    assert int_type_checks(text) == [2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_checks_an_argument_by_int_type(path):
+    lines = int_type_checks(path.read_text())
+    assert not lines, f"{path.name} calls isinstance(..., int) on {lines}"
 
 
 def test_the_check_finds_an_unused_import():

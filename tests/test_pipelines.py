@@ -173,6 +173,27 @@ def test_membership_rejects_a_negative_target_or_generator(targets,
         check_membership(targets, generators)
 
 
+def test_membership_rejects_a_non_integral_target():
+    # a fractional target used to read member=False
+    with pytest.raises(ValueError, match="is not integral"):
+        check_membership([(1.5, 0)], [(1, 0)])
+    (check,) = check_membership([(1.0, 0)], [(1, 0)])
+    assert check.member and check.exponent == (1, 0)
+
+
+def test_membership_cap_is_a_size_never_below_the_targets():
+    # a cap below the largest target degree used to call a generator a
+    # non-member, and a fractional cap was taken
+    for cap in (None, 0, 1, 1.0):
+        (check,) = check_membership([(1, 0)], [(1, 0)], cap=cap)
+        assert check.member and check.witness == ((1, 0),)
+    for cap, message in [(2.5, "cap 2.5 is not integral"),
+                         (-1, "cap must be nonnegative")]:
+        with pytest.raises(ValueError) as err:
+            check_membership([(1, 0)], [(1, 0)], cap=cap)
+        assert str(err.value) == message
+
+
 def test_membership_rejects_a_negative_shift_at_once():
     # adding a negative shift has no degree cap, so the closure would not
     # end; a 1 s CPU alarm turns a hang into a failure

@@ -176,6 +176,17 @@ def test_index_arguments_fail_before_any_rewrite():
         s.permute_variables(iter([2, 1]))
 
 
+def test_insert_and_permute_positions_follow_the_index_rule():
+    """``embed_variable`` and ``permute_variables`` take positions by the
+    index rule ``derivative`` follows: an in-range numpy integer used to
+    be refused as out of range."""
+    s = S("x1 + 2*x2 + x1*x2^2", 2, 4)
+    numpy = pytest.importorskip("numpy")
+    assert s.embed_variable(numpy.int64(1)).same_data(s.embed_variable(1))
+    assert s.permute_variables([numpy.int64(2), numpy.int64(1)]).same_data(
+        s.permute_variables([2, 1]))
+
+
 def test_index_arguments_follow_the_index_rule():
     """An index goes through :func:`operator.index` and the records store
     the ``int``: ``True`` used to be kept and exported as JSON ``true``, and
@@ -314,6 +325,21 @@ def test_pow():
     assert S("1 + x1", 1, 4) ** 3 == S("1 + 3*x1 + 3*x1^2 + x1^3", 1, 4)
     with pytest.raises(ValueError):
         S("x1", 1, 4) ** -1
+
+
+def test_pow_takes_its_power_as_a_size():
+    """``n`` in ``s ** n`` goes through the size rule: an integral float or
+    a numpy integer is the ``int`` power, which used to be refused, and a
+    fraction or a negative power gets the size rule's message."""
+    s = S("1 + x1 + 2*x2", 2, 5)
+    assert identical(s ** 2.0, s ** 2)
+    numpy = pytest.importorskip("numpy")
+    assert identical(s ** numpy.int64(2), s ** 2)
+    for power, message in [(2.5, "exponent 2.5 is not integral"),
+                           (-1, "exponent must be nonnegative")]:
+        with pytest.raises(ValueError) as err:
+            s ** power
+        assert str(err.value) == message
 
 
 def test_pow_matches_repeated_products():
@@ -610,6 +636,17 @@ def test_coefficient_takes_an_exponent_of_the_series_length():
     for expo in ((1,), (1, 0, 0)):
         with pytest.raises(ValueError, match="wrong length for nvars=2"):
             s.coefficient(expo)
+
+
+def test_coefficient_takes_an_exponent_by_the_constructor_rule():
+    # a fractional or negative exponent used to read as absent, 0
+    s = S("x1 + 2*x2", 2, 4)
+    assert s.coefficient((1.0, 0)) == 1
+    for expo, message in [((1.5, 0), "exponent (1.5, 0) is not integral"),
+                          ((-1, 1), "exponent (-1, 1) has a negative entry")]:
+        with pytest.raises(ValueError) as err:
+            s.coefficient(expo)
+        assert str(err.value) == message
 
 
 def test_coefficient_series_extracts_and_renumbers():
