@@ -22,8 +22,10 @@ of the handler's keys, and the text lines ``label = value`` (a series by
 Exit codes: 0 success, 2 parse or usage error (or a coefficient of more
 than 4300 digits, or an input too large to build in memory, such as
 ``--vars 1000000000``), 3 mathematical precondition violation (flat order,
-non-unit inverse), 4 internal invariant breach.  Results go to stdout,
-diagnostics to stderr.
+non-unit inverse), 4 internal invariant breach, 1 when stdout was closed
+before the output could be written (as by ``wseries ... | head -1``; the
+output is dropped, with no traceback).  Results go to stdout, diagnostics
+to stderr.
 
 Variable renumbering: outputs that live in one variable fewer than the
 input (implicit solutions, distinguished coefficients a_i) drop the
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -290,7 +293,14 @@ def main(argv=None) -> int:
             out = json.dumps({**head, **doc}, indent=2)
         else:
             out = "\n".join(_render(label, v) for label, v in lines)
-        print(out)
+        try:
+            print(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Python's "Note on SIGPIPE" (signal docs): point stdout at
+            # devnull, so that the flush at exit raises no second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         return 0
     except (_UsageError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

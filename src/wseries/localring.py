@@ -4,7 +4,7 @@ division by a variable, and parity surgery in a chosen variable."""
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .series import Series, _check_index, _division_loop
+from .series import Series, _check_index, _implicit
 
 
 def solve_implicit(f: Series, k: int) -> Series:
@@ -15,12 +15,11 @@ def solve_implicit(f: Series, k: int) -> Series:
     ``k`` shifted down) with ``phi(0) = 0`` and ``f(x', phi(x')) = 0``
     through the certified degree of ``f``.
 
-    This is Weierstrass division at order 1: ``x_k = q*f + r(x')``, and
-    putting ``x_k = phi`` gives ``r = phi``, so the division loop's
-    remainder is the solution.  It is certified as far as ``f``, a degree
-    more than division gives: for ``f = c*x_k + rest``, ``phi`` solves
-    ``phi = -(1/c) * rest(x', phi)``, and as ``phi(0) = 0`` the degree-``D``
-    part of the right side reads ``f`` through degree ``D`` only.
+    For ``f = c*x_k + rest``, ``phi`` solves ``phi = -(1/c) * rest(x',
+    phi)``, and as ``phi(0) = 0`` the degree-``D`` part of the right side
+    reads ``f`` through degree ``D`` only, so ``phi`` is certified as far
+    as ``f``.  :func:`~wseries.series._implicit` solves it one total degree
+    at a time, by a Horner recurrence in the remaining variables.
     """
     k = _check_index(k, f.nvars)
     if f.constant_term() != 0:
@@ -28,8 +27,7 @@ def solve_implicit(f: Series, k: int) -> Series:
     if f.order_in(k) != 1:
         raise PreconditionError(
             f"implicit solve requires a nonzero linear coefficient in x{k}")
-    loop = _division_loop(Series.variable(k, f.nvars, f.trunc), f, k, 1)
-    return loop[3].series(loop[1], f.guaranteed_degree).drop_variable(k)
+    return _implicit(f, k)
 
 
 def divide_by_variable(f: Series, k: int) -> Series:

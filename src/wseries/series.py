@@ -27,7 +27,10 @@ they return is decoded once.  :func:`_solve` works along an axis, given
 by the place value of the x_k digit in a key, and an order; its docstring
 states the one axis rule.  The division loop splits ``f`` and solves
 along x_k at order ``d``, and :func:`_over` solves along no axis at order
-0.  ``*`` calls the product kernel :func:`_products` directly.  ``_remap``,
+0.  Implicit solving divides nothing: :func:`_implicit` solves ``f(x',
+phi) = 0`` by a Horner recurrence in the ``n - 1`` remaining variables,
+one total degree at a time, and decodes ``phi`` once.  ``*`` calls the
+product kernel :func:`_products` directly.  ``_remap``,
 :func:`_sum`, :meth:`Series.compose` and negation still work on the decoded
 tables; ``compose`` scales each power by its coefficient instead of
 multiplying by a constant series, and ``**`` is one composition.
@@ -91,7 +94,17 @@ def term_sort_key(expo: tuple) -> tuple:
 
 
 def _coeff(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """The one coefficient rule: a ``Fraction`` as it is, and an integer
+    by Python's index rule (:func:`_index`: an int, a bool, a numpy
+    integer) as its ``Fraction``.  Anything else, a float or a string
+    among them, raises ``TypeError``: an exact engine does not guess what a
+    binary float or a text meant."""
+    if isinstance(value, Fraction):
+        return value
+    if (n := _index(value)) is None:
+        raise TypeError(f"coefficient {value!r} is not an integer or a "
+                        f"Fraction")
+    return Fraction(n)
 
 
 class Series:
@@ -767,6 +780,71 @@ def _solve(a: tuple, b: tuple, keys: _Keys, place: int, order: int) -> tuple:
     return q, rest
 
 
+def _implicit(f: Series, k: int) -> Series:
+    """The solution ``phi(x')`` of ``f(x', phi) = 0`` in the variables other
+    than x_k, for ``f`` with no constant term and a nonzero coefficient
+    ``c`` of ``x_k``, certified through ``f``'s certificate.  As a
+    polynomial in x_k, ``-f/c = -x_k + sum_j R_j(x') * x_k^j``, where
+    ``R_1`` leaves out ``c`` and ``J`` is the largest ``j``, so ``phi =
+    H_0`` for ``H_j = R_j + phi*H_(j+1)``, ``H_(J+1) = 0``: a Horner
+    recurrence in the ``n - 1`` remaining variables (Brent & Kung, J. ACM
+    1978).  As ``phi`` and ``H_1`` have no constant term, the degree-``e``
+    part of ``H_j`` reads ``phi`` below degree ``e + min(j, 1)`` only.  So
+    one walk up the total degree ``D`` solves it: step ``D`` forms ``H_j``
+    at degree ``D - j`` for ``j = min(J, D) .. 0``, which reads ``H_(j+1)``
+    at degrees formed at this step or before, and ends with ``phi_D``.
+    ``H_j`` starts as ``R_j`` and is formed only through degree ``trunc -
+    j``.  A step forms only the parts that some read reaches, a read being
+    a part of ``phi`` times one of an ``H_(j+1)``; each new part queues the
+    steps its reads reach, as :func:`_solve` queues its reads, so the walk
+    visits only those steps and its cost follows the parts that hold
+    terms, not the truncation.
+
+    The degree-``D`` part of ``phi`` reads ``f`` through degree ``D``
+    only, so ``phi`` is certified as far as ``f``.  Each part is a packed
+    table in the ``n - 1`` variables, one per degree: ``R_j``'s carry
+    ``f``'s numerators times ``-1/c``, and a formed part is summed as int
+    numerators over the lcm of its own and its reads' denominators, one
+    :func:`_products` call per read, and reduced by the gcd of its
+    numerators as in :func:`_solve`.  The parts of ``phi`` are decoded
+    once."""
+    keys, axis = _Keys(f.nvars - 1, f.trunc), _axis(f.nvars, k, 1)
+    rows, scale = {}, -1 / f.terms[axis]
+    for e, v in f.terms.items():
+        if e != axis:
+            rows.setdefault(e[k - 1], {})[e[:k - 1] + e[k:]] = v
+    last = max(rows, default=0)
+    h = [{} for _ in range(last + 2)]
+    for j, row in rows.items():
+        items, den = keys.pack(row)
+        for key, n in sorted(items):
+            h[j].setdefault(key // keys.top, ([], den * scale.denominator))[
+                0].append((key, n * scale.numerator))
+    todo = {a + c + i - 1 for a in h[0] for i in range(1, last + 2)
+            for c in h[i]}
+    while todo and (deg := min(todo)) <= f.trunc:
+        for j in range(min(last, deg), -1, -1):
+            e, above = deg - j, h[j + 1]
+            reads = [(x, y, dx * dy) for a, (x, dx) in h[0].items()
+                     if e - a in above for y, dy in [above[e - a]]]
+            if reads:
+                items, d0 = h[j].pop(e, ([], 1))
+                den = lcm(d0, *[d for _, _, d in reads])
+                acc = {key: n * (den // d0) for key, n in items}
+                for x, y, d in reads:
+                    _products(acc, x, y, keys.limit, den // d)
+                if part := sorted((key, v) for key, v in acc.items() if v):
+                    g = gcd(den, *[v for _, v in part])
+                    h[j][e] = [(key, v // g) for key, v in part], den // g
+                    if not items:  # a new part: queue the steps it reaches
+                        todo.update(
+                            [a + e + j - 1 for a in h[0]] if j else
+                            [e + c + i - 1 for i in range(1, last + 2)
+                             for c in h[i]])
+        todo.discard(deg)
+    return keys.series(list(h[0].values()), f.guaranteed_degree)
+
+
 def _over(keys: _Keys, a, x) -> list:
     """The quotient ``a/x`` of the packed table ``a = (items, Da)`` by the
     packed unit ``x = (items, D)`` as the list of its solved grades, exact
@@ -797,7 +875,8 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     x_k.  ``quot`` and ``rem`` are lists of solved grades and the unit
     ``high`` is a packed table, all over ``keys``, which packs ``f`` and
     ``g`` at the smaller truncation; each caller decodes and certifies what
-    it reads.
+    it reads.  Weierstrass division and preparation call it; implicit
+    solving, which needs no quotient, is :func:`_implicit`.
 
     Both the split of ``f`` and the solve follow :func:`_solve`'s axis rule
     at x_k's place value and ``order = d``: a term of ``f`` whose x_k digit

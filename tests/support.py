@@ -8,7 +8,8 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
-from wseries import InternalInvariantError, Series, parse_series, pipelines
+from wseries import (InternalInvariantError, Series, parse_series, pipelines,
+                     series)
 
 NONZERO = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
 DENOMS = [1, 1, 1, 2, 3, 4]
@@ -264,6 +265,17 @@ def reference_division_loop(g, f, k, d):
         rem = rem + lo
         quot = quot + delta
     raise InternalInvariantError("division iteration did not converge")
+
+
+def reference_implicit(f, k):
+    """The route implicit solving used to take: Weierstrass division of
+    ``x_k`` by ``f`` at order 1, ``x_k = q*f + r(x')``, whose remainder is
+    the solution (put ``x_k = phi``).  The division loop forms the whole
+    quotient in all ``n`` variables; its remainder, free of x_k, is exact
+    through the truncation and certified as far as ``f``."""
+    loop = series._division_loop(Series.variable(k, f.nvars, f.trunc), f,
+                                 k, 1)
+    return loop[3].series(loop[1], f.guaranteed_degree).drop_variable(k)
 
 
 def identical(a, b):

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from support import S, random_implicit_input, random_series
+from support import (S, identical, in_key_order, kernel_spaces,
+                     kernel_table, random_implicit_input, random_series,
+                     reference_implicit, wide_coeff)
 from wseries import (PreconditionError, Series, divide_by_variable,
                      even_odd_split, halve_exponents, solve_implicit)
 
@@ -51,6 +53,49 @@ def test_solution_is_unique_to_perturbation():
     for j in (1, 3, 6):
         bent = phi + Series.monomial((j,), 1, 10)
         assert not f.substitute(2, bent).vanishes_through(10)
+
+
+def test_solution_matches_the_division_route():
+    """The Horner recurrence against the route it replaced,
+    :func:`reference_implicit`: nvars 1-4 at trunc 0-12 with every k, and
+    nvars 32 at trunc 0-4 with k in {1, 2, 4, 32}; 0, 1 and 6 extra terms
+    with numerators and denominators up to 2^40, each with its copy free of
+    x_k where that has a positive degree, so that ``phi`` is seldom zero;
+    an x_k coefficient ``c`` that is rational and negative at every odd
+    truncation; an ``x_k^J`` term with ``J`` up to the truncation;
+    certificates below the truncation.  Table, truncation, certificate and key order agree.  At
+    trunc 0 the linear term is truncated away, and the solve refuses."""
+    rng = random.Random(2701)
+    for nvars, trunc in kernel_spaces():
+        ks = range(1, min(nvars, 4) + 1) if nvars < 32 else (1, 2, 4, 32)
+        for k in ks:
+            for size in (0, 1, 6):
+                terms = {}
+                extra = kernel_table(rng, nvars, trunc, size, lo=1).terms
+                for e, v in extra.items():
+                    terms[e] = v
+                    if sum(free := e[:k - 1] + (0,) + e[k:]):
+                        terms[free] = -v
+                for j in (rng.randint(1, max(trunc, 1)), 1):
+                    c = (-1) ** trunc * abs(wide_coeff(rng))
+                    terms[tuple(j if i == k - 1 else 0
+                                for i in range(nvars))] = c
+                f = Series(nvars, trunc, terms)
+                f = f.with_guarantee(rng.randint(0, trunc))
+                if not trunc:
+                    with pytest.raises(PreconditionError):
+                        solve_implicit(f, k)
+                    continue
+                phi = solve_implicit(f, k)
+                assert identical(phi, reference_implicit(f, k)), (f, k)
+                assert in_key_order(phi), (f, k)
+
+
+def test_solve_at_a_huge_truncation_visits_only_the_degrees_it_reaches():
+    # the recurrence walks the degrees that a read reaches, not every
+    # degree up to the truncation, which would not finish here
+    f = S("x2 + x1 + x1^1000*x3", 3, 10 ** 9)
+    assert solve_implicit(f, 2).same_data(S("-1*x1 - x1^1000*x2", 2, 10 ** 9))
 
 
 # ----------------------------------------------------------------------

@@ -281,6 +281,26 @@ def test_an_input_too_large_for_memory_exits_2_with_one_line():
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the reader of the pipe is gone before the child writes, as with
+    # ``wseries holo ... | head -1``; this used to end in a
+    # BrokenPipeError traceback
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for extra in ((), ("--json",)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "wseries.cli", "holo", "--trunc",
+                 "12", "-e", "x1^2 + x1^3 + x1^7", *extra],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=20)
+        finally:
+            os.close(write)
+        assert done.returncode == 1 and done.stderr == "", done.stderr
+
+
 # ----------------------------------------------------------------------
 # CLI plumbing
 # ----------------------------------------------------------------------

@@ -50,6 +50,26 @@ def test_constructor_rejects_non_integral_exponents():
         assert stored == expo and all(type(e) is int for e in stored)
 
 
+def test_coefficients_are_integers_or_fractions():
+    """One coefficient rule: a ``Fraction``, or an integer by the index
+    rule, stored as a ``Fraction``.  A float used to be stored as its
+    binary value (``Series.constant(0.1, 1, 2)`` held
+    ``3602879701896397/36028797018963968``) and a string was parsed."""
+    for value in (0.1, 2.0, "1/3", "2", None, 1j):
+        for make in (lambda: Series.constant(value, 1, 2),
+                     lambda: Series(1, 2, {(1,): value}),
+                     lambda: Series.monomial((1,), 1, 2, value)):
+            with pytest.raises(TypeError, match="not an integer or a Frac"):
+                make()
+    numpy = pytest.importorskip("numpy")
+    for value, want in ((3, 3), (True, 1), (numpy.int64(-2), -2),
+                        (Fraction(1, 3), Fraction(1, 3))):
+        (stored,) = Series(1, 2, {(1,): value}).terms.values()
+        assert stored == want and type(stored) is Fraction
+    with pytest.raises(TypeError):
+        Series.constant(numpy.float64(2), 1, 2)
+
+
 def test_constructor_rejects_non_integral_sizes():
     """``nvars``, ``trunc`` and ``guaranteed_degree`` take the exponent
     rule.  A ``trunc`` of 4.5 used to build, and the inverse of ``1 + x1 +

@@ -8,11 +8,12 @@ import pytest
 
 import wseries.weierstrass as wmod
 from support import (S, exported, identical, in_key_order, kernel_spaces,
-                     kernel_table, random_even_order2, random_order_d,
-                     random_series, reference_division_loop, wide_coeff)
+                     kernel_table, random_even_order2, random_implicit_input,
+                     random_order_d, random_series, reference_division_loop,
+                     wide_coeff)
 from wseries import (DistinguishedPoly, InternalInvariantError,
-                     PreconditionError, Series, series, solve_implicit,
-                     weierstrass_divide, weierstrass_prepare)
+                     PreconditionError, Series, holomorphic_extension, series,
+                     solve_implicit, weierstrass_divide, weierstrass_prepare)
 
 
 def divides_back(g, f, result):
@@ -185,9 +186,11 @@ def _kernel_callers(monkeypatch):
 
 def test_division_preparation_and_implicit_solving_form_no_products(
         monkeypatch):
-    """Every division by a unit is one graded solve: ``weierstrass_divide``,
-    ``weierstrass_prepare`` and ``solve_implicit`` reach the product kernel
-    through ``_solve`` only, never through ``Series.__mul__``."""
+    """Every division by a unit is one graded solve, and implicit solving
+    is one Horner recurrence: ``weierstrass_divide`` and
+    ``weierstrass_prepare`` reach the product kernel through ``_solve``
+    only, ``solve_implicit`` through ``_implicit`` only, and none of them
+    through ``Series.__mul__``."""
     calls = _kernel_callers(monkeypatch)
     rng = random.Random(4301)
     for nvars in (2, 3):
@@ -198,15 +201,15 @@ def test_division_preparation_and_implicit_solving_form_no_products(
             weierstrass_prepare(f, nvars)
             if d == 1:
                 solve_implicit(f, nvars)
-    assert calls and {name for name, _ in calls} == {"_solve"}
+    assert calls and {name for name, _ in calls} == {"_solve", "_implicit"}
 
 
 def test_only_a_solve_operand_or_a_divisor_is_flattened(monkeypatch):
     """The decoder takes solved grades as they are, so ``_flatten`` joins a
-    table only where it is needed whole: the division loop's ``b`` (the
-    one call of ``solve_implicit``), and the loop's quotient ``Q``, which
-    ``weierstrass_divide`` divides by ``high`` and ``weierstrass_prepare``
-    divides ``high`` by."""
+    table only where it is needed whole: the division loop's ``b``, and
+    the loop's quotient ``Q``, which ``weierstrass_divide`` divides by
+    ``high`` and ``weierstrass_prepare`` divides ``high`` by.
+    ``solve_implicit`` runs no division loop and flattens nothing."""
     calls = []
     flatten = series._flatten
     monkeypatch.setattr(series, "_flatten",
@@ -219,7 +222,7 @@ def test_only_a_solve_operand_or_a_divisor_is_flattened(monkeypatch):
             cases = [(weierstrass_divide, (g, f, nvars), 2),
                      (weierstrass_prepare, (f, nvars), 2)]
             if d == 1:
-                cases.append((solve_implicit, (f, nvars), 1))
+                cases.append((solve_implicit, (f, nvars), 0))
             for op, args, want in cases:
                 calls.clear()
                 op(*args)
@@ -238,6 +241,23 @@ def test_kernel_pairs_of_one_division_and_preparation(monkeypatch):
     assert weierstrass_divide(g, f, 3).d == 2
     assert weierstrass_prepare(f, 3).poly.d == 2
     assert sum(pairs for _, pairs in calls) == 6418
+
+
+def test_kernel_pairs_of_one_implicit_solve_and_one_extension(monkeypatch):
+    """Work gates free of timing noise, as for division and preparation:
+    the term pairs the product kernel forms for one seeded dense
+    ``solve_implicit`` in 3 variables at trunc 10, and for one
+    ``holomorphic_extension`` at N = 12, whose square descent solves one
+    implicit equation after each preparation.  Solving by division formed
+    6760 and 24524 pairs."""
+    calls = _kernel_callers(monkeypatch)
+    f = random_implicit_input(random.Random(2703), 3, 10, 3, nterms=40)
+    assert len(solve_implicit(f, 3).terms) == 64
+    assert sum(pairs for _, pairs in calls) == 1573
+    calls.clear()
+    holomorphic_extension(S("x1^2 + x1^3 - 2*x1^4 + 1/3*x1^5 + x1^7"
+                            " - 3/4*x1^9 + 5*x1^12", 1, 12))
+    assert sum(pairs for _, pairs in calls) == 13394
 
 
 def test_division_is_deterministic():
