@@ -40,7 +40,7 @@ def divide_by_variable(f: Series, k: int) -> Series:
         raise PreconditionError(
             f"term {bad} has no x{k} factor: monomial division is inexact")
     return f._remap(lambda e, c: (e[:k - 1] + (e[k - 1] - 1,) + e[k:], c),
-                    loss=1)
+                    read=(1, 1))
 
 
 def even_odd_split(f: Series, k: int) -> tuple[Series, Series]:
@@ -58,8 +58,8 @@ def halve_exponents(f: Series, k: int) -> Series:
     Each stored coefficient is a verbatim source coefficient, but halving
     lowers the degree: the result's coefficient at ``(a', j)``, of degree
     ``|a'| + j``, is the source's at ``(a', 2j)``, of degree up to twice
-    that.  So the result is certified through ``G // 2`` for ``f``
-    certified through ``G``.
+    that.  So the read map is ``(2, 0)``, and the result is certified
+    through ``G // 2`` for ``f`` certified through ``G``.
     """
     k = _check_index(k, f.nvars)
     bad = next((e for e in f.terms if e[k - 1] % 2), None)
@@ -67,4 +67,4 @@ def halve_exponents(f: Series, k: int) -> Series:
         raise PreconditionError(
             f"term {bad} has odd x{k} exponent: cannot halve")
     return f._remap(lambda e, c: (e[:k - 1] + (e[k - 1] // 2,) + e[k:], c),
-                    loss=(f.guaranteed_degree + 1) // 2)
+                    read=(2, 0))

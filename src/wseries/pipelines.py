@@ -37,8 +37,8 @@ from math import comb
 
 from .errors import InternalInvariantError, PreconditionError
 from .localring import divide_by_variable, even_odd_split, solve_implicit
-from .series import (Series, term_sort_key, _axis, _check_index, _exponent,
-                     _Record, _size, _sum)
+from .series import (Series, term_sort_key, _axis, _certified,
+                     _check_index, _exponent, _Record, _size, _sum)
 from .weierstrass import DistinguishedPoly, _distinguished
 # not called here: perfbench's span recorder test reads the name from here
 from .weierstrass import weierstrass_prepare  # noqa: F401
@@ -85,7 +85,9 @@ def split_square(f: Series, k: int) -> SquareSplit:
     the odd part raises below certified degree 3.  Each part descends
     through ``P = x_k^2 - r``, ``r`` the remainder of ``x_k^2`` by ``F =
     part - t``.  Four degrees are reserved (two order-2 divisions, one
-    monomial division, slack): the result is certified four below ``f``.
+    monomial division, slack): the result reads ``f`` by the map ``(1,
+    4)``, certified four below ``f``, and through ``-1`` (nothing) at the
+    least admitted certificate, 3.
     """
     k = _check_index(k, f.nvars)
     if f.trunc < 4:
@@ -97,7 +99,7 @@ def split_square(f: Series, k: int) -> SquareSplit:
     g0, g1 = even_odd_split(f, k)
     f0 = _descend_even_square(g0, k)
     f1 = _descend_even_square(divide_by_variable(g1, k), k)
-    gd = max(f.guaranteed_degree - 4, 0)
+    gd = _certified(f.guaranteed_degree, f.trunc, (1, 4))
     return SquareSplit(f0.with_guarantee(gd), f1.with_guarantee(gd), gd)
 
 
@@ -331,7 +333,7 @@ def holomorphic_extension(h: Series) -> ComplexExtension:
     n2 = h.trunc
     arg = Series.variable(1, 2, n2) + Series.variable(2, 2, n2)
     split = split_square(h.compose([arg]), 2)
-    # a remap with no loss: u and v keep the certificate of f0 and f1
+    # read map (1, 0): u and v keep the certificate of f0 and f1
     return ComplexExtension(_negate_square(split.f0, 0),
                             _negate_square(split.f1, 1),
                             split.guaranteed_degree)
@@ -359,6 +361,6 @@ def cauchy_riemann_check(ext: ComplexExtension) -> CauchyRiemannReport:
     """Residuals of the Cauchy-Riemann system for the pair ``(u, v)``."""
     r1 = ext.u.derivative(1) - ext.v.derivative(2)
     r2 = ext.u.derivative(2) + ext.v.derivative(1)
-    checked = ext.guaranteed_degree - 1
+    checked = _certified(ext.guaranteed_degree, r1.trunc, (1, 1))
     passed = r1.vanishes_through(checked) and r2.vanishes_through(checked)
     return CauchyRiemannReport(r1, r2, checked, passed)

@@ -38,10 +38,13 @@ multiplying by a constant series, and ``**`` is one composition.
 Alongside the truncation bound each value carries a ``guaranteed_degree``:
 the total degree up to which its coefficients are certified to agree with
 the untruncated mathematical result, assuming the inputs were certified to
-their own bounds.  Operations that lose precision (differentiation, division
-by a distinguished monomial, ...) shrink it explicitly; terms stored above
-the bound are best-effort data and are kept because they are exact whenever
-the inputs were exact polynomials.
+their own bounds.  It lies in ``[-1, trunc]``, and ``-1`` certifies
+nothing.  Every operation forms it by one rule, :func:`_certified`: an
+output whose term of degree ``D`` reads input terms of degree at most
+``a*D + b`` is certified through ``(G - b) // a`` of its inputs' least
+certificate ``G`` (``a, b = 1, 0`` for the ring operations); terms stored
+above the bound are best-effort data and are kept because they are exact
+whenever the inputs were exact polynomials.
 
 Variables are named ``x1 .. xn`` and all public indices are 1-based to match
 the textual form.  Exponent vectors are plain int tuples.  The printed form
@@ -116,10 +119,10 @@ class Series:
                  terms: Mapping | None = None,
                  guaranteed_degree: int | None = None):
         nvars, trunc = _size(nvars, "nvars"), _size(trunc, "trunc")
-        gd = trunc if guaranteed_degree is None else _size(
+        gd = trunc if guaranteed_degree is None else _integral(
             guaranteed_degree, "guaranteed_degree")
-        if gd > trunc:
-            raise ValueError("guaranteed_degree must lie in [0, trunc]")
+        if not -1 <= gd <= trunc:
+            raise ValueError("guaranteed_degree must lie in [-1, trunc]")
         clean: dict = {}
         for key, coeff in (terms or {}).items():
             if sum(expo := _exponent(key, nvars)) > trunc:
@@ -137,7 +140,8 @@ class Series:
         """Wrap ``terms`` without checking or copying it.  The caller holds
         the invariant :meth:`__init__` enforces: exponents are int tuples of
         length ``nvars`` with total degree <= ``trunc``, coefficients are
-        nonzero ``Fraction``s, and ``0 <= gd <= trunc``.  Only the
+        nonzero ``Fraction``s, and ``-1 <= gd <= trunc`` (``-1``: nothing
+        is certified; :func:`_certified` forms every certificate).  Only the
         operations of this module call it, where the invariant follows
         from their inputs; every other module builds a series through the
         checked constructors or through such an operation."""
@@ -148,22 +152,22 @@ class Series:
         object.__setattr__(s, "_terms", terms)
         return s
 
-    def _remap(self, fn, nvars: int | None = None, loss: int = 0) -> "Series":
+    def _remap(self, fn, nvars: int | None = None, read=(1, 0)) -> "Series":
         """The one loop that rewrites exponents.  ``fn(expo, coeff)``
         returns the new pair, or ``None`` to drop the term; it keeps the
         :meth:`_make` invariant for ``nvars`` (default: unchanged) variables
         and sends distinct terms to distinct exponents.  Terms pushed past
-        the truncation are dropped; ``loss`` degrees of certainty are spent,
-        and the certificate is clamped to ``[0, trunc]``.  A negative
-        ``loss`` raises the certificate, for a rewrite that raises every
-        degree by that much: a result term of degree ``D`` then reads only
-        a term of degree ``D + loss``."""
+        the truncation are dropped.  ``read = (a, b)`` is the rewrite's
+        read map: a result term of degree ``D`` reads a term of degree at
+        most ``a*D + b``, so the result is certified through
+        :func:`_certified` of it.  A negative ``b`` is a rewrite that
+        raises every degree by ``-b``."""
         acc = {}
         for e, c in self._terms.items():
             new = fn(e, c)
             if new is not None and sum(new[0]) <= self.trunc:
                 acc[new[0]] = new[1]
-        gd = min(max(self.guaranteed_degree - loss, 0), self.trunc)
+        gd = _certified(self.guaranteed_degree, self.trunc, read)
         return Series._make(self.nvars if nvars is None else nvars,
                             self.trunc, acc, gd)
 
@@ -308,10 +312,11 @@ class Series:
 
     def with_guarantee(self, degree: int) -> "Series":
         """Copy with the certification bound replaced by the integral
-        ``degree``, clamped to the valid range.  Used by operations whose
-        loss analysis is sharper than the generic minimum rule."""
-        gd = max(0, min(_integral(degree, "guaranteed_degree"), self.trunc))
-        return Series._make(self.nvars, self.trunc, self._terms, gd)
+        ``degree``, clamped to ``[-1, trunc]``: a degree below 0 certifies
+        nothing.  Used by operations whose read map is not the generic
+        minimum rule."""
+        return Series._make(self.nvars, self.trunc, self._terms, _certified(
+            _integral(degree, "guaranteed_degree"), self.trunc))
 
     def truncate(self, trunc: int) -> "Series":
         if trunc == self.trunc:
@@ -452,7 +457,7 @@ class Series:
         k = _check_index(k, self.nvars)
         return self._remap(
             lambda e, c: (e[:k - 1] + (e[k - 1] - 1,) + e[k:], c * e[k - 1])
-            if e[k - 1] else None, loss=1)
+            if e[k - 1] else None, read=(1, 1))
 
     # ------------------------------------------------------------------
     # exponent surgery
@@ -472,7 +477,7 @@ class Series:
         k = _check_index(k, self.nvars)
         return self._remap(
             lambda e, c: (e[:k - 1] + e[k:], c) if e[k - 1] == j else None,
-            self.nvars - 1, loss=_size(j, "j"))
+            self.nvars - 1, read=(1, _size(j, "j")))
 
     def substitute(self, k: int, s: "Series") -> "Series":
         """Substitute ``s`` (a series in the remaining n-1 variables, with
@@ -585,12 +590,21 @@ def _integral(value, name: str) -> int:
 
 
 def _size(value, name: str) -> int:
-    """A size (a variable count, a truncation, a certificate, an order, a
-    degree cap or a power) as a nonnegative ``int``, integral as
-    :func:`_integral` asks."""
+    """A size (a variable count, a truncation, an order, a degree cap or a
+    power) as a nonnegative ``int``, integral as :func:`_integral` asks."""
     if (n := _integral(value, name)) < 0:
         raise ValueError(f"{name} must be nonnegative")
     return n
+
+
+def _certified(gd: int, trunc: int, read: tuple = (1, 0)) -> int:
+    """The one certificate rule.  For the read map ``read = (a, b)``, an
+    output whose term of degree ``D`` reads input terms of degree at most
+    ``a*D + b``, from inputs certified through ``gd``, is certified
+    through ``(gd - b) // a``, capped at its ``trunc``.  A certificate of
+    ``-1`` certifies nothing, and no rule goes below it."""
+    a, b = read
+    return max(-1, min((gd - b) // a, trunc))
 
 
 def _sum(parts: Sequence[Series]) -> Series:

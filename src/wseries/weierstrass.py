@@ -6,10 +6,17 @@ variable produces ``g = q*f + r`` with the remainder of x_k-degree below
 monic distinguished polynomial ``x_k^d + a_1*x_k^(d-1) + ... + a_d`` whose
 coefficients are series in the remaining variables vanishing at the origin.
 
-Both certify ``d`` degrees below their inputs.  That is sound for ``d <=
-1``.  For larger ``d`` an output coefficient at total degree D can depend
-on input coefficients up to degree ``d*(D + 1)``, so the certificate
-overstates (a known defect, pinned in ``tests/test_certificates.py``).
+Each certificate is :func:`series._certified` of a read map ``(a, b)``:
+an output term of degree ``D`` is taken to read input terms of degree at
+most ``a*D + b``, so the output is certified through ``(G - b) // a`` for
+inputs certified through ``G``.  Division and preparation use ``(1, d)``,
+``d`` degrees below their inputs.  That is sound for ``d <= 1``.  For
+larger ``d`` an output coefficient at total degree D can depend on input
+coefficients up to degree ``d*(D + 1)``, a read map of ``(d, d)``, so the
+certificate overstates (a known defect, pinned in
+``tests/test_certificates.py``).  Part ``i`` of
+:meth:`DistinguishedPoly.expand` raises every degree of ``a_i`` by ``d -
+i``, so its map is ``(1, i - d)``.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .series import (FLAT, Series, _axis, _check_index, _division_loop,
-                     _over, _Record, _size, _sum)
+from .series import (FLAT, Series, _axis, _certified, _check_index,
+                     _division_loop, _over, _Record, _size, _sum)
 
 
 @dataclass(frozen=True)
@@ -57,12 +64,13 @@ class DistinguishedPoly(_Record):
         """Embed back into the full space as a single series: each
         ``a_i * x_k^(d-i)``, with ``a_0 = 1``, inserts the exponent ``d - i``
         at position ``k`` of the terms of ``a_i``.  That raises every degree
-        by ``d - i``, so the part is certified ``d - i`` above ``a_i``
-        (clamped at ``trunc``), and the sum through the least of those."""
+        by ``d - i``, so the part reads ``a_i`` by the map ``(1, i - d)``:
+        it is certified ``d - i`` above ``a_i`` (capped at ``trunc``), and
+        the sum through the least of those."""
         k, d = self.k - 1, self.d
         lead = Series.constant(1, self.nvars - 1, self.trunc)
         return _sum([a._remap(lambda e, c, s=d - i: (e[:k] + (s,) + e[k:], c),
-                              self.nvars, i - d)
+                              self.nvars, read=(1, i - d))
                      for i, a in enumerate((lead,) + self.coeffs)])
 
 
@@ -101,7 +109,8 @@ def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
     one packed :func:`_over`, at the smaller of the two truncations."""
     g._check_space(f)
     k, d = _certified_order(f, k, "divisor", "division")
-    certified = min(g.guaranteed_degree, f.guaranteed_degree) - d
+    certified = _certified(min(g.guaranteed_degree, f.guaranteed_degree),
+                           min(g.trunc, f.trunc), (1, d))
     if certified < 0:
         raise PreconditionError(
             f"dividend is certified below the order {d} in x{k}: "
@@ -140,9 +149,9 @@ def _distinguished(f: Series, k: int) -> tuple:
     k, d = _certified_order(f, k, "series", "preparation")
     n = f.nvars
     loop = _division_loop(Series.monomial(_axis(n, k, d), n, f.trunc), f, k, d)
+    gd = _certified(f.guaranteed_degree, f.trunc, (1, d))
     minus_rem = loop[3].series([([(e, -v) for e, v in items], den)
-                                for items, den in loop[1]],
-                               f.guaranteed_degree - d)
+                                for items, den in loop[1]], gd)
     coeffs = tuple(minus_rem.coefficient_series(k, d - i)
                    for i in range(1, d + 1))
     if any(a.constant_term() != 0 for a in coeffs):
@@ -160,6 +169,6 @@ def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     0) prepares through the same division: ``P = 1``, ``Q = 1`` and ``U =
     high = f`` in table, truncation and certificate, listed in key order."""
     poly, (quot, _, high, keys) = _distinguished(f, k)
-    certified = f.guaranteed_degree - poly.d
+    certified = _certified(f.guaranteed_degree, f.trunc, (1, poly.d))
     return PreparationResult(keys.series(_over(keys, high, quot), certified),
                              poly, certified)

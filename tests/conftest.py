@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 def pytest_terminal_summary(terminalreporter, config):
     """Under ``-v``, list the ``slack`` property each test recorded (the
     certificate harness of ``test_certificates.py`` records one per
-    operation)."""
+    operation, with the operation's read map ``(a, b)``)."""
     if config.option.verbose < 1:
         return
     rows = [(report.nodeid, value)
@@ -18,4 +18,4 @@ def pytest_terminal_summary(terminalreporter, config):
     if rows:
         terminalreporter.section("certificate slack")
         for nodeid, value in rows:
-            terminalreporter.write_line(f"{value:>28}  {nodeid}")
+            terminalreporter.write_line(f"{value:<52}  {nodeid}")

@@ -241,7 +241,7 @@ def split_in_variable(s, k, d):
     return (
         s._remap(lambda e, c: (e, c) if e[k - 1] < d else None),
         s._remap(lambda e, c: None if e[k - 1] < d
-                 else (e[:k - 1] + (e[k - 1] - d,) + e[k:], c), loss=d),
+                 else (e[:k - 1] + (e[k - 1] - d,) + e[k:], c), read=(1, d)),
     )
 
 

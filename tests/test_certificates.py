@@ -78,6 +78,15 @@ def assert_certified(rng, outputs, inputs, k, order):
             assert agree_through(a, b, a.guaranteed_degree), (inputs, a, b)
 
 
+def by_read_map(gd, trunc, read):
+    """The certificate of an output whose term of degree ``D`` reads input
+    terms of degree at most ``a*D + b``, for ``read = (a, b)``, from inputs
+    certified through ``gd``: ``(gd - b) // a``, capped at ``trunc``; ``-1``
+    certifies nothing, and no certificate lies below it."""
+    a, b = read
+    return max(-1, min((gd - b) // a, trunc))
+
+
 def certified_below_trunc(rng, s):
     return s.with_guarantee(rng.randint(0, s.trunc - 1))
 
@@ -179,7 +188,7 @@ def test_square_split_below_certified_degree_3_is_rejected():
     f = random_lemma_input(random.Random(4112), 2, 6, 2)
     with pytest.raises(PreconditionError, match="certified degree 1"):
         split_square(f.with_guarantee(2), 2)
-    assert split_square(f.with_guarantee(3), 2).guaranteed_degree == 0
+    assert split_square(f.with_guarantee(3), 2).guaranteed_degree == -1
 
 
 # ----------------------------------------------------------------------
@@ -191,33 +200,40 @@ def rotated(f, k):
 
 
 #: name -> (the outputs of an input ``f`` and an index ``k``, the exponents
-#: ``f`` may hold (``None``: any), the certificate the outputs spend)
+#: ``f`` may hold (``None``: any), the read map ``(a, b)`` of the first
+#: output: its term of degree ``D`` reads ``f`` at degree at most ``a*D + b``)
 REWRITES = {
-    "derivative": (lambda f, k: [f.derivative(k)], None, 1),
-    "substitute_square": (lambda f, k: [f.substitute_square(k)], None, 0),
+    "derivative": (lambda f, k: [f.derivative(k)], None, (1, 1)),
+    "substitute_square": (lambda f, k: [f.substitute_square(k)], None,
+                          (1, 0)),
     "coefficient_series": (
-        lambda f, k: [f.coefficient_series(k, j) for j in range(3)], None, 2),
+        lambda f, k: [f.coefficient_series(k, j) for j in (2, 1, 0)], None,
+        (1, 2)),
     "divide_by_variable": (lambda f, k: [divide_by_variable(f, k)],
-                           lambda e, k: e[k - 1] > 0, 1),
-    "even_odd_split": (lambda f, k: [*even_odd_split(f, k)], None, 0),
+                           lambda e, k: e[k - 1] > 0, (1, 1)),
+    "even_odd_split": (lambda f, k: [*even_odd_split(f, k)], None, (1, 0)),
     "halve_exponents": (lambda f, k: [halve_exponents(f, k)],
-                        lambda e, k: e[k - 1] % 2 == 0, 0),
+                        lambda e, k: e[k - 1] % 2 == 0, (2, 0)),
     "embed_variable": (
-        lambda f, k: [f.embed_variable(k), f.adjoin_variable()], None, 0),
+        lambda f, k: [f.embed_variable(k), f.adjoin_variable()], None,
+        (1, 0)),
     "drop_variable": (lambda f, k: [f.drop_variable(k)],
-                      lambda e, k: e[k - 1] == 0, 0),
-    "permute_variables": (lambda f, k: [rotated(f, k)], None, 0),
+                      lambda e, k: e[k - 1] == 0, (1, 0)),
+    "permute_variables": (lambda f, k: [rotated(f, k)], None, (1, 0)),
     "_negate_square": (
-        lambda f, k: [_negate_square(f, 0), _negate_square(f, 1)], None, 0),
+        lambda f, k: [_negate_square(f, 0), _negate_square(f, 1)], None,
+        (1, 0)),
 }
 
 
 @pytest.mark.parametrize("name", REWRITES)
 def test_exponent_rewrites_are_certified_under_dense_perturbation(name):
-    """Each rewrite of an input certified through ``G >= loss``, against
-    the same rewrite of a dense perturbation of it: the outputs keep their
+    """Each rewrite of an input certified through any ``G`` from 0 up,
+    against the same rewrite of a dense perturbation of it: the first
+    output is certified by the row's read map (through ``-1``, nothing,
+    where the map reads above ``G``), and the outputs keep their
     certificates and agree through them."""
-    outputs, allowed, loss = REWRITES[name]
+    outputs, allowed, read = REWRITES[name]
     rng = random.Random(f"rewrite:{name}")
     for _ in range(30):
         nvars, trunc = rng.randint(1, 3), rng.randint(2, 8)
@@ -225,8 +241,10 @@ def test_exponent_rewrites_are_certified_under_dense_perturbation(name):
         keep = (lambda e: allowed(e, k)) if allowed else (lambda e: True)
         terms = random_series(rng, nvars, trunc).terms
         terms = {e: c for e, c in terms.items() if keep(e)}
-        f = Series(nvars, trunc, terms, rng.randint(loss, trunc))
+        f = Series(nvars, trunc, terms, rng.randint(0, trunc))
         base, bent = outputs(f, k), outputs(dense_perturbed(rng, f, keep), k)
+        assert base[0].guaranteed_degree == by_read_map(
+            f.guaranteed_degree, base[0].trunc, read)
         for a, b in zip(base, bent, strict=True):
             assert a.guaranteed_degree == b.guaranteed_degree
             assert agree_through(a, b, a.guaranteed_degree), (f, a, b)
@@ -246,15 +264,11 @@ def test_halving_is_certified_through_half_the_input():
         assert halves[0] == halves[1]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "_remap clamps the certificate at max(G - loss, 0): a rewrite that "
-    "spends more degrees than its input is certified through still claims "
-    "degree 0, which nothing certifies; open until the descent and "
-    "rewrite certificates are derived"))
 def test_a_rewrite_spending_more_than_its_certificate_claims_nothing():
-    """``x1 + x2`` and ``2*x1 + x2`` certified through 0 compare ``==``,
-    but their ``derivative(1)``s, 1 and 2, both claim degree 0, and so do
-    their ``coefficient_series(1, 1)``s."""
+    """``x1 + x2`` and ``2*x1 + x2`` certified through 0 compare ``==``.
+    Their ``derivative(1)``s, 1 and 2, and their ``coefficient_series(1,
+    1)``s read degree 1, which neither input certifies, so each claims
+    nothing (``-1``) and they compare ``==`` too."""
     a, b = (S(text, 2, 4).with_guarantee(0)
             for text in ("x1 + x2", "2*x1 + x2"))
     assert a == b
@@ -357,38 +371,44 @@ def extension_residuals(h, k):
 
 
 #: name -> (a maker of ``(inputs, k)`` from a seeded rng, the outputs of
-#: ``(*inputs, k)``); each input is certified at random, from the least
-#: degree the operation admits through its truncation
+#: ``(*inputs, k)``, the read map ``(a, b)`` of the first output's
+#: certificate from the least input certificate); each input is certified
+#: at random, from the least degree the operation admits through its
+#: truncation
 DENSE = {
-    "*": (pair, lambda f, g, k: [f * g]),
-    "+": (pair, lambda f, g, k: [f + g]),
-    "inverse": (unit, lambda f, k: [f.inverse()]),
-    "compose": (substituends, lambda f, *gs_k: [f.compose(gs_k[:-1])]),
-    "substitute": (substitution, lambda f, s, k: [f.substitute(k, s)]),
-    "**": (power, lambda f, n: [f ** n]),
-    "solve_implicit": (implicit_input, implicit),
+    "*": (pair, lambda f, g, k: [f * g], (1, 0)),
+    "+": (pair, lambda f, g, k: [f + g], (1, 0)),
+    "inverse": (unit, lambda f, k: [f.inverse()], (1, 0)),
+    "compose": (substituends, lambda f, *gs_k: [f.compose(gs_k[:-1])],
+                (1, 0)),
+    "substitute": (substitution, lambda f, s, k: [f.substitute(k, s)],
+                   (1, 0)),
+    "**": (power, lambda f, n: [f ** n], (1, 0)),
+    "solve_implicit": (implicit_input, implicit, (1, 0)),
     "reconstruct_split": (
         lemma_input((1, 3), (4, 8)),
-        lambda f, k: [reconstruct_split(split_square(f, k), k)]),
-    "holomorphic_extension": (normalized_h, extension),
-    "cauchy_riemann_check": (normalized_h, extension_residuals),
+        lambda f, k: [reconstruct_split(split_square(f, k), k)], (1, 4)),
+    "holomorphic_extension": (normalized_h, extension, (1, 4)),
+    # the residuals differentiate u and v: (1, 4), then (1, 1)
+    "cauchy_riemann_check": (normalized_h, extension_residuals, (1, 5)),
 }
 for d in (1, 2, 3):
-    DENSE[f"division, d = {d}"] = (order_d(d, True), division)
-    DENSE[f"preparation, d = {d}"] = (order_d(d, False), preparation)
+    DENSE[f"division, d = {d}"] = (order_d(d, True), division, (1, d))
+    DENSE[f"preparation, d = {d}"] = (order_d(d, False), preparation, (1, d))
 # f1 is first disturbed at degree ceil(G/2), inside G - 4 from G = 8 on, so
 # only a trunc of 9 or more can show it; 3 variables there take 1.5 s
-DENSE["split_square f0/f1"] = (lemma_input((1, 2), (9, 10)), square_split)
+DENSE["split_square f0/f1"] = (lemma_input((1, 2), (9, 10)), square_split,
+                               (1, 4))
 
 #: the rows of a known defect, each a strict xfail that names its item
 DEFECTS = {
     **dict.fromkeys(
         ("division, d = 2", "division, d = 3", "preparation, d = 2",
          "preparation, d = 3"),
-        "ROADMAP item 1: for d >= 2 the certificate G - d of division and "
-        "preparation is too large; floor(G/d) - 1 is sound"),
+        "ROADMAP item 1: for d >= 2 the read map (1, d) of division and "
+        "preparation certifies too much; (d, d), floor(G/d) - 1, is sound"),
     "split_square f0/f1": (
-        "ROADMAP item 9: the f0/f1 certificate G - 4 is too large once "
+        "ROADMAP item 9: the f0/f1 read map (1, 4) certifies too much once "
         "G >= 8; f1 is first disturbed at degree ceil(G/2)"),
 }
 
@@ -400,18 +420,21 @@ DEFECTS = {
 def test_operations_are_certified_under_dense_perturbation(
         name, record_property):
     """30 seeded trials of each operation against the same operation on a
-    dense perturbation of every input: the outputs keep their certificates
-    and agree through them.  The row's slack, the least over its outputs
-    of the lowest disturbed degree, minus one, minus the certificate, is
-    recorded (``-v`` lists it), with the number of trials disturbed within
-    the certificate."""
-    make, outputs = DENSE[name]
+    dense perturbation of every input: the first output is certified by
+    the row's read map, and the outputs keep their certificates and agree
+    through them.  The row's read map and slack, the least over its
+    outputs of the lowest disturbed degree, minus one, minus the
+    certificate, are recorded (``-v`` lists them), with the number of
+    trials disturbed within the certificate."""
+    make, outputs, read = DENSE[name]
     rng = random.Random(f"dense:{name}")
     slacks, disturbed = [], 0
     for _ in range(30):
         inputs, k = make(rng)
         base = outputs(*inputs, k)
         bent = outputs(*[dense_perturbed(rng, s) for s in inputs], k)
+        assert base[0].guaranteed_degree == by_read_map(
+            min(s.guaranteed_degree for s in inputs), base[0].trunc, read)
         assert [a.guaranteed_degree for a in base] == [
             b.guaranteed_degree for b in bent]
         trial = [lowest - 1 - a.guaranteed_degree
@@ -419,6 +442,7 @@ def test_operations_are_certified_under_dense_perturbation(
                  if (lowest := first_difference(a, b)) is not None]
         slacks += trial
         disturbed += min(trial, default=0) < 0
-    record_property("slack", f"{min(slacks, default='none')}, "
+    record_property("slack", f"read {read}, slack "
+                             f"{min(slacks, default='none')}, "
                              f"{disturbed} of 30 disturbed within it")
     assert not disturbed

@@ -19,7 +19,9 @@ count costs memory and time in proportion to it.  And the work of a
 valid input grows with the truncation without a ceiling: ``prepare
 --trunc 99999999999999999999 --vars 2 --var 1 -e "(x1)^1000000000000"``
 builds one coefficient series for each of the 10^12 degrees below the
-order.
+order.  That command line and an implicit solve with a term at every one of
+10^9 degrees are pinned as strict expected failures under a 1 s CPU alarm
+until a work budget ends them (ROADMAP item 3).
 """
 
 import contextlib
@@ -53,16 +55,17 @@ def _on_alarm(signum, frame):
     raise CaseTimeout
 
 
-def run(argv):
-    """``(exit code, stdout, stderr)`` of ``cli.main(argv)`` in process."""
+def run(argv, limit=CPU_LIMIT):
+    """``(exit code, stdout, stderr)`` of ``cli.main(argv)`` in process;
+    the test fails once the run takes ``limit`` seconds of CPU."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGPROF, _on_alarm)
-    signal.setitimer(signal.ITIMER_PROF, CPU_LIMIT)
+    signal.setitimer(signal.ITIMER_PROF, limit)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     except CaseTimeout:
-        pytest.fail(f"{argv} took more than {CPU_LIMIT} s of CPU")
+        pytest.fail(f"{argv} took more than {limit} s of CPU")
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
@@ -257,3 +260,27 @@ def test_dash_led_expression_values_end_with_a_documented_exit_code():
         assert "Traceback" not in out + err, (argv, err)
     # signed rationals reach success; malformed values, usage errors
     assert {0, 2} <= set(codes), codes
+
+
+#: valid command lines whose work nothing bounds before it starts: the
+#: Catalan series solves the first, so each of 10^9 degrees holds a term,
+#: and the second builds one coefficient series per degree below the order
+#: 10^12
+HANGS = {
+    "implicit-every-degree": ["implicit", "--vars", "2", "--var", "2",
+                              "--trunc", "1000000000", "-e",
+                              "x2 + x1 + x2^2"],
+    "prepare-huge-order": ["prepare", "--trunc", "99999999999999999999",
+                           "--vars", "2", "--var", "1", "-e",
+                           "(x1)^1000000000000"],
+}
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+    "ROADMAP item 3: no work budget yet, so the run is still going when "
+    "its 1 s CPU alarm fires; the budget must end it with exit 2"))
+@pytest.mark.parametrize("name", HANGS)
+def test_known_hangs_end_within_a_cpu_second(name):
+    code, out, err = run(HANGS[name], limit=1.0)
+    assert code in (0, 2, 3, 4), (code, err)
+    assert "Traceback" not in out + err, err

@@ -13,7 +13,11 @@ module of ``src/wseries`` tests an argument with ``isinstance(..., int)``
 ``series.py``, ``_size`` or ``_integral`` for a count, an order or a power,
 ``_index`` for a variable position, ``_exponent`` for an exponent and
 ``_axis`` for the exponent of ``x_k^j``, so a numpy integer or an integral
-float is taken or refused the same way everywhere.
+float is taken or refused the same way everywhere.  No module of
+``src/wseries`` adds to, subtracts from or floor-divides a
+``guaranteed_degree`` outside ``series._certified``
+(:func:`certificate_arithmetic`): every certificate is that rule of a read
+map, or a minimum over inputs.
 
 No linter runs on this repository, so this is its unused-import check.  It
 skips ``from __future__`` imports, names that the module exports through
@@ -134,6 +138,54 @@ def int_type_checks(text: str) -> list:
             if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
                 lines.append(node.lineno)
     return lines
+
+
+#: operators that turn a certificate into another one
+_CERTIFICATE_OPS = (ast.Add, ast.Sub, ast.FloorDiv)
+
+
+def certificate_arithmetic(text: str) -> list:
+    """The line numbers of the ``+``, ``-`` and ``//`` (plain or augmented)
+    in the module ``text`` with a ``.guaranteed_degree`` anywhere in an
+    operand, outside the function ``_certified``."""
+    lines = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "_certified":
+            return
+        sides = ((node.left, node.right) if isinstance(node, ast.BinOp)
+                 else (node.target, node.value)
+                 if isinstance(node, ast.AugAssign) else ())
+        if sides and isinstance(node.op, _CERTIFICATE_OPS) and any(
+                isinstance(n, ast.Attribute) and n.attr == "guaranteed_degree"
+                for side in sides for n in ast.walk(side)):
+            lines.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(text))
+    return sorted(lines)
+
+
+def test_the_check_finds_certificate_arithmetic():
+    text = ("def _certified(s, read):\n"
+            "    return (s.guaranteed_degree - read[1]) // read[0]\n"
+            "def rules(self, f, g, h, d, loss):\n"
+            "    gd = min(max(self.guaranteed_degree - loss, 0), self.trunc)\n"
+            "    cert = min(g.guaranteed_degree, f.guaranteed_degree) - d\n"
+            "    half = (f.guaranteed_degree + 1) // 2\n"
+            "    least = min(g.guaranteed_degree, f.guaranteed_degree)\n"
+            "    least += h.guaranteed_degree\n"
+            "    return least * h.guaranteed_degree, _certified(h, (1, d))\n")
+    assert certificate_arithmetic(text) == [4, 5, 6, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_certificate_comes_from_the_one_rule(path):
+    lines = certificate_arithmetic(path.read_text())
+    assert not lines, (f"{path.name} forms a certificate by hand on {lines}; "
+                       "call series._certified with its read map")
 
 
 def test_the_check_finds_an_int_type_check():

@@ -119,7 +119,7 @@ def test_descent_certificate_follows_the_input():
     sp = split_square(f.with_guarantee(5), 2)
     assert sp.guaranteed_degree == 1
     assert sp.f0.guaranteed_degree == sp.f1.guaranteed_degree == 1
-    assert split_square(f.with_guarantee(3), 2).guaranteed_degree == 0
+    assert split_square(f.with_guarantee(3), 2).guaranteed_degree == -1
 
 
 def test_split_serialization():

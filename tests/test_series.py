@@ -81,8 +81,8 @@ def test_constructor_rejects_non_integral_sizes():
             (lambda: Series("2", 4), "nvars '2' is not integral"),
             (lambda: Series(2, 4, {}, 2.5),
              "guaranteed_degree 2.5 is not integral"),
-            (lambda: Series(2, 4, {}, -1),
-             "guaranteed_degree must be nonnegative"),
+            (lambda: Series(2, 4, {}, -2),
+             "guaranteed_degree must lie in [-1, trunc]"),
             (lambda: Series.from_dict({**doc, "trunc": 3.5}),
              "trunc 3.5 is not integral")]:
         with pytest.raises(ValueError) as err:
@@ -149,9 +149,10 @@ def test_certificates_stay_integers():
     """``with_guarantee`` and ``coefficient_series`` reach the unchecked
     ``_make``, so they apply the size rule themselves: a fractional
     certificate or power is rejected, an integral one is stored as an
-    ``int``, and ``with_guarantee`` still clamps integral values."""
+    ``int``, and ``with_guarantee`` still clamps integral values, to
+    ``[-1, trunc]``."""
     s = S("x1 + 2*x2 + x1*x2^2", 2, 4)
-    for degree, want in [(2.0, 2), (Fraction(3), 3), (-3, 0), (-3.0, 0),
+    for degree, want in [(2.0, 2), (Fraction(3), 3), (-3, -1), (-3.0, -1),
                          (99, 4), (True, 1)]:
         gd = s.with_guarantee(degree).guaranteed_degree
         assert gd == want and type(gd) is int
@@ -766,9 +767,32 @@ def test_every_operation_keeps_the_table_invariant():
 def test_with_guarantee_and_truncate():
     s = Series(2, 6, {(1, 0): 1})
     assert s.with_guarantee(99).guaranteed_degree == 6
-    assert s.with_guarantee(-2).guaranteed_degree == 0
+    assert s.with_guarantee(-2).guaranteed_degree == -1
     t = s.truncate(3)
     assert t.trunc == 3 and t.guaranteed_degree == 3
+
+
+def test_a_certificate_of_minus_1_certifies_nothing():
+    """``-1`` is the least certificate: it builds, round-trips through
+    ``to_dict``, compares no term, and is where ``with_guarantee`` and a
+    rewrite that reads above its input's certificate stop."""
+    empty = Series(2, 4, {}, -1)
+    assert empty.guaranteed_degree == -1
+    assert identical(Series.from_dict(empty.to_dict()), empty)
+    s = Series(2, 4, {(0, 0): 3, (1, 0): 1}, -1)
+    assert identical(Series.from_dict(s.to_dict()), s)
+    with pytest.raises(ValueError,
+                       match=r"^guaranteed_degree must lie in \[-1, trunc\]$"):
+        Series(2, 4, {}, -2)
+    assert s == empty and empty == s.with_guarantee(0)
+    assert s.with_guarantee(-5).guaranteed_degree == -1
+    f = S("x1 + 2*x2 + x1^2*x2", 2, 4).with_guarantee(0)
+    assert f.derivative(1).guaranteed_degree == -1
+    assert [f.coefficient_series(1, j).guaranteed_degree
+            for j in range(4)] == [0, -1, -1, -1]
+    g = f.with_guarantee(2)
+    assert [g.coefficient_series(2, j).guaranteed_degree
+            for j in range(5)] == [2, 1, 0, -1, -1]
 
 
 def test_agreement_helper_spots_divergence():
