@@ -14,13 +14,17 @@ a2(x', t) = 0`` for ``t``; the solution is the descended series.
 The odd part is divided by ``x_k`` first and descended the same way.
 
 On top of the decomposition sits the holomorphic extension of a univariate
-series ``h`` with profile ``x^2 + x^3 + higher``: applying the split to
-``h(x1 + x2)`` in ``x2`` yields the real and imaginary parts
+series ``h`` with profile ``x^2 + x^3 + higher``: the split of ``h(x1 +
+x2)`` in ``x2`` yields the real and imaginary parts
 
     u = f0(x1, -x2^2),   v = x2 * f1(x1, -x2^2)
 
 of an extension of ``h`` off the real axis, verified against the binomial
-complexification and the Cauchy-Riemann equations.
+complexification and the Cauchy-Riemann equations.  The extension puts
+``z = -x2^2`` into each implicit equation before solving it, so it forms
+no term of ``f0`` or ``f1`` that the substitution would push past the
+truncation; as ``u`` has order 2, its preparation weighs ``t`` as a
+square, which leaves out the terms of ``a2`` that reach no kept degree.
 
 A separate checker decides membership of prepared-polynomial support
 exponents in the additive semigroup spanned by the source support, with
@@ -36,7 +40,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InternalInvariantError, PreconditionError
-from .localring import divide_by_variable, even_odd_split, solve_implicit
+from .localring import (divide_by_variable, even_odd_split, halve_exponents,
+                        solve_implicit)
 from .series import (Series, term_sort_key, _axis, _certified,
                      _check_index, _exponent, _Record, _size, _sum)
 from .weierstrass import DistinguishedPoly, _distinguished
@@ -84,11 +89,22 @@ def split_square(f: Series, k: int) -> SquareSplit:
     coefficients 0, 0, 1, 1 in degrees 0..3, certified: the division for
     the odd part raises below certified degree 3.  Each part descends
     through ``P = x_k^2 - r``, ``r`` the remainder of ``x_k^2`` by ``F =
-    part - t``.  Four degrees are reserved (two order-2 divisions, one
-    monomial division, slack): the result reads ``f`` by the map ``(1,
-    4)``, certified four below ``f``, and through ``-1`` (nothing) at the
-    least admitted certificate, 3.
+    part - t``, solved at a fresh squared variable.  Four degrees are
+    reserved (two order-2 divisions, one monomial division, slack): the
+    result reads ``f`` by the map ``(1, 4)``, certified four below ``f``,
+    and through ``-1`` (nothing) at the least admitted certificate, 3.
     """
+    k, g0, g1, gd = _halves(f, k)
+    z = Series.variable(f.nvars, f.nvars + 1, f.trunc)
+    f0, f1 = (_descend(g, k, z, 1) for g in (g0, g1))
+    return SquareSplit(f0.with_guarantee(gd), f1.with_guarantee(gd), gd)
+
+
+def _halves(f: Series, k: int) -> tuple:
+    """``(k, g0, g1, gd)`` for ``f = g0 + x_k * g1`` split by the parity of
+    the ``x_k`` exponent, after the checks of :func:`split_square`; ``gd``
+    is the certificate of the descended halves, read by the map ``(1,
+    4)``."""
     k = _check_index(k, f.nvars)
     if f.trunc < 4:
         raise PreconditionError("truncation below 4 cannot hold the profile")
@@ -97,18 +113,26 @@ def split_square(f: Series, k: int) -> SquareSplit:
         raise PreconditionError(
             f"axis profile must start x{k}^2 + x{k}^3: {mismatch}")
     g0, g1 = even_odd_split(f, k)
-    f0 = _descend_even_square(g0, k)
-    f1 = _descend_even_square(divide_by_variable(g1, k), k)
-    gd = _certified(f.guaranteed_degree, f.trunc, (1, 4))
-    return SquareSplit(f0.with_guarantee(gd), f1.with_guarantee(gd), gd)
+    return (k, g0, divide_by_variable(g1, k),
+            _certified(f.guaranteed_degree, f.trunc, (1, 4)))
 
 
-def _descend_even_square(g: Series, k: int) -> Series:
-    """Descend an even series of order 2 in ``x_k`` to the squared variable:
-    returns ``s`` with ``s(x', x_k^2) = g``, the last variable of ``s``
-    standing for the square."""
+def _descend(g: Series, k: int, square: Series, weight: int) -> Series:
+    """``s(x', square)`` for the ``s`` with ``s(x', x_k^2) = g``, ``g`` an
+    even series of order 2 in ``x_k``.  ``F = g - t^weight``, ``t`` a fresh
+    last variable, prepares in ``x_k`` to ``x_k^2 + a2(x', t^weight)``, and
+    the solution ``t`` of ``square + a2(x', t) = 0`` is returned.
+    ``square`` is a series in ``n + 1`` variables that does not depend on
+    the last, ``t``; ``a2`` gets a new variable at place ``n``, before
+    ``t``, and ``square`` equal to that variable gives ``s`` itself.  The
+    weight is at most the order of ``s(x', square)``: a term ``x'^a t^m``
+    of ``a2`` enters the solution at degree ``a + weight*m`` or above, so
+    ``F`` forms only the terms that reach the truncation, and at weight 2
+    halving the ``t`` exponents takes ``a2`` back to ``t``.  The caller
+    certifies the solution."""
     n = g.nvars
-    F = g.adjoin_variable() - Series.variable(n + 1, n + 1, g.trunc)
+    F = g.adjoin_variable() - Series.monomial(_axis(n + 1, n + 1, weight),
+                                              n + 1, g.trunc)
     poly = _distinguished(F, k)[0]
     if poly.d != 2:
         raise InternalInvariantError(
@@ -119,8 +143,9 @@ def _descend_even_square(g: Series, k: int) -> Series:
         raise InternalInvariantError(
             "odd coefficient survived preparation of an even series: "
             f"{odd_coeff.canonical()}")
-    w = Series.variable(n, n + 1, g.trunc) + const_coeff.embed_variable(n)
-    return solve_implicit(w, n + 1)
+    if weight == 2:
+        const_coeff = halve_exponents(const_coeff, n)
+    return solve_implicit(square + const_coeff.embed_variable(n), n + 1)
 
 
 def reconstruct_split(split: SquareSplit, k: int) -> Series:
@@ -307,22 +332,21 @@ def normalize_cubic(h: Series) -> tuple[Series, Series]:
     return h + q, q
 
 
-def _negate_square(s: Series, odd: int) -> Series:
-    """Substitute ``t -> -x^2`` in the last variable and multiply by
-    ``x^odd``: flip the sign by the old exponent's parity, then double it
-    and add ``odd``."""
-    return s._remap(lambda e, c: (e[:-1] + (2 * e[-1] + odd,),
-                                  -c if e[-1] % 2 else c))
-
-
 def holomorphic_extension(h: Series) -> ComplexExtension:
     """Extend a normalized univariate series off the axis through the
     square decomposition of ``f = h(x1 + x2)`` in ``x2``:
 
         u = f0(x1, -x2^2),   v = x2 * f1(x1, -x2^2).
 
-    The restriction to ``x2 = 0`` returns ``h`` and the pair satisfies the
-    Cauchy-Riemann equations through the certified degree.
+    Each half of ``f`` descends as in :func:`split_square`, but its
+    implicit equation is solved at ``z = -x2^2``: the solution is ``s(x1,
+    -x2^2)``, the same series as ``s`` descended and then substituted,
+    with only the terms through the truncation formed.  That series is
+    ``g(x1, i*x2)`` for the half ``g``, of the half's order, so ``t`` is
+    weighed by it: 2 for the even half, 1 for the odd half divided by
+    ``x2``.  The certificate is :func:`split_square`'s, ``(1, 4)`` of
+    ``f``'s.  The restriction to ``x2 = 0`` returns ``h`` and the pair
+    satisfies the Cauchy-Riemann equations through the certified degree.
     """
     if h.nvars != 1:
         raise ValueError("expected a univariate series")
@@ -332,11 +356,11 @@ def holomorphic_extension(h: Series) -> ComplexExtension:
             "(apply normalize_cubic first)")
     n2 = h.trunc
     arg = Series.variable(1, 2, n2) + Series.variable(2, 2, n2)
-    split = split_square(h.compose([arg]), 2)
-    # read map (1, 0): u and v keep the certificate of f0 and f1
-    return ComplexExtension(_negate_square(split.f0, 0),
-                            _negate_square(split.f1, 1),
-                            split.guaranteed_degree)
+    _, g0, g1, gd = _halves(h.compose([arg]), 2)
+    square = Series.monomial((0, 2, 0), 3, n2, -1)
+    u = _descend(g0, 2, square, 2)
+    v = Series.variable(2, 2, n2) * _descend(g1, 2, square, 1)
+    return ComplexExtension(u.with_guarantee(gd), v.with_guarantee(gd), gd)
 
 
 def direct_complexification(h: Series) -> ComplexExtension:

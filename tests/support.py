@@ -164,7 +164,8 @@ def record_calls(module, name):
 
 def descent_polynomials(run, *args):
     """``run(*args)`` and the ``(F, P)`` pair of every square descent it
-    made: the series ``F = part - t`` and its distinguished polynomial."""
+    made: the series ``F = part - t`` (``part - t^2`` for the even half of
+    a holomorphic extension) and its distinguished polynomial."""
     with record_calls(pipelines, "_distinguished") as calls:
         result = run(*args)
     return result, tuple((call[0], out[0]) for call, out in calls)

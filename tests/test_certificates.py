@@ -19,7 +19,6 @@ from wseries import (PreconditionError, Series, cauchy_riemann_check,
                      holomorphic_extension, reconstruct_split,
                      solve_implicit, split_square, weierstrass_divide,
                      weierstrass_prepare)
-from wseries.pipelines import _negate_square
 
 #: perturbed copies compared against each input
 TRIALS = 4
@@ -220,9 +219,6 @@ REWRITES = {
     "drop_variable": (lambda f, k: [f.drop_variable(k)],
                       lambda e, k: e[k - 1] == 0, (1, 0)),
     "permute_variables": (lambda f, k: [rotated(f, k)], None, (1, 0)),
-    "_negate_square": (
-        lambda f, k: [_negate_square(f, 0), _negate_square(f, 1)], None,
-        (1, 0)),
 }
 
 

@@ -226,8 +226,8 @@ def test_membership_cross_checked_against_naive_oracle():
 def test_strict_containment_fails_on_descent_preparation():
     # the first preparation of the binomial descent has a stray exponent:
     # the polynomial's support is NOT inside the plain generator semigroup
-    h = S("x1^2 + x1^3", 1, 12)
-    _, pairs = descent_polynomials(holomorphic_extension, h)
+    f = S("x1^2 + x1^3", 1, 12).compose([S("x1 + x2", 2, 12)])
+    _, pairs = descent_polynomials(split_square, f, 2)
     F, P = pairs[0]
     report = semigroup_check(P, F)
     assert not report.all_member
@@ -352,12 +352,30 @@ def test_extension_matches_binomial_route():
         assert cauchy_riemann_check(ext).passed
 
 
+def test_extension_matches_binomial_route_on_every_stored_term():
+    # exact on every stored term, above the certificate too: a term of
+    # a2 dropped by the weighted truncation reaches no stored degree
+    rng = random.Random(101)
+    for _ in range(100):
+        trunc = rng.randint(4, 14)
+        h = random_normalized_h(rng, trunc, density=rng.uniform(0.2, 1.0))
+        h = h.with_guarantee(rng.randint(3, trunc))
+        ext = holomorphic_extension(h)
+        direct = direct_complexification(h)
+        assert ext.u.same_data(direct.u), h
+        assert ext.v.same_data(direct.v), h
+
+
 def test_extension_exposes_its_preparations():
-    _, pairs = descent_polynomials(holomorphic_extension,
-                                   S("x1^2 + x1^3", 1, 10))
+    h = S("x1^2 + x1^3", 1, 10)
+    _, pairs = descent_polynomials(holomorphic_extension, h)
     assert len(pairs) == 2
-    for F, P in pairs:
-        assert F.nvars == 3
+    g0, g1 = even_odd_split(h.compose([S("x1 + x2", 2, 10)]), 2)
+    t = Series.variable(3, 3, 10)
+    wanted = (g0.adjoin_variable() - t * t,
+              divide_by_variable(g1, 2).adjoin_variable() - t)
+    for (F, P), want in zip(pairs, wanted, strict=True):
+        assert F.same_data(want)
         assert P.d == 2
 
 

@@ -726,7 +726,6 @@ def assert_clean(s):
 def test_every_operation_keeps_the_table_invariant():
     from wseries.localring import (divide_by_variable, even_odd_split,
                                    halve_exponents)
-    from wseries.pipelines import _negate_square
 
     rng = random.Random(211)
     for nvars in (1, 2, 3, 4):
@@ -751,8 +750,7 @@ def test_every_operation_keeps_the_table_invariant():
                 f.embed_variable(k).drop_variable(k),
                 f.permute_variables(perm), divide_by_variable(f * xk, k),
                 *even_odd_split(f, k),
-                halve_exponents(f.substitute_square(k), k),
-                _negate_square(f, 0), _negate_square(f, 1)]
+                halve_exponents(f.substitute_square(k), k)]
             if nvars > 1:
                 phi = random_series(rng, nvars - 1, trunc, nterms=4,
                                     min_degree=1)
