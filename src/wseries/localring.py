@@ -52,8 +52,8 @@ def even_odd_split(f: Series, k: int) -> tuple[Series, Series]:
 
 
 def halve_exponents(f: Series, k: int) -> Series:
-    """Inverse of :meth:`Series.substitute_square` on series even in
-    ``x_k``: halves every ``x_k`` exponent.
+    """Halves every ``x_k`` exponent of a series even in ``x_k``: this
+    undoes doubling the ``x_k`` exponents.
 
     Each stored coefficient is a verbatim source coefficient, but halving
     lowers the degree: the result's coefficient at ``(a', j)``, of degree

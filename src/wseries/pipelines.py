@@ -131,8 +131,8 @@ def _descend(g: Series, k: int, square: Series, weight: int) -> Series:
     halving the ``t`` exponents takes ``a2`` back to ``t``.  The caller
     certifies the solution."""
     n = g.nvars
-    F = g.adjoin_variable() - Series.monomial(_axis(n + 1, n + 1, weight),
-                                              n + 1, g.trunc)
+    F = g.embed_variable(n + 1) - Series.monomial(_axis(n + 1, n + 1, weight),
+                                                  n + 1, g.trunc)
     poly = _distinguished(F, k)[0]
     if poly.d != 2:
         raise InternalInvariantError(

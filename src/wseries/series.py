@@ -318,12 +318,6 @@ class Series:
         return Series._make(self.nvars, self.trunc, self._terms, _certified(
             _integral(degree, "guaranteed_degree"), self.trunc))
 
-    def truncate(self, trunc: int) -> "Series":
-        if trunc == self.trunc:
-            return self
-        return Series(self.nvars, trunc, self._terms,
-                      min(self.guaranteed_degree, trunc))
-
     # ------------------------------------------------------------------
     # ring operations
     # ------------------------------------------------------------------
@@ -463,14 +457,6 @@ class Series:
     # exponent surgery
     # ------------------------------------------------------------------
 
-    def substitute_square(self, k: int) -> "Series":
-        """Replace ``x_k`` by ``x_k^2`` (doubles the k-th exponent, dropping
-        terms pushed past the truncation).  Certainty is preserved: a result
-        term of degree D pulls only source terms of degree <= D."""
-        k = _check_index(k, self.nvars)
-        return self._remap(
-            lambda e, c: (e[:k - 1] + (2 * e[k - 1],) + e[k:], c))
-
     def coefficient_series(self, k: int, j: int) -> "Series":
         """The coefficient of ``x_k^j`` as a series in the remaining
         variables (indices above ``k`` shift down by one)."""
@@ -492,10 +478,6 @@ class Series:
               for i in range(1, self.nvars)]
         return self.compose(xs[:k - 1] + [s] + xs[k - 1:])
 
-    def adjoin_variable(self) -> "Series":
-        """Append a fresh last variable on which the series does not depend."""
-        return self.embed_variable(self.nvars + 1)
-
     def embed_variable(self, k: int) -> "Series":
         """Insert a fresh variable at 1-based position ``k``; existing
         variables at or above ``k`` shift up by one."""
@@ -503,23 +485,6 @@ class Series:
             raise ValueError(f"insert position {k} out of range")
         return self._remap(lambda e, c: (e[:i - 1] + (0,) + e[i - 1:], c),
                            self.nvars + 1)
-
-    def drop_variable(self, k: int) -> "Series":
-        """Remove variable ``k``; the series must not depend on it.  This
-        is :meth:`coefficient_series` at ``j = 0`` once the dependence is
-        ruled out."""
-        k = _check_index(k, self.nvars)
-        if any(e[k - 1] for e in self._terms):
-            raise ValueError(f"series depends on x{k}")
-        return self.coefficient_series(k, 0)
-
-    def permute_variables(self, perm: Sequence[int]) -> "Series":
-        """Reorder variables: new position ``i`` reads old variable
-        ``perm[i-1]`` (1-based, a bijection)."""
-        if (any(_index(p) is None for p in perm)
-                or sorted(map(_index, perm)) != list(range(1, self.nvars + 1))):
-            raise ValueError(f"{perm} is not a permutation of 1..{self.nvars}")
-        return self._remap(lambda e, c: (tuple(e[p - 1] for p in perm), c))
 
 
 class _Record:

@@ -246,6 +246,22 @@ def split_in_variable(s, k, d):
     )
 
 
+def truncated(s, trunc):
+    """``s`` with the terms past ``trunc`` dropped, certified through at
+    most ``trunc``."""
+    return Series(s.nvars, trunc, s.terms, min(s.guaranteed_degree, trunc))
+
+
+def squared(f, k):
+    """``f`` with ``x_k`` replaced by ``x_k^2``: every ``x_k`` exponent
+    doubled, the terms pushed past the truncation dropped.  A result term
+    of degree ``D`` comes from a term of degree at most ``D``, so the
+    certificate is kept."""
+    return Series(f.nvars, f.trunc,
+                  {e[:k - 1] + (2 * e[k - 1],) + e[k:]: c
+                   for e, c in f.terms.items()}, f.guaranteed_degree)
+
+
 def reference_division_loop(g, f, k, d):
     """The whole-series fixpoint that Weierstrass division used to run:
     with ``b = -high^-1 * low`` for ``f = low + x_k^d * high``, each pass
@@ -276,7 +292,9 @@ def reference_implicit(f, k):
     through the truncation and certified as far as ``f``."""
     loop = series._division_loop(Series.variable(k, f.nvars, f.trunc), f,
                                  k, 1)
-    return loop[3].series(loop[1], f.guaranteed_degree).drop_variable(k)
+    rem = loop[3].series(loop[1], f.guaranteed_degree)
+    assert not any(e[k - 1] for e in rem.terms), rem
+    return rem.coefficient_series(k, 0)
 
 
 def identical(a, b):

@@ -194,17 +194,11 @@ def test_square_split_below_certified_degree_3_is_rejected():
 # the exponent rewrites under dense perturbation
 # ----------------------------------------------------------------------
 
-def rotated(f, k):
-    return f.permute_variables([*range(k, f.nvars + 1), *range(1, k)])
-
-
 #: name -> (the outputs of an input ``f`` and an index ``k``, the exponents
 #: ``f`` may hold (``None``: any), the read map ``(a, b)`` of the first
 #: output: its term of degree ``D`` reads ``f`` at degree at most ``a*D + b``)
 REWRITES = {
     "derivative": (lambda f, k: [f.derivative(k)], None, (1, 1)),
-    "substitute_square": (lambda f, k: [f.substitute_square(k)], None,
-                          (1, 0)),
     "coefficient_series": (
         lambda f, k: [f.coefficient_series(k, j) for j in (2, 1, 0)], None,
         (1, 2)),
@@ -214,11 +208,8 @@ REWRITES = {
     "halve_exponents": (lambda f, k: [halve_exponents(f, k)],
                         lambda e, k: e[k - 1] % 2 == 0, (2, 0)),
     "embed_variable": (
-        lambda f, k: [f.embed_variable(k), f.adjoin_variable()], None,
-        (1, 0)),
-    "drop_variable": (lambda f, k: [f.drop_variable(k)],
-                      lambda e, k: e[k - 1] == 0, (1, 0)),
-    "permute_variables": (lambda f, k: [rotated(f, k)], None, (1, 0)),
+        lambda f, k: [f.embed_variable(k), f.embed_variable(f.nvars + 1)],
+        None, (1, 0)),
 }
 
 

@@ -19,9 +19,12 @@ count costs memory and time in proportion to it.  And the work of a
 valid input grows with the truncation without a ceiling: ``prepare
 --trunc 99999999999999999999 --vars 2 --var 1 -e "(x1)^1000000000000"``
 builds one coefficient series for each of the 10^12 degrees below the
-order.  That command line and an implicit solve with a term at every one of
-10^9 degrees are pinned as strict expected failures under a 1 s CPU alarm
-until a work budget ends them (ROADMAP item 3).
+order.  With ``--order-shift``, ``semigroup`` closes the exponents up to the
+truncation, whatever the degrees of its targets, so its CPU time grows
+about as the square of ``--trunc``.  That command line, an implicit solve
+with a term at every one of 10^9 degrees and ``semigroup --order-shift`` at
+``--trunc 100000`` are pinned as strict expected failures under a 1 s CPU
+alarm until a work budget ends them (ROADMAP item 3).
 """
 
 import contextlib
@@ -273,6 +276,9 @@ HANGS = {
     "prepare-huge-order": ["prepare", "--trunc", "99999999999999999999",
                            "--vars", "2", "--var", "1", "-e",
                            "(x1)^1000000000000"],
+    "semigroup-order-shift": ["semigroup", "--vars", "2", "--var", "2",
+                              "--order-shift", "--trunc", "100000", "-e",
+                              "x2^2 + x1 + x1*x2"],
 }
 
 

@@ -4,7 +4,12 @@ oldest version ``pyproject.toml`` admits.  Every private name of
 ``src/wseries`` (a module-level function, class or constant, or a method
 or class attribute of a module-level class, whose name starts with one
 underscore) is named by some module of ``src/wseries`` outside its own
-definition, so no dead private code is left behind.  No module other
+definition, so no dead private code is left behind.  Every public name
+of the package (a name of ``wseries.__all__`` or a public member of
+``Series``) is named by ``src/wseries`` or by the benchmark's modules
+outside its own definition and the re-export in ``__init__.py``, so the
+library keeps only what its callers use (:func:`unused_public_names`);
+the one exception is :data:`TEST_ONLY`.  No module other
 than ``series.py`` names the unchecked constructor ``Series._make`` or a
 packed-table helper (:data:`SERIES_ONLY`), so every other module builds a
 series through a checked constructor or a ``series.py`` operation.  No
@@ -29,9 +34,17 @@ from pathlib import Path
 
 import pytest
 
+import wseries
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "wseries"
 MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+#: modules of the benchmark that call the package; its self-tests are not
+#: a caller
+BENCH = [p for p in sorted((TESTS.parent / "perfbench").glob("*.py"))
+         if p.name != "test_perfbench.py"]
+#: public names that only the tests use: the comparator of stored tables
+TEST_ONLY = {"Series.same_data"}
 #: names that only ``series.py`` may use within ``src/wseries``
 SERIES_ONLY = {"_make", "_Keys", "_solve", "_products", "_flatten"}
 
@@ -85,44 +98,72 @@ def named(tree) -> set:
     return names
 
 
-def _own(node) -> list:
-    """The private names the statement ``node`` defines: a function or
-    class, or the plain targets of an assignment, named with one leading
-    underscore."""
+def mentioned(tree) -> set:
+    """:func:`named` of the syntax tree ``tree``, and every string constant
+    in it: a name looked up by its string."""
+    return named(tree) | {node.value for node in ast.walk(tree)
+                          if isinstance(node, ast.Constant)
+                          and isinstance(node.value, str)}
+
+
+def _defines(node) -> list:
+    """The names the statement ``node`` defines: a function or class, or
+    the plain targets of an assignment."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                          ast.ClassDef)):
-        own = [node.name]
-    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target])
-        own = [t.id for t in targets if isinstance(t, ast.Name)]
-    else:
-        own = []
-    return [n for n in own if n.startswith("_") and not n.startswith("__")]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
 
 
-def dead_private_names(texts: dict) -> set:
-    """``(module, name)`` for each private name of the modules ``texts``
-    (module name to source) that nothing outside its own definition names,
-    as a name, an attribute or an imported name.  A module-level function,
-    class or constant is reported as ``name``, and a use anywhere in its
+def unnamed(texts: dict, checked, names=named) -> set:
+    """``(module, name)`` for each name defined by the modules ``texts``
+    (module name to source) that ``checked(name, cls)`` picks and that
+    nothing outside its own definition names (by ``names`` of a syntax
+    tree).  A module-level function, class or constant is picked with
+    ``cls`` ``None`` and reported as ``name``, and a use anywhere in its
     own top-level statement does not count.  A method or class attribute of
-    a module-level class is reported as ``Class.name``, and a use in its
-    own statement of the class body does not count, but one in another
-    member of the class does."""
+    a module-level class is picked with ``cls`` the class's name and
+    reported as ``Class.name``, and a use in its own statement of the class
+    body does not count, but one in another member of the class does."""
     defined, users = [], []
     for module, text in texts.items():
         for top in ast.parse(text).body:
             members = top.body if isinstance(top, ast.ClassDef) else []
-            users += [(top, part, named(part)) for part in [top] + members]
-            defined += [(module, n, top, None) for n in _own(top)]
+            users += [(top, part, names(part)) for part in [top] + members]
+            defined += [(module, n, top, None) for n in _defines(top)
+                        if checked(n, None)]
             defined += [(module, f"{top.name}.{n}", top, part)
-                        for part in members for n in _own(part)]
+                        for part in members for n in _defines(part)
+                        if checked(n, top.name)]
     return {(module, name) for module, name, top, part in defined
             if not any(name.split(".")[-1] in names
                        for t, p, names in users
                        if (t is not top if part is None
                            else p is not part and p is not top))}
+
+
+def dead_private_names(texts: dict) -> set:
+    """:func:`unnamed` for the private names (one leading underscore) of
+    the modules ``texts``, named as a name, an attribute or an imported
+    name."""
+    return unnamed(texts, lambda name, cls: name.startswith("_")
+                   and not name.startswith("__"))
+
+
+def unused_public_names(texts: dict, exported: set) -> set:
+    """:func:`unnamed` for the names of ``exported`` and the public members
+    of ``Series`` defined by the modules ``texts``, named as a name, an
+    attribute, an imported name or a string constant.  ``__init__`` is
+    left out: it only re-exports."""
+    return unnamed({m: t for m, t in texts.items() if m != "__init__"},
+                   lambda name, cls: (name in exported if cls is None else
+                                      cls == "Series"
+                                      and not name.startswith("_")),
+                   mentioned)
 
 
 def int_type_checks(text: str) -> list:
@@ -251,6 +292,45 @@ def test_the_check_finds_a_dead_private_name():
 def test_every_private_name_of_the_package_is_used():
     texts = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert not dead_private_names(texts)
+
+
+def test_the_check_finds_an_unused_public_name():
+    texts = {"__init__": ("from .a import Series, helper, spare\n"
+                          "__all__ = ['Series', 'helper', 'spare']\n"),
+             "a": ("class Series:\n"
+                   "    def used(self):\n"
+                   "        return self.looked_up\n"
+                   "    def looked_up(self):\n"
+                   "        return self._private()\n"
+                   "    def unused(self):\n"
+                   "        return self.unused()\n"
+                   "    def _private(self):\n"
+                   "        return 0\n"
+                   "    limit = 3\n"
+                   "class Other:\n"
+                   "    def spare(self):\n"
+                   "        return 0\n"
+                   "def helper(s):\n"
+                   "    return s.used()\n"
+                   "def spare():\n"
+                   "    return spare()\n"),
+             "run": ("from a import helper as h\n"
+                     "def main(s):\n"
+                     "    return h(Series.__dict__['limit'])\n")}
+    assert unused_public_names(texts, {"Series", "helper", "spare"}) == {
+        ("a", "Series.unused"), ("a", "spare")}
+
+
+def test_every_public_name_of_the_package_is_used():
+    texts = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py")) + BENCH}
+    exported = set(wseries.__all__)
+    assert exported <= {n for text in texts.values()
+                        for top in ast.parse(text).body
+                        for n in _defines(top)}
+    unused = {name for _, name in unused_public_names(texts, exported)}
+    assert unused == TEST_ONLY, (
+        f"no library or benchmark code names {sorted(unused)}; only "
+        f"{sorted(TEST_ONLY)} may be left to the tests")
 
 
 def test_the_check_finds_a_series_only_name():

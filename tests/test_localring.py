@@ -6,7 +6,7 @@ import pytest
 
 from support import (S, identical, in_key_order, kernel_spaces,
                      kernel_table, random_implicit_input, random_series,
-                     reference_implicit, wide_coeff)
+                     reference_implicit, squared, wide_coeff)
 from wseries import (PreconditionError, Series, divide_by_variable,
                      even_odd_split, halve_exponents, solve_implicit)
 
@@ -171,4 +171,4 @@ def test_halving_round_trips_with_squaring():
     for _ in range(15):
         f = random_series(rng, 2, 8, nterms=9)
         g0, _ = even_odd_split(f, 2)
-        assert halve_exponents(g0, 2).substitute_square(2).same_data(g0)
+        assert squared(halve_exponents(g0, 2), 2).same_data(g0)

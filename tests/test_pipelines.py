@@ -65,7 +65,7 @@ def test_descent_reconstruction_and_oracle_random():
 
 
 def test_descent_in_a_middle_variable():
-    f = S("(x1+x2)^2 + (x1+x2)^3", 2, 12).permute_variables([2, 1])
+    f = S("(x1+x2)^2 + (x1+x2)^3", 2, 12)
     sp = split_square(f, 1)
     rec = reconstruct_split(sp, 1)
     assert (rec - f).vanishes_through(8)
@@ -372,8 +372,8 @@ def test_extension_exposes_its_preparations():
     assert len(pairs) == 2
     g0, g1 = even_odd_split(h.compose([S("x1 + x2", 2, 10)]), 2)
     t = Series.variable(3, 3, 10)
-    wanted = (g0.adjoin_variable() - t * t,
-              divide_by_variable(g1, 2).adjoin_variable() - t)
+    wanted = (g0.embed_variable(3) - t * t,
+              divide_by_variable(g1, 2).embed_variable(3) - t)
     for (F, P), want in zip(pairs, wanted, strict=True):
         assert F.same_data(want)
         assert P.d == 2
