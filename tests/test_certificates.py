@@ -205,6 +205,9 @@ REWRITES = {
     "divide_by_variable": (lambda f, k: [divide_by_variable(f, k)],
                            lambda e, k: e[k - 1] > 0, (1, 1)),
     "even_odd_split": (lambda f, k: [*even_odd_split(f, k)], None, (1, 0)),
+    "coefficient_series_x_k_free": (
+        lambda f, k: [f.coefficient_series(k, 0)],
+        lambda e, k: e[k - 1] == 0, (1, 0)),
     "halve_exponents": (lambda f, k: [halve_exponents(f, k)],
                         lambda e, k: e[k - 1] % 2 == 0, (2, 0)),
     "embed_variable": (

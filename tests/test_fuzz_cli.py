@@ -60,18 +60,27 @@ def _on_alarm(signum, frame):
 
 def run(argv, limit=CPU_LIMIT):
     """``(exit code, stdout, stderr)`` of ``cli.main(argv)`` in process;
-    the test fails once the run takes ``limit`` seconds of CPU."""
+    the test fails once the run takes ``limit`` seconds of CPU.
+
+    The failure is raised outside the ``except`` block, so pytest does
+    not report the ``CaseTimeout`` traceback with it: CPython 3.11 can
+    land the alarm on an instruction with no line number, and pytest's
+    report of that traceback stops the whole run with an internal
+    error."""
     out, err = io.StringIO(), io.StringIO()
+    timed_out = False
     previous = signal.signal(signal.SIGPROF, _on_alarm)
     signal.setitimer(signal.ITIMER_PROF, limit)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     except CaseTimeout:
-        pytest.fail(f"{argv} took more than {limit} s of CPU")
+        timed_out = True
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
+    if timed_out:
+        pytest.fail(f"{argv} took more than {limit} s of CPU")
     return code, out.getvalue(), err.getvalue()
 
 

@@ -692,6 +692,23 @@ def test_variable_plumbing():
     assert g.coefficient_series(3, 0).same_data(f)
 
 
+def test_the_x_k_free_part_undoes_embedding_at_every_position():
+    """``coefficient_series(k, 0)`` of a series with no ``x_k`` term is
+    the series in the other variables: it takes back ``embed_variable(k)``
+    at every position, table, truncation and certificate alike, and the
+    other coefficients of ``x_k`` are zero."""
+    rng = random.Random(31)
+    for _ in range(20):
+        nvars, trunc = rng.randint(1, 3), rng.randint(0, 6)
+        f = random_series(rng, nvars, trunc).with_guarantee(
+            rng.randint(-1, trunc))
+        for k in range(1, nvars + 2):
+            g = f.embed_variable(k)
+            assert identical(g.coefficient_series(k, 0), f), (f, k)
+            assert all(g.coefficient_series(k, j).is_zero()
+                       for j in (1, 2))
+
+
 def assert_clean(s):
     """The stored table holds the invariant the validating constructor
     enforces, so re-validating it changes nothing."""
