@@ -275,17 +275,31 @@ def semigroup_check(poly: DistinguishedPoly, source: Series,
     raised.
 
     With ``order_shift`` enabled the reachable set is additionally closed
-    under subtracting the distinguished monomial exponent ``d*e_k`` (the
-    rewriting the division recursion performs), which is the containment
-    the preparation output provably satisfies.
+    under subtracting the distinguished monomial exponent ``s = d*e_k``
+    (the rewriting the division recursion performs), which is the
+    containment the preparation output provably satisfies.  The closure is
+    capped by its targets: additions can go before every shift, and a
+    smallest sum of generators equal to ``t + m*s`` uses no copy of ``s``
+    when ``m > 0``, at most ``deg(t) - t_k`` off-axis generators and each
+    other axis generator fewer than ``d`` times.  So no witness passes
+    degree ``deg(t) + (deg(t) - t_k)*X + (d - 1)*A``, with ``X`` the
+    largest x_k exponent of an off-axis generator and ``A`` the sum of the
+    axis exponents other than ``d``, and the cap is the largest such bound,
+    or ``source.trunc`` when that is smaller.
     """
     expanded = poly.expand()
     bound = expanded.guaranteed_degree
     targets = [e for e in expanded.support() if sum(e) <= bound]
     generators = sorted(source.support(), key=term_sort_key)
     shift = cap = None
-    if order_shift and poly.d:
-        shift, cap = _axis(source.nvars, poly.k, poly.d), source.trunc
+    if order_shift and (d := poly.d):
+        k = poly.k - 1
+        shift = _axis(source.nvars, poly.k, d)
+        x = max((g[k] for g in generators if sum(g) > g[k]), default=0)
+        a = sum(g[k] for g in generators if sum(g) == g[k] != d)
+        cap = min(source.trunc, max(
+            (sum(t) + (sum(t) - t[k]) * x + (d - 1) * a for t in targets),
+            default=0))
     checks = check_membership(targets, generators, cap=cap, shift_expo=shift)
     return SemigroupReport(tuple(generators), checks, order_shift)
 
@@ -344,9 +358,13 @@ def holomorphic_extension(h: Series) -> ComplexExtension:
     with only the terms through the truncation formed.  That series is
     ``g(x1, i*x2)`` for the half ``g``, of the half's order, so ``t`` is
     weighed by it: 2 for the even half, 1 for the odd half divided by
-    ``x2``.  The certificate is :func:`split_square`'s, ``(1, 4)`` of
-    ``f``'s.  The restriction to ``x2 = 0`` returns ``h`` and the pair
-    satisfies the Cauchy-Riemann equations through the certified degree.
+    ``x2``.  As ``v = x2 * s1`` keeps ``s1`` only through ``N - 1``, the
+    odd half descends at truncation ``N - 1`` (``g1/x2`` has no term of
+    degree ``N`` and is certified through ``N - 1`` at most), and ``v``
+    puts one ``x2`` on each term of its solution, with no product.  The
+    certificate is :func:`split_square`'s, ``(1, 4)`` of ``f``'s.  The
+    restriction to ``x2 = 0`` returns ``h`` and the pair satisfies the
+    Cauchy-Riemann equations through the certified degree.
     """
     if h.nvars != 1:
         raise ValueError("expected a univariate series")
@@ -359,8 +377,10 @@ def holomorphic_extension(h: Series) -> ComplexExtension:
     _, g0, g1, gd = _halves(h.compose([arg]), 2)
     square = Series.monomial((0, 2, 0), 3, n2, -1)
     u = _descend(g0, 2, square, 2)
-    v = Series.variable(2, 2, n2) * _descend(g1, 2, square, 1)
-    return ComplexExtension(u.with_guarantee(gd), v.with_guarantee(gd), gd)
+    s1 = _descend(Series(2, n2 - 1, g1.terms, g1.guaranteed_degree), 2,
+                  square, 1)
+    v = Series(2, n2, {(a, b + 1): c for (a, b), c in s1.terms.items()}, gd)
+    return ComplexExtension(u.with_guarantee(gd), v, gd)
 
 
 def direct_complexification(h: Series) -> ComplexExtension:

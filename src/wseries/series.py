@@ -15,25 +15,27 @@ tables with disjoint keys to exponent tuples and ``Fraction``
 coefficients, each over its own table's denominator).  A solve returns
 its nonempty grades as such a list, each over its own denominator, and
 :func:`_flatten` joins one into a single table only where a table is
-needed whole.  The decoder sets the term order: every table
-it returns (the results of ``*``, :meth:`Series.inverse`, Weierstrass
-division and preparation, and implicit solving) lists its terms in key
-order, by total degree and then by exponent tuple, so ``x2^2`` precedes
-``x1*x2`` precedes ``x1^2``.  Weierstrass division and preparation stay
-packed from input to output: :func:`_division_loop` packs their inputs
-once, splits and solves on packed tables, each division by a unit is one
-:func:`_over`, which checks that its divisor is a unit, and each series
-they return is decoded once.  :func:`_solve` works along an axis, given
-by the place value of the x_k digit in a key, and an order; its docstring
-states the one axis rule.  The division loop splits ``f`` and solves
-along x_k at order ``d``, and :func:`_over` solves along no axis at order
-0.  Implicit solving divides nothing: :func:`_implicit` solves ``f(x',
-phi) = 0`` by a Horner recurrence in the ``n - 1`` remaining variables,
-one total degree at a time, and decodes ``phi`` once.  ``*`` calls the
-product kernel :func:`_products` directly.  ``_remap``,
-:func:`_sum`, :meth:`Series.compose` and negation still work on the decoded
-tables; ``compose`` scales each power by its coefficient instead of
-multiplying by a constant series, and ``**`` is one composition.
+needed whole.  The decoder sets the term order: every table it returns (the
+results of ``*``, :meth:`Series.inverse`, :meth:`Series.compose` and
+``**``, Weierstrass division and preparation, and implicit solving) lists
+its terms in key order, by total degree and then by exponent tuple, so
+``x2^2`` precedes ``x1*x2`` precedes ``x1^2``.  Weierstrass division and
+preparation stay packed from input to output: :func:`_division_loop` packs
+their inputs once, splits and solves on packed tables, each division by a
+unit is one :func:`_over`, which checks that its divisor is a unit, and
+each series they return is decoded once.  :func:`_solve` works along an
+axis, given by the place value of the x_k digit in a key, and an order; its
+docstring states the one axis rule.  The division loop splits ``f`` and
+solves along x_k at order ``d``, and :func:`_over` solves along no axis at
+order 0.  Implicit solving divides nothing: :func:`_implicit` solves
+``f(x', phi) = 0`` by a Horner recurrence in the ``n - 1`` remaining
+variables, one total degree at a time, and decodes ``phi`` once.  ``*``
+calls the product kernel :func:`_products` directly.
+:meth:`Series.compose` is packed too: it keeps the powers of its
+substituends packed, scales each by its coefficient in integers instead of
+multiplying by a constant series, and decodes once; ``**`` is one
+composition.  ``_remap``, :func:`_sum` and negation still work on the
+decoded tables.
 
 Alongside the truncation bound each value carries a ``guaranteed_degree``:
 the total degree up to which its coefficients are certified to agree with
@@ -412,10 +414,14 @@ class Series:
         some ``g``, can only disturb the result above that degree because
         each ``g`` has positive order.
 
-        The powers of each ``g`` are formed once, as products.  A term scales
-        its first power (or the constant 1) by its coefficient and multiplies
-        by the rest; a term whose degree, weighted by the orders of the
-        ``g``, lies past the truncation is zero and forms no product.
+        Works on packed tables: each ``g`` is packed once, with one
+        :class:`_Keys` at the least truncation, and its powers are formed
+        once by :func:`_products`, kept sorted by key and never decoded.  A
+        term scales its first power (or the constant 1) by its coefficient
+        in integers and multiplies by the rest; a term whose degree,
+        weighted by the orders of the ``g``, lies past the truncation is
+        zero and forms no product.  The parts are summed over the lcm of
+        their denominators and decoded once, in key order.
         """
         if len(gs) != self.nvars:
             raise ValueError(f"expected {self.nvars} substituends, got {len(gs)}")
@@ -431,20 +437,33 @@ class Series:
         trunc = min(self.trunc, min(g.trunc for g in gs))
         gd = min(self.guaranteed_degree, min(g.guaranteed_degree for g in gs))
         orders = [min(map(sum, g.terms), default=trunc + 1) for g in gs]
-        one = Series.constant(1, m, trunc)
-        rows = [[one] for _ in gs]
-        parts = [Series.zero(m, trunc)]
-        for expo, coeff in self._terms.items():
+        keys = _Keys(m, trunc)
+        packed = [keys.pack(g.terms) for g in gs]
+        rows = [[([(0, 1)], 1)] for _ in gs]
+        parts = []
+        for expo, c in self._terms.items():
             if sum(e * o for e, o in zip(expo, orders)) > trunc:
                 continue
             prod = None
-            for row, g, e in zip(rows, gs, expo):
-                while len(row) <= e:
-                    row.append(row[-1] * g)
-                if e:
-                    prod = row[e] * coeff if prod is None else prod * row[e]
-            parts.append(one * coeff if prod is None else prod)
-        return _sum(parts).with_guarantee(gd)
+            for row, (gx, dg), e in zip(rows, packed, expo):
+                while len(row) <= e:  # each power sorted, as a product's ys
+                    ys, dy = row[-1]
+                    acc = _products({}, gx, ys, keys.limit, 1).items()
+                    row.append((sorted((k, v) for k, v in acc if v), dg * dy))
+                if e and prod:
+                    acc = _products({}, prod[0], row[e][0], keys.limit, 1)
+                    prod = ([(k, v) for k, v in acc.items() if v],
+                            prod[1] * row[e][1])
+                elif e:
+                    prod = ([(k, v * c.numerator) for k, v in row[e][0]],
+                            row[e][1] * c.denominator)
+            parts.append(prod or ([(0, c.numerator)], c.denominator))
+        den = lcm(*[d for _, d in parts])
+        acc = {}
+        for items, d in parts:
+            for k, v in items:
+                acc[k] = acc.get(k, 0) + v * (den // d)
+        return keys.series([([(k, v) for k, v in acc.items() if v], den)], gd)
 
     def derivative(self, k: int) -> "Series":
         """Partial derivative in ``x_k``; certainty drops by one degree."""
@@ -779,6 +798,18 @@ def _implicit(f: Series, k: int) -> Series:
     visits only those steps and its cost follows the parts that hold
     terms, not the truncation.
 
+    Let ``omega`` be the least degree of ``R_0``, at least 1.  Then ``phi
+    = sum_j R_j * phi^j`` has order ``omega`` at least: below it ``R_0``
+    is zero, ``R_1 * phi`` has a higher order than ``phi`` and ``R_j *
+    phi^j``, ``j >= 2``, at least twice it.  Unrolling the recurrence,
+    ``phi = sum_(i<j) R_i * phi^i + phi^j * H_j``, so a part of ``H_j`` of
+    degree ``e`` enters ``phi`` at degree ``e + j*omega`` or above, and
+    the walk skips it when that passes the truncation.  A part it forms,
+    ``e + j*omega <= trunc``, reads only parts it forms: the part of
+    ``H_(j+1)`` at ``e - a``, ``a >= omega``, has ``e - a + (j+1)*omega
+    <= e + j*omega``.  So ``phi`` is unchanged, and at ``omega = 1`` the
+    bound is the ``trunc - j`` above.
+
     The degree-``D`` part of ``phi`` reads ``f`` through degree ``D``
     only, so ``phi`` is certified as far as ``f``.  Each part is a packed
     table in the ``n - 1`` variables, one per degree: ``R_j``'s carry
@@ -799,11 +830,14 @@ def _implicit(f: Series, k: int) -> Series:
         for key, n in sorted(items):
             h[j].setdefault(key // keys.top, ([], den * scale.denominator))[
                 0].append((key, n * scale.numerator))
+    omega = min(h[0], default=1)
     todo = {a + c + i - 1 for a in h[0] for i in range(1, last + 2)
             for c in h[i]}
     while todo and (deg := min(todo)) <= f.trunc:
         for j in range(min(last, deg), -1, -1):
             e, above = deg - j, h[j + 1]
+            if e + j * omega > f.trunc:
+                continue  # this part reaches phi past the truncation
             reads = [(x, y, dx * dy) for a, (x, dx) in h[0].items()
                      if e - a in above for y, dy in [above[e - a]]]
             if reads:

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from support import (S, identical, in_key_order, kernel_spaces,
-                     kernel_table, random_implicit_input, random_series,
-                     reference_implicit, squared, wide_coeff)
+                     kernel_table, random_exponent, random_implicit_input,
+                     random_series, reference_implicit, squared, wide_coeff)
 from wseries import (PreconditionError, Series, divide_by_variable,
                      even_odd_split, halve_exponents, solve_implicit)
 
@@ -89,6 +89,41 @@ def test_solution_matches_the_division_route():
                 phi = solve_implicit(f, k)
                 assert identical(phi, reference_implicit(f, k)), (f, k)
                 assert in_key_order(phi), (f, k)
+
+
+def test_solution_of_a_late_x_k_free_part_matches_the_division_route():
+    """The walk skips a part of ``H_j`` of degree ``e`` when ``e + j*omega``
+    passes the truncation, ``omega`` the least degree of the x_k-free part
+    ``R_0``: ``phi`` has order ``omega`` at least, so that part reaches no
+    stored degree.  Against :func:`reference_implicit`, at omega 2, 3 and
+    4 in 2 and 3 variables, trunc omega to 12: ``R_0`` a single monomial
+    of degree omega or several up to the truncation, extra terms with x_k,
+    and an ``x_k^J`` term for every ``J`` up to the truncation, so ``phi``
+    has terms at ``e + j*omega`` equal to the truncation.  Table,
+    truncation, certificate and key order agree."""
+    rng = random.Random(3101)
+    for omega in (2, 3, 4):
+        for nvars in (2, 3):
+            for trunc in range(omega, 13):
+                k = rng.randint(1, nvars)
+                for single in (True, False):
+                    terms = {}
+                    for hi in [omega] + [trunc] * (0 if single else 3):
+                        e = random_exponent(rng, nvars - 1, omega, hi)
+                        terms[e[:k - 1] + (0,) + e[k - 1:]] = wide_coeff(rng)
+                    for _ in range(3):
+                        e = list(random_exponent(rng, nvars, 1, trunc - 1))
+                        e[k - 1] += 1
+                        terms[tuple(e)] = wide_coeff(rng)
+                    for j in range(1, trunc + 1):
+                        terms[tuple(j if i == k - 1 else 0
+                                    for i in range(nvars))] = wide_coeff(rng)
+                    f = Series(nvars, trunc, terms)
+                    f = f.with_guarantee(rng.randint(0, trunc))
+                    phi = solve_implicit(f, k)
+                    assert identical(phi, reference_implicit(f, k)), (f, k)
+                    assert in_key_order(phi), (f, k)
+                    assert phi.vanishes_through(omega - 1), (f, k)
 
 
 def test_solve_at_a_huge_truncation_visits_only_the_degrees_it_reaches():

@@ -1,6 +1,7 @@
 """Square descent, support-semigroup reports, and the holomorphic
 extension with its Cauchy-Riemann verification."""
 
+import contextlib
 import random
 import signal
 from types import SimpleNamespace
@@ -194,21 +195,28 @@ def test_membership_cap_is_a_size_never_below_the_targets():
         assert str(err.value) == message
 
 
-def test_membership_rejects_a_negative_shift_at_once():
-    # adding a negative shift has no degree cap, so the closure would not
-    # end; a 1 s CPU alarm turns a hang into a failure
+@contextlib.contextmanager
+def cpu_second(what):
+    """A 1 s CPU alarm that turns a hang of ``what`` into a failure."""
     def hang(signum, frame):
-        raise TimeoutError("check_membership did not return")
+        raise TimeoutError(f"{what} did not return")
 
     previous = signal.signal(signal.SIGPROF, hang)
     signal.setitimer(signal.ITIMER_PROF, 1)
     try:
-        for shift in ((-1, 0), (2, -1)):
-            with pytest.raises(ValueError, match="negative entry"):
-                check_membership([(0, 1)], [(1, 1)], cap=2, shift_expo=shift)
+        yield
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
+
+
+def test_membership_rejects_a_negative_shift_at_once():
+    # adding a negative shift has no degree cap, so the closure would not
+    # end
+    with cpu_second("check_membership"):
+        for shift in ((-1, 0), (2, -1)):
+            with pytest.raises(ValueError, match="negative entry"):
+                check_membership([(0, 1)], [(1, 1)], cap=2, shift_expo=shift)
 
 
 def test_membership_cross_checked_against_naive_oracle():
@@ -246,6 +254,23 @@ def test_shifted_containment_holds_on_descent_preparations():
         shift = tuple(P.d if i == P.k - 1 else 0 for i in range(F.nvars))
         for check in report.checks:
             assert witness_is_valid(check, shift)
+
+
+def test_shifted_containment_is_capped_by_its_targets():
+    # the closure stops at the degree a smallest witness can reach, 24
+    # here (target (8, 0), X = 2, A = 0), not at the source's truncation,
+    # whose box would not close inside the alarm; (2, 1) = (1, 1) + (1, 2)
+    # - (0, 2) needs a shift
+    f = S("x2^2 + x1*x2 + x1^3 + x1*x2^2", 2, 10)
+    poly = weierstrass_prepare(f, 2).poly
+    with cpu_second("semigroup_check"):
+        report = semigroup_check(poly, Series(2, 100000, f.terms),
+                                 order_shift=True)
+    assert report.checks == semigroup_check(poly, f, order_shift=True).checks
+    assert report.all_member and len(report.checks) == 14
+    assert all(witness_is_valid(c, (0, 2)) for c in report.checks)
+    check = next(c for c in report.checks if c.exponent == (2, 1))
+    assert check.witness == ((1, 1), (1, 2)) and check.shifts == 1
 
 
 def test_semigroup_check_on_unit_input():
@@ -366,6 +391,23 @@ def test_extension_matches_binomial_route_on_every_stored_term():
         assert ext.v.same_data(direct.v), h
 
 
+def test_extension_with_the_odd_half_at_n_minus_1_matches_binomial_route():
+    # the odd half descends at N - 1 and v puts one x2 on each term of its
+    # solution: every stored term matches, u and v are stored at N, and
+    # both carry the certificate (1, 4) of h's
+    rng = random.Random(3103)
+    for _ in range(200):
+        trunc = rng.randint(4, 20)
+        h = random_normalized_h(rng, trunc, density=rng.uniform(0.2, 1.0))
+        h = h.with_guarantee(gd := rng.randint(3, trunc))
+        ext = holomorphic_extension(h)
+        direct = direct_complexification(h)
+        assert ext.u.same_data(direct.u) and ext.v.same_data(direct.v), h
+        assert ext.u.trunc == ext.v.trunc == trunc, h
+        assert (ext.guaranteed_degree == ext.u.guaranteed_degree
+                == ext.v.guaranteed_degree == max(gd - 4, -1)), h
+
+
 def test_extension_exposes_its_preparations():
     h = S("x1^2 + x1^3", 1, 10)
     _, pairs = descent_polynomials(holomorphic_extension, h)
@@ -377,6 +419,8 @@ def test_extension_exposes_its_preparations():
     for (F, P), want in zip(pairs, wanted, strict=True):
         assert F.same_data(want)
         assert P.d == 2
+    # v = x2 * s1 keeps s1 only through N - 1, so the odd half descends there
+    assert [F.trunc for F, _ in pairs] == [10, 9]
 
 
 def test_direct_complexification_examples():

@@ -367,7 +367,9 @@ def test_pow_matches_repeated_products():
             expected = Series.constant(1, nvars, trunc).with_guarantee(
                 base.guaranteed_degree)
             for exponent in range(12):
-                assert identical(base ** exponent, expected), (base, exponent)
+                power = base ** exponent
+                assert identical(power, expected), (base, exponent)
+                assert in_key_order(power), (base, exponent)
                 expected = expected * base
 
 

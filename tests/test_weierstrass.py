@@ -9,8 +9,8 @@ import pytest
 import wseries.weierstrass as wmod
 from support import (S, exported, identical, in_key_order, kernel_spaces,
                      kernel_table, random_even_order2, random_implicit_input,
-                     random_order_d, random_series, reference_division_loop,
-                     truncated, wide_coeff)
+                     random_normalized_h, random_order_d, random_series,
+                     reference_division_loop, truncated, wide_coeff)
 from wseries import (DistinguishedPoly, InternalInvariantError,
                      PreconditionError, Series, holomorphic_extension, series,
                      solve_implicit, weierstrass_divide, weierstrass_prepare)
@@ -253,7 +253,9 @@ def test_kernel_pairs_of_one_implicit_solve_and_one_extension(monkeypatch):
     ``holomorphic_extension`` at N = 12, whose square descent solves one
     implicit equation after each preparation, at ``z = -x2^2``.  Solving
     by division formed 6760 and 24524 pairs; solving in the squared
-    variable and then putting ``-x2^2`` in formed 13394."""
+    variable and then putting ``-x2^2`` in formed 13394; solving at ``z =
+    -x2^2`` with the odd half at N, every Horner part formed and ``x2 *
+    s1`` a product formed 7252."""
     calls = _kernel_callers(monkeypatch)
     f = random_implicit_input(random.Random(2703), 3, 10, 3, nterms=40)
     assert len(solve_implicit(f, 3).terms) == 64
@@ -261,7 +263,20 @@ def test_kernel_pairs_of_one_implicit_solve_and_one_extension(monkeypatch):
     calls.clear()
     holomorphic_extension(S("x1^2 + x1^3 - 2*x1^4 + 1/3*x1^5 + x1^7"
                             " - 3/4*x1^9 + 5*x1^12", 1, 12))
-    assert sum(pairs for _, pairs in calls) == 7252
+    assert sum(pairs for _, pairs in calls) == 5536
+
+
+def test_extension_reaches_the_kernel_through_compose_and_its_solves(
+        monkeypatch):
+    """``holomorphic_extension`` multiplies only in the packed
+    ``compose`` of ``h(x1 + x2)`` and in its descents' solves: ``v`` puts
+    ``x2`` on each term of ``s1``, and no ``Series.__mul__`` is called."""
+    calls = _kernel_callers(monkeypatch)
+    rng = random.Random(3102)
+    for trunc in (4, 8, 12):
+        holomorphic_extension(random_normalized_h(rng, trunc, density=0.8))
+    assert calls and {name for name, _ in calls} <= {"compose", "_solve",
+                                                     "_implicit"}
 
 
 def test_division_is_deterministic():
