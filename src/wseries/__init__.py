@@ -10,8 +10,7 @@ from .parser import parse_expression, parse_series
 from .weierstrass import (DistinguishedPoly, DivisionResult,
                           PreparationResult, weierstrass_divide,
                           weierstrass_prepare)
-from .localring import (divide_by_variable, even_odd_split,
-                        halve_exponents, solve_implicit)
+from .localring import divide_by_variable, even_odd_split, solve_implicit
 from .pipelines import (CauchyRiemannReport, ComplexExtension,
                         SemigroupReport, SquareSplit, SupportCheck,
                         cauchy_riemann_check, check_membership,
@@ -37,7 +36,6 @@ __all__ = [
     "solve_implicit",
     "divide_by_variable",
     "even_odd_split",
-    "halve_exponents",
     "SquareSplit",
     "split_square",
     "reconstruct_split",

@@ -50,21 +50,3 @@ def even_odd_split(f: Series, k: int) -> tuple[Series, Series]:
     return (f._remap(lambda e, c: None if e[k - 1] % 2 else (e, c)),
             f._remap(lambda e, c: (e, c) if e[k - 1] % 2 else None))
 
-
-def halve_exponents(f: Series, k: int) -> Series:
-    """Halves every ``x_k`` exponent of a series even in ``x_k``: this
-    undoes doubling the ``x_k`` exponents.
-
-    Each stored coefficient is a verbatim source coefficient, but halving
-    lowers the degree: the result's coefficient at ``(a', j)``, of degree
-    ``|a'| + j``, is the source's at ``(a', 2j)``, of degree up to twice
-    that.  So the read map is ``(2, 0)``, and the result is certified
-    through ``G // 2`` for ``f`` certified through ``G``.
-    """
-    k = _check_index(k, f.nvars)
-    bad = next((e for e in f.terms if e[k - 1] % 2), None)
-    if bad is not None:
-        raise PreconditionError(
-            f"term {bad} has odd x{k} exponent: cannot halve")
-    return f._remap(lambda e, c: (e[:k - 1] + (e[k - 1] // 2,) + e[k:], c),
-                    read=(2, 0))

@@ -12,6 +12,10 @@ last variable ``t``, divide ``x_k^2`` by ``F``, check that the odd
 coefficient of ``P = x_k^2 - r`` vanishes identically, and solve ``z +
 a2(x', t) = 0`` for ``t``; the solution is the descended series.
 The odd part is divided by ``x_k`` first and descended the same way.
+The descent stays packed from the division to the solution: ``P`` is
+never decoded, and the remainder ``r`` of the division loop becomes the
+parts of the implicit solve's Horner walk key by key, in ``series.py``,
+which does all key arithmetic.
 
 On top of the decomposition sits the holomorphic extension of a univariate
 series ``h`` with profile ``x^2 + x^3 + higher``: the split of ``h(x1 +
@@ -40,10 +44,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InternalInvariantError, PreconditionError
-from .localring import (divide_by_variable, even_odd_split, halve_exponents,
-                        solve_implicit)
+from .localring import divide_by_variable, even_odd_split
 from .series import (Series, term_sort_key, _axis, _certified,
-                     _check_index, _exponent, _Record, _size, _sum)
+                     _check_index, _exponent, _horner, _Record, _size,
+                     _square_parts, _sum)
 from .weierstrass import DistinguishedPoly, _distinguished
 # not called here: perfbench's span recorder test reads the name from here
 from .weierstrass import weierstrass_prepare  # noqa: F401
@@ -122,30 +126,33 @@ def _descend(g: Series, k: int, square: Series, weight: int) -> Series:
     even series of order 2 in ``x_k``.  ``F = g - t^weight``, ``t`` a fresh
     last variable, prepares in ``x_k`` to ``x_k^2 + a2(x', t^weight)``, and
     the solution ``t`` of ``square + a2(x', t) = 0`` is returned.
-    ``square`` is a series in ``n + 1`` variables that does not depend on
-    the last, ``t``; ``a2`` gets a new variable at place ``n``, before
-    ``t``, and ``square`` equal to that variable gives ``s`` itself.  The
-    weight is at most the order of ``s(x', square)``: a term ``x'^a t^m``
-    of ``a2`` enters the solution at degree ``a + weight*m`` or above, so
-    ``F`` forms only the terms that reach the truncation, and at weight 2
-    halving the ``t`` exponents takes ``a2`` back to ``t``.  The caller
-    certifies the solution."""
+    ``square`` is a series in ``n + 1`` variables: ``x'``, a slot at place
+    ``n`` and ``t``; each of its terms holds the slot and not ``t``, and
+    ``square`` equal to the slot gives ``s`` itself.  The weight is at most
+    the order of ``s(x', square)``: a term ``x'^a t^m`` of ``a2`` enters
+    the solution at degree ``a + weight*m`` or above, so ``F`` forms only
+    the terms that reach the truncation, and at weight 2 ``a2`` has even
+    ``t`` exponents, halved back to ``t``.
+
+    ``F`` is a checked series, :func:`weierstrass._distinguished` checks
+    its order and runs the division loop, and ``P`` is never decoded:
+    :func:`series._square_parts` takes the loop's packed remainder straight
+    to the parts of the Horner walk :func:`series._horner`, checking that
+    ``a1`` vanishes and that ``a2`` solves for ``t``.  A term of degree
+    ``D`` of the solution reads ``a2`` through degree ``weight*D``, and
+    ``P`` is certified 2 below ``F``, so the solution reads ``F`` by the
+    map ``(weight, 2)``; the callers certify their outputs by their own
+    map."""
     n = g.nvars
-    F = g.embed_variable(n + 1) - Series.monomial(_axis(n + 1, n + 1, weight),
-                                                  n + 1, g.trunc)
-    poly = _distinguished(F, k)[0]
-    if poly.d != 2:
+    F = Series(n + 1, g.trunc, {**g.embed_variable(n + 1).terms,
+                                _axis(n + 1, n + 1, weight): -1},
+               g.guaranteed_degree)
+    k, d, (_, rem, _, keys) = _distinguished(F, k)
+    if d != 2:
         raise InternalInvariantError(
-            f"expected order 2 in x{k}, preparation found {poly.d}")
-    odd_coeff, const_coeff = poly.coeffs
-    if not odd_coeff.is_zero():
-        # parity through every step of the division makes this exact zero
-        raise InternalInvariantError(
-            "odd coefficient survived preparation of an even series: "
-            f"{odd_coeff.canonical()}")
-    if weight == 2:
-        const_coeff = halve_exponents(const_coeff, n)
-    return solve_implicit(square + const_coeff.embed_variable(n), n + 1)
+            f"expected order 2 in x{k}, preparation found {d}")
+    gd = _certified(F.guaranteed_degree, F.trunc, (weight, 2))
+    return _horner(*_square_parts(rem, keys, k, weight, square), gd)
 
 
 def reconstruct_split(split: SquareSplit, k: int) -> Series:

@@ -27,10 +27,14 @@ each series they return is decoded once.  :func:`_solve` works along an
 axis, given by the place value of the x_k digit in a key, and an order; its
 docstring states the one axis rule.  The division loop splits ``f`` and
 solves along x_k at order ``d``, and :func:`_over` solves along no axis at
-order 0.  Implicit solving divides nothing: :func:`_implicit` solves
+order 0.  Implicit solving divides nothing: :func:`_horner` solves
 ``f(x', phi) = 0`` by a Horner recurrence in the ``n - 1`` remaining
-variables, one total degree at a time, and decodes ``phi`` once.  ``*``
-calls the product kernel :func:`_products` directly.
+variables, one total degree at a time, from the packed parts of the rows
+of ``-f/c``, and decodes ``phi`` once.  :func:`_implicit` builds the parts
+from a series; :func:`_square_parts` builds them from the packed
+remainder of the division loop, key by key, so the square descent of
+``pipelines`` runs from its division to its solution with no decode.
+``*`` calls the product kernel :func:`_products` directly.
 :meth:`Series.compose` is packed too: it keeps the powers of its
 substituends packed, scales each by its coefficient in integers instead of
 multiplying by a constant series, and decodes once; ``**`` is one
@@ -215,9 +219,6 @@ class Series:
 
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self.nvars, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def vanishes_through(self, degree: int) -> bool:
         """True when no stored term has total degree <= ``degree``."""
@@ -781,22 +782,108 @@ def _solve(a: tuple, b: tuple, keys: _Keys, place: int, order: int) -> tuple:
 def _implicit(f: Series, k: int) -> Series:
     """The solution ``phi(x')`` of ``f(x', phi) = 0`` in the variables other
     than x_k, for ``f`` with no constant term and a nonzero coefficient
-    ``c`` of ``x_k``, certified through ``f``'s certificate.  As a
-    polynomial in x_k, ``-f/c = -x_k + sum_j R_j(x') * x_k^j``, where
-    ``R_1`` leaves out ``c`` and ``J`` is the largest ``j``, so ``phi =
-    H_0`` for ``H_j = R_j + phi*H_(j+1)``, ``H_(J+1) = 0``: a Horner
-    recurrence in the ``n - 1`` remaining variables (Brent & Kung, J. ACM
-    1978).  As ``phi`` and ``H_1`` have no constant term, the degree-``e``
-    part of ``H_j`` reads ``phi`` below degree ``e + min(j, 1)`` only.  So
-    one walk up the total degree ``D`` solves it: step ``D`` forms ``H_j``
-    at degree ``D - j`` for ``j = min(J, D) .. 0``, which reads ``H_(j+1)``
-    at degrees formed at this step or before, and ends with ``phi_D``.
-    ``H_j`` starts as ``R_j`` and is formed only through degree ``trunc -
-    j``.  A step forms only the parts that some read reaches, a read being
-    a part of ``phi`` times one of an ``H_(j+1)``; each new part queues the
-    steps its reads reach, as :func:`_solve` queues its reads, so the walk
-    visits only those steps and its cost follows the parts that hold
-    terms, not the truncation.
+    ``c`` of ``x_k``, certified through ``f``'s certificate: the degree-``D``
+    part of ``phi`` reads ``f`` through degree ``D`` only.  As a polynomial
+    in x_k, ``-f/c = -x_k + sum_j R_j(x') * x_k^j``, where ``R_1`` leaves
+    out ``c``.  This builds the parts of the rows ``R_j``, one packed table
+    per total degree in the ``n - 1`` remaining variables, each carrying
+    ``f``'s numerators times ``-1/c`` over its row's denominator, and
+    :func:`_horner` solves ``phi`` from them."""
+    keys, axis = _Keys(f.nvars - 1, f.trunc), _axis(f.nvars, k, 1)
+    rows, scale = {}, -1 / f.terms[axis]
+    for e, v in f.terms.items():
+        if e != axis:
+            rows.setdefault(e[k - 1], {})[e[:k - 1] + e[k:]] = v
+    h = [{} for _ in range(max(rows, default=0) + 2)]
+    for j, row in rows.items():
+        items, den = keys.pack(row)
+        for key, n in sorted(items):
+            h[j].setdefault(key // keys.top, ([], den * scale.denominator))[
+                0].append((key, n * scale.numerator))
+    return _horner(h, keys, f.guaranteed_degree)
+
+
+def _square_parts(rem: list, keys: _Keys, k: int, weight: int,
+                  square: Series) -> tuple:
+    """``(h, out)``: the parts of :func:`_horner` for ``square + a2(x', t)
+    = 0``, solved for ``t``, and the keys ``out`` of its ``n`` variables
+    ``(x', slot)``, built from the division loop's remainder ``rem`` of
+    ``x_k^2`` by ``F = g - t^weight`` (over ``keys``, ``n + 1`` variables
+    with ``t`` last), which is ``-a1*x_k - a2(x', t^weight)``.  ``square``
+    is a series in ``(x', slot, t)`` whose terms each hold the slot and no
+    ``t``, so no term of it meets one of ``a2``.
+
+    Each item of ``rem`` goes straight to its part, with no decode: its
+    x_k digit must be 0, as ``a1`` of an even series vanishes (a 1 raises
+    :class:`InternalInvariantError`); its ``t`` digit ``m`` gives the row
+    ``j = m / weight`` (an ``m`` that ``weight`` does not divide raises
+    :class:`PreconditionError`); and its key of degree ``deg`` becomes
+    ``(deg - m)*R^n + hi*R^(n-k+1) + lo*R``, where ``hi`` and ``lo`` are
+    its digits before and after x_k and the slot digit is 0.  With ``low``
+    the key modulo x_k's place ``R^(n+1-k)``, that is ``lo*R + m``, the
+    new key is ``(key - low)/R + low - m*(R^n + 1)``.  A grade of
+    ``rem`` holds one degree and so gives each part it reaches whole; the
+    part keeps the grade's denominator.  The terms of ``square``, packed
+    by ``keys`` with a ``t`` digit of 0, go into row 0, negated: the parts
+    hold ``-f = rem - square`` for ``f = square + a2``.  The ``x'``-free
+    ``t^1`` item ``v/D`` of ``rem`` is ``-c``, ``c`` the linear coefficient
+    of ``f``, and every part is scaled by ``1/c = -D/v`` in integers, so
+    the rows are ``-f/c`` as :func:`_implicit` forms them.  A zero ``c``,
+    or a nonzero constant, raises :class:`PreconditionError`, as
+    :func:`localring.solve_implicit` does."""
+    r, n, top = keys.radix, keys.nvars - 1, keys.top
+    out, at_k = _Keys(n, r - 1), r ** (n + 1 - k)
+    parts = {}
+    for items, den in rem:
+        for key, v in items:
+            if key // at_k % r:
+                raise InternalInvariantError(
+                    "odd coefficient survived preparation of an even series")
+            if (m := key % r) % weight:
+                raise PreconditionError(f"a2 has odd t exponent {m}: "
+                                        "cannot halve")
+            low = key % at_k
+            parts.setdefault((m // weight, key // top - m), ([], den))[
+                0].append(((key - low) // r + low - m * (out.top + 1), v))
+    sq, d_sq = keys.pack(square.terms)
+    for key, v in sq:
+        items, den = parts.pop((0, e := key // top), ([], 1))
+        both = lcm(den, d_sq)
+        parts[0, e] = ([(x, w * (both // den)) for x, w in items]
+                       + [(key // r, -v * (both // d_sq))], both)
+    if (0, 0) in parts:
+        raise PreconditionError("implicit solve requires a root at the origin")
+    if (1, 0) not in parts:
+        raise PreconditionError(
+            "implicit solve requires a nonzero linear coefficient in t")
+    [(_, v)], d_v = parts.pop((1, 0))
+    scale = Fraction(-d_v, v)
+    h = [{} for _ in range(max([j for j, _ in parts], default=0) + 2)]
+    for (j, e), (items, den) in parts.items():
+        h[j][e] = (sorted((x, v * scale.numerator) for x, v in items),
+                   den * scale.denominator)
+    return h, out
+
+
+def _horner(h: list, keys: _Keys, gd: int) -> Series:
+    """The solution ``phi = H_0`` of ``H_j = R_j + phi*H_(j+1)``, ``H_(J+1)
+    = 0``, ``J = len(h) - 2``, certified through ``gd``, for the parts
+    ``h[j][e] = (items, D)`` of ``R_j``: for each ``j``, its degree-``e``
+    part as a packed table over ``keys``, sorted by key.  This is the
+    Horner recurrence of ``phi = sum_j R_j * phi^j`` in the variables of
+    ``keys`` (Brent & Kung, J. ACM 1978), which :func:`_implicit` and
+    :func:`_square_parts` set up; ``R_0`` has no constant term, and ``R_1``
+    none either.  As ``phi`` and ``H_1`` have no constant term, the
+    degree-``e`` part of ``H_j`` reads ``phi`` below degree ``e + min(j,
+    1)`` only.  So one walk up the total degree ``D`` solves it: step ``D``
+    forms ``H_j`` at degree ``D - j`` for ``j = min(J, D) .. 0``, which
+    reads ``H_(j+1)`` at degrees formed at this step or before, and ends
+    with ``phi_D``.  ``H_j`` starts as ``R_j`` and is formed only through
+    degree ``trunc - j``.  A step forms only the parts that some read
+    reaches, a read being a part of ``phi`` times one of an ``H_(j+1)``;
+    each new part queues the steps its reads reach, as :func:`_solve`
+    queues its reads, so the walk visits only those steps and its cost
+    follows the parts that hold terms, not the truncation.
 
     Let ``omega`` be the least degree of ``R_0``, at least 1.  Then ``phi
     = sum_j R_j * phi^j`` has order ``omega`` at least: below it ``R_0``
@@ -810,33 +897,18 @@ def _implicit(f: Series, k: int) -> Series:
     <= e + j*omega``.  So ``phi`` is unchanged, and at ``omega = 1`` the
     bound is the ``trunc - j`` above.
 
-    The degree-``D`` part of ``phi`` reads ``f`` through degree ``D``
-    only, so ``phi`` is certified as far as ``f``.  Each part is a packed
-    table in the ``n - 1`` variables, one per degree: ``R_j``'s carry
-    ``f``'s numerators times ``-1/c``, and a formed part is summed as int
-    numerators over the lcm of its own and its reads' denominators, one
-    :func:`_products` call per read, and reduced by the gcd of its
-    numerators as in :func:`_solve`.  The parts of ``phi`` are decoded
-    once."""
-    keys, axis = _Keys(f.nvars - 1, f.trunc), _axis(f.nvars, k, 1)
-    rows, scale = {}, -1 / f.terms[axis]
-    for e, v in f.terms.items():
-        if e != axis:
-            rows.setdefault(e[k - 1], {})[e[:k - 1] + e[k:]] = v
-    last = max(rows, default=0)
-    h = [{} for _ in range(last + 2)]
-    for j, row in rows.items():
-        items, den = keys.pack(row)
-        for key, n in sorted(items):
-            h[j].setdefault(key // keys.top, ([], den * scale.denominator))[
-                0].append((key, n * scale.numerator))
+    A formed part is summed as int numerators over the lcm of its own and
+    its reads' denominators, one :func:`_products` call per read, and
+    reduced by the gcd of its numerators as in :func:`_solve`.  The parts
+    of ``phi`` are decoded once."""
+    trunc, last = keys.radix - 1, len(h) - 2
     omega = min(h[0], default=1)
     todo = {a + c + i - 1 for a in h[0] for i in range(1, last + 2)
             for c in h[i]}
-    while todo and (deg := min(todo)) <= f.trunc:
+    while todo and (deg := min(todo)) <= trunc:
         for j in range(min(last, deg), -1, -1):
             e, above = deg - j, h[j + 1]
-            if e + j * omega > f.trunc:
+            if e + j * omega > trunc:
                 continue  # this part reaches phi past the truncation
             reads = [(x, y, dx * dy) for a, (x, dx) in h[0].items()
                      if e - a in above for y, dy in [above[e - a]]]
@@ -855,7 +927,7 @@ def _implicit(f: Series, k: int) -> Series:
                             [e + c + i - 1 for i in range(1, last + 2)
                              for c in h[i]])
         todo.discard(deg)
-    return keys.series(list(h[0].values()), f.guaranteed_degree)
+    return keys.series(list(h[0].values()), gd)
 
 
 def _over(keys: _Keys, a, x) -> list:

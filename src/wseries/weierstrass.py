@@ -138,37 +138,49 @@ def _certified_order(f: Series, k: int, noun: str, operation: str) -> tuple:
 
 
 def _distinguished(f: Series, k: int) -> tuple:
-    """``(P, loop)`` for ``f`` of certified order ``d`` in x_k, checked
-    here once for every preparation (callers read ``d`` as ``P.d``): the
-    division loop divides ``x_k^d`` by ``f``, ``P = x_k^d - rem`` is decoded
-    here and certified ``d`` below ``f``, and ``loop`` is the loop's packed
-    result, whose ``quot/high`` is ``U^-1``, so ``U = high/quot``.  The
-    remainder is negated once, on its numerators, before it is decoded.  At
+    """``(k, d, loop)`` for ``f`` of certified order ``d`` in x_k, checked
+    here once for every preparation: ``k`` as :func:`_check_index` returns
+    it, and ``loop`` the packed result of the division loop that divides
+    ``x_k^d`` by ``f``, whose remainder is ``x_k^d - P`` and whose
+    ``quot/high`` is ``U^-1``, so ``U = high/quot``.  Nothing is decoded
+    here: :func:`weierstrass_prepare` decodes ``P`` by :func:`_polynomial`,
+    and the square descent of ``pipelines`` reads the remainder packed.  At
     ``d = 0`` the loop divides 1 by ``f``: ``low`` and ``b`` are empty,
     ``quot`` is 1 and the remainder is empty, so ``P = 1``."""
     k, d = _certified_order(f, k, "series", "preparation")
     n = f.nvars
-    loop = _division_loop(Series.monomial(_axis(n, k, d), n, f.trunc), f, k, d)
+    return k, d, _division_loop(Series.monomial(_axis(n, k, d), n, f.trunc),
+                                f, k, d)
+
+
+def _polynomial(f: Series, k: int, d: int, rem: list,
+                keys) -> DistinguishedPoly:
+    """The distinguished polynomial ``P = x_k^d - rem`` of ``f`` from the
+    remainder ``rem`` of :func:`_distinguished`'s loop over ``keys``,
+    certified ``d`` below ``f``.  The remainder is negated once, on its
+    numerators, before it is decoded."""
     gd = _certified(f.guaranteed_degree, f.trunc, (1, d))
-    minus_rem = loop[3].series([([(e, -v) for e, v in items], den)
-                                for items, den in loop[1]], gd)
+    minus_rem = keys.series([([(e, -v) for e, v in items], den)
+                             for items, den in rem], gd)
     coeffs = tuple(minus_rem.coefficient_series(k, d - i)
                    for i in range(1, d + 1))
     if any(a.constant_term() != 0 for a in coeffs):
         raise InternalInvariantError(
             "distinguished coefficient does not vanish at the origin")
-    return DistinguishedPoly(d, k, n, f.trunc, coeffs), loop
+    return DistinguishedPoly(d, k, f.nvars, f.trunc, coeffs)
 
 
 def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     """Factor ``f = U * P`` with ``U`` a unit and ``P`` distinguished in
-    variable ``k``: :func:`_distinguished` divides ``x_k^d`` by ``f``, and
-    as the quotient against ``f`` is ``Q/high`` for the loop's ``Q``, ``U
-    = high/Q``, one packed :func:`_over` (which checks that ``Q`` is a unit)
+    variable ``k``: :func:`_distinguished` divides ``x_k^d`` by ``f``,
+    :func:`_polynomial` decodes ``P`` from the remainder, and as the
+    quotient against ``f`` is ``Q/high`` for the loop's ``Q``, ``U =
+    high/Q``, one packed :func:`_over` (which checks that ``Q`` is a unit)
     decoded once.  A unit ``f`` (order
     0) prepares through the same division: ``P = 1``, ``Q = 1`` and ``U =
     high = f`` in table, truncation and certificate, listed in key order."""
-    poly, (quot, _, high, keys) = _distinguished(f, k)
-    certified = _certified(f.guaranteed_degree, f.trunc, (1, poly.d))
+    k, d, (quot, rem, high, keys) = _distinguished(f, k)
+    poly = _polynomial(f, k, d, rem, keys)
+    certified = _certified(f.guaranteed_degree, f.trunc, (1, d))
     return PreparationResult(keys.series(_over(keys, high, quot), certified),
                              poly, certified)

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from wseries import (InternalInvariantError, Series, parse_series, pipelines,
-                     series)
+                     series, weierstrass)
 
 NONZERO = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
 DENOMS = [1, 1, 1, 2, 3, 4]
@@ -165,10 +165,15 @@ def record_calls(module, name):
 def descent_polynomials(run, *args):
     """``run(*args)`` and the ``(F, P)`` pair of every square descent it
     made: the series ``F = part - t`` (``part - t^2`` for the even half of
-    a holomorphic extension) and its distinguished polynomial."""
+    a holomorphic extension) that the descent divides by, as recorded at
+    its call of ``_distinguished``, and the distinguished polynomial
+    decoded from that call's own division loop by the decoder that
+    ``weierstrass_prepare`` uses.  ``F`` is not prepared again."""
     with record_calls(pipelines, "_distinguished") as calls:
         result = run(*args)
-    return result, tuple((call[0], out[0]) for call, out in calls)
+    return result, tuple(
+        (F, weierstrass._polynomial(F, k, d, loop[1], loop[3]))
+        for (F, _), (k, d, loop) in calls)
 
 
 # ----------------------------------------------------------------------
@@ -252,14 +257,18 @@ def truncated(s, trunc):
     return Series(s.nvars, trunc, s.terms, min(s.guaranteed_degree, trunc))
 
 
-def squared(f, k):
-    """``f`` with ``x_k`` replaced by ``x_k^2``: every ``x_k`` exponent
-    doubled, the terms pushed past the truncation dropped.  A result term
-    of degree ``D`` comes from a term of degree at most ``D``, so the
-    certificate is kept."""
+def halved(f, k):
+    """``f``, even in ``x_k``, with every ``x_k`` exponent halved: the
+    exponent-halving oracle of the square descent.  The result's term at
+    ``(a', j)``, of degree ``|a'| + j``, is the source's at ``(a', 2j)``,
+    of degree up to twice that, so it reads ``f`` by the map ``(2, 0)``
+    and is certified through ``G // 2`` for ``f`` certified through
+    ``G``."""
+    assert not any(e[k - 1] % 2 for e in f.terms), f
     return Series(f.nvars, f.trunc,
-                  {e[:k - 1] + (2 * e[k - 1],) + e[k:]: c
-                   for e, c in f.terms.items()}, f.guaranteed_degree)
+                  {e[:k - 1] + (e[k - 1] // 2,) + e[k:]: c
+                   for e, c in f.terms.items()},
+                  series._certified(f.guaranteed_degree, f.trunc, (2, 0)))
 
 
 def reference_division_loop(g, f, k, d):
@@ -276,7 +285,7 @@ def reference_division_loop(g, f, k, d):
     rem, delta = split_in_variable(g, k, d)
     quot = delta
     for _ in range(f.trunc + 3):
-        if delta.is_zero():
+        if not delta.terms:
             return quot, rem, unit_inv
         lo, delta = split_in_variable(delta * b, k, d)
         rem = rem + lo

@@ -15,7 +15,7 @@ from support import (S, agree_through, nonzero_rational, random_exponent,
                      random_normalized_h, random_order_d, random_series,
                      random_unit)
 from wseries import (PreconditionError, Series, cauchy_riemann_check,
-                     divide_by_variable, even_odd_split, halve_exponents,
+                     divide_by_variable, even_odd_split,
                      holomorphic_extension, reconstruct_split,
                      solve_implicit, split_square, weierstrass_divide,
                      weierstrass_prepare)
@@ -208,8 +208,6 @@ REWRITES = {
     "coefficient_series_x_k_free": (
         lambda f, k: [f.coefficient_series(k, 0)],
         lambda e, k: e[k - 1] == 0, (1, 0)),
-    "halve_exponents": (lambda f, k: [halve_exponents(f, k)],
-                        lambda e, k: e[k - 1] % 2 == 0, (2, 0)),
     "embed_variable": (
         lambda f, k: [f.embed_variable(k), f.embed_variable(f.nvars + 1)],
         None, (1, 0)),
@@ -238,20 +236,6 @@ def test_exponent_rewrites_are_certified_under_dense_perturbation(name):
         for a, b in zip(base, bent, strict=True):
             assert a.guaranteed_degree == b.guaranteed_degree
             assert agree_through(a, b, a.guaranteed_degree), (f, a, b)
-
-
-def test_halving_is_certified_through_half_the_input():
-    """Halving lowers the degree: the result's ``x1^4`` is the input's
-    ``x1^8``.  ``x1^2 + x1^6`` and ``x1^2 + x1^6 + x1^8``, certified
-    through 6, agree through 6; their halvings ``x1 + x1^3`` and ``x1 +
-    x1^3 + x1^4`` differ at degree 4, so they are certified through 3."""
-    for gd in (6, 7):
-        a, b = (S(text, 1, 8).with_guarantee(gd)
-                for text in ("x1^2 + x1^6", "x1^2 + x1^6 + x1^8"))
-        assert a == b
-        halves = [halve_exponents(s, 1) for s in (a, b)]
-        assert [h.guaranteed_degree for h in halves] == [3, 3]
-        assert halves[0] == halves[1]
 
 
 def test_a_rewrite_spending_more_than_its_certificate_claims_nothing():

@@ -11,8 +11,10 @@ outside its own definition and the re-export in ``__init__.py``, so the
 library keeps only what its callers use (:func:`unused_public_names`);
 the one exception is :data:`TEST_ONLY`.  No module other
 than ``series.py`` names the unchecked constructor ``Series._make`` or a
-packed-table helper (:data:`SERIES_ONLY`), so every other module builds a
-series through a checked constructor or a ``series.py`` operation.  No
+packed-table helper, or reads the radix, degree place or limit of a
+``_Keys`` (:data:`SERIES_ONLY`), so every other module builds a series
+through a checked constructor or a ``series.py`` operation, and all key
+arithmetic stays in ``series.py``.  No
 module of ``src/wseries`` tests an argument with ``isinstance(..., int)``
 (:func:`int_type_checks`): an integer argument goes through one rule of
 ``series.py``, ``_size`` or ``_integral`` for a count, an order or a power,
@@ -45,8 +47,11 @@ BENCH = [p for p in sorted((TESTS.parent / "perfbench").glob("*.py"))
          if p.name != "test_perfbench.py"]
 #: public names that only the tests use: the comparator of stored tables
 TEST_ONLY = {"Series.same_data"}
-#: names that only ``series.py`` may use within ``src/wseries``
-SERIES_ONLY = {"_make", "_Keys", "_solve", "_products", "_flatten"}
+#: names that only ``series.py`` may use within ``src/wseries``; an entry
+#: with a leading dot is an attribute read, here the radix, the degree place
+#: and the limit of a ``_Keys``, so no other module does key arithmetic
+SERIES_ONLY = {"_make", "_Keys", "_solve", "_products", "_flatten",
+               ".radix", ".top", ".limit"}
 
 
 def unused_imports(text: str) -> set:
@@ -82,6 +87,15 @@ def _annotations(node) -> list:
     if isinstance(node, (ast.arg, ast.AnnAssign)):
         return [node.annotation] if node.annotation else []
     return []
+
+
+def series_only_uses(tree) -> set:
+    """The entries of :data:`SERIES_ONLY` that the syntax tree ``tree``
+    uses: a name by :func:`named`, a dotted entry by an attribute read of
+    that name (a plain variable of the same name is not one)."""
+    reads = {"." + node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    return (named(tree) | reads) & SERIES_ONLY
 
 
 def named(tree) -> set:
@@ -335,16 +349,27 @@ def test_every_public_name_of_the_package_is_used():
 
 def test_the_check_finds_a_series_only_name():
     text = ("from .series import Series, _Keys as K\n"
-            "def leaf(n, t):\n"
-            "    return Series._make(n, t, {}, t)\n")
-    assert named(ast.parse(text)) & SERIES_ONLY == {"_Keys", "_make"}
+            "def leaf(n, t, loop):\n"
+            "    top, limit = n, t  # plain names, not a key's digits\n"
+            "    keys = loop[3]\n"
+            "    return Series._make(n, t, {}, t), keys.radix ** loop[3].top"
+            "\n")
+    assert series_only_uses(ast.parse(text)) == {"_Keys", "_make", ".radix",
+                                                 ".top"}
+
+
+def test_the_check_finds_a_key_read_planted_in_a_module():
+    text = (SRC / "pipelines.py").read_text()
+    assert not series_only_uses(ast.parse(text))
+    planted = text + "\n\ndef _place(keys, k):\n    return keys.limit // k\n"
+    assert series_only_uses(ast.parse(planted)) == {".limit"}
 
 
 @pytest.mark.parametrize(
     "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "series.py"],
     ids=lambda p: p.name)
 def test_only_series_py_builds_unchecked_or_reads_packed_tables(path):
-    used = named(ast.parse(path.read_text())) & SERIES_ONLY
+    used = series_only_uses(ast.parse(path.read_text()))
     assert not used, f"{path.name} names {sorted(used)}"
 
 

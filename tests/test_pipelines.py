@@ -4,19 +4,20 @@ extension with its Cauchy-Riemann verification."""
 import contextlib
 import random
 import signal
-from types import SimpleNamespace
 
 import pytest
 
 from support import (S, agree_through, descent_polynomials, exported,
-                     naive_member, random_lemma_input, random_normalized_h,
-                     random_order_d, square_window, witness_is_valid)
+                     halved, naive_member, random_lemma_input,
+                     random_normalized_h, random_order_d, square_window,
+                     witness_is_valid)
 from wseries import (InternalInvariantError, PreconditionError, Series,
                      cauchy_riemann_check, check_membership,
                      direct_complexification, divide_by_variable,
-                     even_odd_split, halve_exponents, holomorphic_extension,
+                     even_odd_split, holomorphic_extension,
                      normalize_cubic, reconstruct_split, semigroup_check,
-                     split_square, weierstrass_prepare)
+                     series, split_square, weierstrass_prepare)
+from wseries import weierstrass as wmod
 from wseries.pipelines import ComplexExtension
 
 
@@ -59,8 +60,8 @@ def test_descent_reconstruction_and_oracle_random():
         diff = reconstruct_split(sp, nvars) - f
         assert diff.vanishes_through(8)
         g0, g1 = even_odd_split(f, nvars)
-        oracle0 = halve_exponents(g0, nvars)
-        oracle1 = halve_exponents(divide_by_variable(g1, nvars), nvars)
+        oracle0 = halved(g0, nvars)
+        oracle1 = halved(divide_by_variable(g1, nvars), nvars)
         assert square_window(sp.f0, 8) == square_window(oracle0, 8)
         assert square_window(sp.f1, 8) == square_window(oracle1, 8)
 
@@ -80,20 +81,50 @@ def test_descent_in_a_middle_variable():
 
 def test_descent_flags_surviving_odd_coefficient(monkeypatch):
     import wseries.pipelines as pmod
+    real = pmod._distinguished
 
     def fake_distinguished(F, k):
-        bad = Series.variable(1, F.nvars - 1, F.trunc)
-        poly = SimpleNamespace(d=2, coeffs=(bad, bad))
-        return poly, None, None
+        # the loop of F + x1*x_k, which is not even in x_k: a1 survives
+        odd = tuple(int(i in (0, k - 1)) for i in range(F.nvars))
+        return real(F + Series.monomial(odd, F.nvars, F.trunc), k)
 
     monkeypatch.setattr(pmod, "_distinguished", fake_distinguished)
     with pytest.raises(InternalInvariantError):
         split_square(S("x2^2 + x2^3", 2, 8), 2)
 
 
+def _descent_loop(text):
+    """The packed remainder and keys of the loop that divides ``x2^2`` by
+    ``F`` in ``(x1, x2, t)``, ``P = x2^2 + a2(x1, t)``."""
+    k, d, (_, rem, _, keys) = wmod._distinguished(S(text, 3, 8), 2)
+    assert (k, d) == (2, 2)
+    return rem, keys
+
+
+def test_square_parts_refuse_an_odd_t_exponent_at_weight_2():
+    # a2 = t^2 + x1*t: t^2 is the linear coefficient at weight 2, and
+    # x1*t cannot be halved
+    rem, keys = _descent_loop("x2^2 + x3^2 + x1*x3")
+    with pytest.raises(PreconditionError, match="odd t exponent 1"):
+        series._square_parts(rem, keys, 2, 2, Series.variable(2, 3, 8))
+
+
+def test_square_parts_refuse_a_zero_linear_coefficient():
+    # a2 = t^2 + x1*t has no x1-free t term: at weight 1, c = 0
+    rem, keys = _descent_loop("x2^2 + x3^2 + x1*x3")
+    with pytest.raises(PreconditionError, match="linear coefficient"):
+        series._square_parts(rem, keys, 2, 1, Series.variable(2, 3, 8))
+    # a2 = x1 + t has the linear coefficient 1, but a constant term of
+    # square leaves no root at the origin
+    rem, keys = _descent_loop("x2^2 + x3 + x1")
+    with pytest.raises(PreconditionError, match="root at the origin"):
+        series._square_parts(rem, keys, 2, 1, S("1 + x2", 3, 8))
+
+
 def test_descent_polynomial_is_the_preparations():
-    # the descent builds P without the unit; it must be the very P that
-    # weierstrass_prepare returns, table and certificate
+    # the descent decodes no P and builds no unit; the P of its own loop
+    # must be the very P that weierstrass_prepare returns, table and
+    # certificate
     cases = [(holomorphic_extension, S("x1^2 + x1^3", 1, 12))]
     rng = random.Random(71)
     for i in range(12):
@@ -313,7 +344,7 @@ def test_semigroup_report_serialization():
 def test_normalize_examples():
     h = S("x1^2 + x1^3", 1, 8)
     normalized, q = normalize_cubic(h)
-    assert normalized.same_data(h) and q.is_zero()
+    assert normalized.same_data(h) and not q.terms
 
     normalized, q = normalize_cubic(S("5 + 2*x1 + 3*x1^2", 1, 8))
     assert normalized == S("x1^2 + x1^3", 1, 8)
@@ -321,7 +352,7 @@ def test_normalize_examples():
 
     h4 = S("x1^2 + x1^3 + x1^4", 1, 8)
     normalized, q = normalize_cubic(h4)
-    assert normalized.same_data(h4) and q.is_zero()
+    assert normalized.same_data(h4) and not q.terms
 
 
 def test_normalize_preconditions():
@@ -346,7 +377,7 @@ def test_extension_restricts_to_input_on_the_axis():
     h = S("x1^2 + x1^3 - 2*x1^5", 1, 12)
     ext = holomorphic_extension(h)
     assert ext.u.coefficient_series(2, 0) == h.with_guarantee(8)
-    assert ext.v.coefficient_series(2, 0).is_zero()
+    assert not ext.v.coefficient_series(2, 0).terms
 
 
 def test_extension_certificate_follows_the_input():
@@ -429,7 +460,7 @@ def test_direct_complexification_examples():
     assert d.v.same_data(S("2*x1*x2", 2, 6))
 
     d = direct_complexification(S("7", 1, 6))
-    assert d.u.same_data(S("7", 2, 6)) and d.v.is_zero()
+    assert d.u.same_data(S("7", 2, 6)) and not d.v.terms
 
     d = direct_complexification(S("x1^3", 1, 6))
     assert d.u.same_data(S("x1^3 - 3*x1*x2^2", 2, 6))
@@ -443,7 +474,7 @@ def test_cauchy_riemann_examples():
     holo = ComplexExtension(S("x1^2 - x2^2", 2, 6), S("2*x1*x2", 2, 6), 6)
     report = cauchy_riemann_check(holo)
     assert report.passed
-    assert report.residual1.is_zero() and report.residual2.is_zero()
+    assert not report.residual1.terms and not report.residual2.terms
 
     conjugate = ComplexExtension(S("x1", 2, 6), S("-1*x2", 2, 6), 6)
     report = cauchy_riemann_check(conjugate)

@@ -9,7 +9,7 @@ import pytest
 
 from support import (S, agree_through, identical, in_key_order, kernel_table,
                      nonzero_rational, random_series, random_unit,
-                     split_in_variable, squared)
+                     split_in_variable)
 from wseries import (FLAT, InternalInvariantError, PreconditionError, Series,
                      series, term_sort_key, weierstrass_divide,
                      weierstrass_prepare)
@@ -280,7 +280,7 @@ def test_equality_is_bounded_by_certified_degree():
 # ----------------------------------------------------------------------
 
 def test_add_examples():
-    assert (S("x1", 2, 5) + S("-1*x1", 2, 5)).is_zero()
+    assert not (S("x1", 2, 5) + S("-1*x1", 2, 5)).terms
     assert S("1 + x1", 2, 5) + S("x2", 2, 5) == S("1 + x1 + x2", 2, 5)
     assert S("x1^2 + 1/2*x2", 2, 5) + S("1/2*x2", 2, 5) == S("x1^2 + x2", 2, 5)
 
@@ -296,7 +296,7 @@ def test_add_requires_matching_spaces():
 
 def test_mul_examples():
     assert S("(1+x1)*(1-x1)", 2, 3) == S("1 - x1^2", 2, 3)
-    assert S("(x1+x2)*(x1+x2)", 2, 1).is_zero()
+    assert not S("(x1+x2)*(x1+x2)", 2, 1).terms
     assert (S("x2^2 + x1", 2, 4) * S("1 + x1", 2, 4)
             == S("x2^2 + x1 + x1*x2^2 + x1^2", 2, 4))
 
@@ -383,7 +383,7 @@ def test_pow_past_the_truncation_is_zero_at_once(monkeypatch):
                         lambda *args: products.append(args) or kernel(*args))
     assert identical(s ** big, Series(2, 8, None, 5))
     assert identical(Series(2, 8, None, 5) ** 3, Series(2, 8, None, 5))
-    assert (square ** 5).is_zero()
+    assert not (square ** 5).terms
     assert not products
     assert identical(square ** 4, S("x1^8", 1, 8))
 
@@ -602,7 +602,7 @@ def test_compose_associativity_on_random_inputs():
 
 def test_derivative_examples():
     assert S("x1*x2^2", 2, 5).derivative(2) == S("2*x1*x2", 2, 5)
-    assert S("7", 2, 5).derivative(1).is_zero()
+    assert not S("7", 2, 5).derivative(1).terms
     assert (S("x1^3 - 3*x1*x2^2", 2, 5).derivative(1)
             == S("3*x1^2 - 3*x2^2", 2, 5))
 
@@ -665,7 +665,7 @@ def test_coefficient_series_extracts_and_renumbers():
 def test_substitute_single_variable():
     f = S("x2 - x1^2", 2, 8)
     phi = S("x1^2", 1, 8)
-    assert f.substitute(2, phi).is_zero()
+    assert not f.substitute(2, phi).terms
     with pytest.raises(PreconditionError):
         f.substitute(2, S("1", 1, 8))
     with pytest.raises(ValueError, match="substituend must have 1 variables"):
@@ -707,7 +707,7 @@ def test_the_x_k_free_part_undoes_embedding_at_every_position():
         for k in range(1, nvars + 2):
             g = f.embed_variable(k)
             assert identical(g.coefficient_series(k, 0), f), (f, k)
-            assert all(g.coefficient_series(k, j).is_zero()
+            assert all(not g.coefficient_series(k, j).terms
                        for j in (1, 2))
 
 
@@ -721,8 +721,7 @@ def assert_clean(s):
 
 
 def test_every_operation_keeps_the_table_invariant():
-    from wseries.localring import (divide_by_variable, even_odd_split,
-                                   halve_exponents)
+    from wseries.localring import divide_by_variable, even_odd_split
 
     rng = random.Random(211)
     for nvars in (1, 2, 3, 4):
@@ -743,7 +742,7 @@ def test_every_operation_keeps_the_table_invariant():
                 f.derivative(k), f.coefficient_series(k, j),
                 *split_in_variable(f, k, j), f.embed_variable(k),
                 f.embed_variable(nvars + 1), divide_by_variable(f * xk, k),
-                *even_odd_split(f, k), halve_exponents(squared(f, k), k)]
+                *even_odd_split(f, k)]
             if nvars > 1:
                 phi = random_series(rng, nvars - 1, trunc, nterms=4,
                                     min_degree=1)
