@@ -10,7 +10,7 @@ from .parser import parse_expression, parse_series
 from .weierstrass import (DistinguishedPoly, DivisionResult,
                           PreparationResult, weierstrass_divide,
                           weierstrass_prepare)
-from .localring import divide_by_variable, even_odd_split, solve_implicit
+from .localring import even_odd_split, solve_implicit
 from .pipelines import (CauchyRiemannReport, ComplexExtension,
                         SemigroupReport, SquareSplit, SupportCheck,
                         cauchy_riemann_check, check_membership,
@@ -34,7 +34,6 @@ __all__ = [
     "weierstrass_divide",
     "weierstrass_prepare",
     "solve_implicit",
-    "divide_by_variable",
     "even_odd_split",
     "SquareSplit",
     "split_square",

@@ -1,5 +1,5 @@
-"""Closure operations of the local series ring: implicit solving, exact
-division by a variable, and parity surgery in a chosen variable."""
+"""Closure operations of the local series ring: implicit solving and
+parity surgery in a chosen variable."""
 
 from __future__ import annotations
 
@@ -28,19 +28,6 @@ def solve_implicit(f: Series, k: int) -> Series:
         raise PreconditionError(
             f"implicit solve requires a nonzero linear coefficient in x{k}")
     return _implicit(f, k)
-
-
-def divide_by_variable(f: Series, k: int) -> Series:
-    """Exact division by the monomial ``x_k``: every term must carry a
-    positive ``x_k`` exponent.  One degree of certainty is spent (a result
-    term of degree D reads a source term of degree D + 1)."""
-    k = _check_index(k, f.nvars)
-    bad = next((e for e in f.terms if e[k - 1] == 0), None)
-    if bad is not None:
-        raise PreconditionError(
-            f"term {bad} has no x{k} factor: monomial division is inexact")
-    return f._remap(lambda e, c: (e[:k - 1] + (e[k - 1] - 1,) + e[k:], c),
-                    read=(1, 1))
 
 
 def even_odd_split(f: Series, k: int) -> tuple[Series, Series]:

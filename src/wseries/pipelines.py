@@ -12,10 +12,13 @@ last variable ``t``, divide ``x_k^2`` by ``F``, check that the odd
 coefficient of ``P = x_k^2 - r`` vanishes identically, and solve ``z +
 a2(x', t) = 0`` for ``t``; the solution is the descended series.
 The odd part is divided by ``x_k`` first and descended the same way.
-The descent stays packed from the division to the solution: ``P`` is
-never decoded, and the remainder ``r`` of the division loop becomes the
-parts of the implicit solve's Horner walk key by key, in ``series.py``,
-which does all key arithmetic.
+The descent is packed from its input to its solution, and ``series.py``
+does all key arithmetic: the input is packed once (the holomorphic
+extension takes ``h(x1 + x2)`` packed from ``compose``), each term goes
+to its ``F`` on its key, with ``t`` adjoined, ``P`` is never decoded, and
+the remainder ``r`` of the division loop becomes the parts of the
+implicit solve's Horner walk key by key.  Only the solutions are
+decoded.
 
 On top of the decomposition sits the holomorphic extension of a univariate
 series ``h`` with profile ``x^2 + x^3 + higher``: the split of ``h(x1 +
@@ -44,10 +47,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InternalInvariantError, PreconditionError
-from .localring import divide_by_variable, even_odd_split
 from .series import (Series, term_sort_key, _axis, _certified,
-                     _check_index, _exponent, _horner, _Record, _size,
-                     _square_parts, _sum)
+                     _check_index, _exponent, _halves, _horner, _packed,
+                     _raised, _Record, _size, _square_parts, _sum)
 from .weierstrass import DistinguishedPoly, _distinguished
 # not called here: perfbench's span recorder test reads the name from here
 from .weierstrass import weierstrass_prepare  # noqa: F401
@@ -86,73 +88,70 @@ def _profile_mismatch(f: Series, k: int) -> str | None:
     return None
 
 
+def _check_room(trunc: int) -> None:
+    """Refuse a truncation too low to hold :data:`_AXIS_PROFILE`'s four
+    degrees and the cube term's descent."""
+    if trunc < 4:
+        raise PreconditionError("truncation below 4 cannot hold the profile")
+
+
 def split_square(f: Series, k: int) -> SquareSplit:
     """Split ``f`` as ``f0(x', x_k^2) + x_k * f1(x', x_k^2)``.
 
     Requires the restriction of ``f`` to the ``x_k`` axis to have
     coefficients 0, 0, 1, 1 in degrees 0..3, certified: the division for
-    the odd part raises below certified degree 3.  Each part descends
-    through ``P = x_k^2 - r``, ``r`` the remainder of ``x_k^2`` by ``F =
-    part - t``, solved at a fresh squared variable.  Four degrees are
-    reserved (two order-2 divisions, one monomial division, slack): the
-    result reads ``f`` by the map ``(1, 4)``, certified four below ``f``,
-    and through ``-1`` (nothing) at the least admitted certificate, 3.
+    the odd part raises below certified degree 3.  ``f`` is packed once,
+    and :func:`series._halves` sends each term to ``F0 = g0 - t`` or ``F1
+    = g1/x_k - t`` on its key; each descends through ``P = x_k^2 - r``,
+    ``r`` the remainder of ``x_k^2`` by ``F``, solved at a fresh squared
+    variable.  Four degrees are reserved (two order-2 divisions, one
+    monomial division, slack): the result reads ``f`` by the map ``(1,
+    4)``, certified four below ``f``, and through ``-1`` (nothing) at the
+    least admitted certificate, 3.
     """
-    k, g0, g1, gd = _halves(f, k)
-    z = Series.variable(f.nvars, f.nvars + 1, f.trunc)
-    f0, f1 = (_descend(g, k, z, 1) for g in (g0, g1))
-    return SquareSplit(f0.with_guarantee(gd), f1.with_guarantee(gd), gd)
-
-
-def _halves(f: Series, k: int) -> tuple:
-    """``(k, g0, g1, gd)`` for ``f = g0 + x_k * g1`` split by the parity of
-    the ``x_k`` exponent, after the checks of :func:`split_square`; ``gd``
-    is the certificate of the descended halves, read by the map ``(1,
-    4)``."""
     k = _check_index(k, f.nvars)
-    if f.trunc < 4:
-        raise PreconditionError("truncation below 4 cannot hold the profile")
+    _check_room(f.trunc)
     mismatch = _profile_mismatch(f, k)
     if mismatch is not None:
         raise PreconditionError(
             f"axis profile must start x{k}^2 + x{k}^3: {mismatch}")
-    g0, g1 = even_odd_split(f, k)
-    return (k, g0, divide_by_variable(g1, k),
-            _certified(f.guaranteed_degree, f.trunc, (1, 4)))
+    gd = _certified(f.guaranteed_degree, f.trunc, (1, 4))
+    z = Series.variable(f.nvars, f.nvars + 1, f.trunc)
+    f0, f1 = (_descend(F, k, z, 1)
+              for F in _halves(_packed(f), k, 1, f.trunc))
+    return SquareSplit(f0.with_guarantee(gd), f1.with_guarantee(gd), gd)
 
 
-def _descend(g: Series, k: int, square: Series, weight: int) -> Series:
+def _descend(F: tuple, k: int, square: Series, weight: int) -> Series:
     """``s(x', square)`` for the ``s`` with ``s(x', x_k^2) = g``, ``g`` an
-    even series of order 2 in ``x_k``.  ``F = g - t^weight``, ``t`` a fresh
-    last variable, prepares in ``x_k`` to ``x_k^2 + a2(x', t^weight)``, and
-    the solution ``t`` of ``square + a2(x', t) = 0`` is returned.
-    ``square`` is a series in ``n + 1`` variables: ``x'``, a slot at place
-    ``n`` and ``t``; each of its terms holds the slot and not ``t``, and
-    ``square`` equal to the slot gives ``s`` itself.  The weight is at most
-    the order of ``s(x', square)``: a term ``x'^a t^m`` of ``a2`` enters
-    the solution at degree ``a + weight*m`` or above, so ``F`` forms only
-    the terms that reach the truncation, and at weight 2 ``a2`` has even
-    ``t`` exponents, halved back to ``t``.
+    even series of order 2 in ``x_k``, from the packed series ``F = g -
+    t^weight`` of :func:`series._halves`, ``t`` its last variable:
+    ``F`` prepares in ``x_k`` to ``x_k^2 + a2(x', t^weight)``, and the
+    solution ``t`` of ``square + a2(x', t) = 0`` is returned.  ``square``
+    is a series in ``n + 1`` variables: ``x'``, a slot at place ``n`` and
+    ``t``; each of its terms holds the slot and not ``t``, and ``square``
+    equal to the slot gives ``s`` itself.  The weight is at most the order
+    of ``s(x', square)``: a term ``x'^a t^m`` of ``a2`` enters the
+    solution at degree ``a + weight*m`` or above, so ``F`` forms only the
+    terms that reach the truncation, and at weight 2 ``a2`` has even ``t``
+    exponents, halved back to ``t``.
 
-    ``F`` is a checked series, :func:`weierstrass._distinguished` checks
-    its order and runs the division loop, and ``P`` is never decoded:
-    :func:`series._square_parts` takes the loop's packed remainder straight
-    to the parts of the Horner walk :func:`series._horner`, checking that
-    ``a1`` vanishes and that ``a2`` solves for ``t``.  A term of degree
-    ``D`` of the solution reads ``a2`` through degree ``weight*D``, and
-    ``P`` is certified 2 below ``F``, so the solution reads ``F`` by the
-    map ``(weight, 2)``; the callers certify their outputs by their own
-    map."""
-    n = g.nvars
-    F = Series(n + 1, g.trunc, {**g.embed_variable(n + 1).terms,
-                                _axis(n + 1, n + 1, weight): -1},
-               g.guaranteed_degree)
-    k, d, (_, rem, _, keys) = _distinguished(F, k)
+    :func:`weierstrass._distinguished`, the checked entry of every
+    preparation, checks ``F``'s order and runs the division loop on ``F``
+    as packed, and ``P`` is never decoded: :func:`series._square_parts`
+    takes the loop's packed remainder straight to the parts of the Horner
+    walk :func:`series._horner`, checking that ``a1`` vanishes and that
+    ``a2`` solves for ``t``.  A term of degree ``D`` of the solution reads
+    ``a2`` through degree ``weight*D``, and ``P`` is certified 2 below
+    ``F``, so the solution reads ``F`` by the map ``(weight, 2)``; the
+    callers certify their outputs by their own map."""
+    keys, _, gd = F
+    k, d, (_, rem, _) = _distinguished(F, k)
     if d != 2:
         raise InternalInvariantError(
             f"expected order 2 in x{k}, preparation found {d}")
-    gd = _certified(F.guaranteed_degree, F.trunc, (weight, 2))
-    return _horner(*_square_parts(rem, keys, k, weight, square), gd)
+    return _horner(*_square_parts(rem, keys, k, weight, square),
+                   _certified(gd, keys.trunc, (weight, 2)))
 
 
 def reconstruct_split(split: SquareSplit, k: int) -> Series:
@@ -365,13 +364,16 @@ def holomorphic_extension(h: Series) -> ComplexExtension:
     with only the terms through the truncation formed.  That series is
     ``g(x1, i*x2)`` for the half ``g``, of the half's order, so ``t`` is
     weighed by it: 2 for the even half, 1 for the odd half divided by
-    ``x2``.  As ``v = x2 * s1`` keeps ``s1`` only through ``N - 1``, the
-    odd half descends at truncation ``N - 1`` (``g1/x2`` has no term of
-    degree ``N`` and is certified through ``N - 1`` at most), and ``v``
-    puts one ``x2`` on each term of its solution, with no product.  The
-    certificate is :func:`split_square`'s, ``(1, 4)`` of ``f``'s.  The
-    restriction to ``x2 = 0`` returns ``h`` and the pair satisfies the
-    Cauchy-Riemann equations through the certified degree.
+    ``x2``.  ``h(x1 + x2)`` is the packed core of :meth:`Series.compose`,
+    handed to :func:`series._halves` undecoded.  As ``v = x2 * s1`` keeps
+    ``s1`` only through ``N - 1``, the odd half descends at truncation
+    ``N - 1`` (``g1/x2`` has no term of degree ``N`` and is certified
+    through ``N - 1`` at most), and ``v`` puts one ``x2`` on each term of
+    its solution's table (:func:`series._raised`), with no product.  So
+    only the two solutions are decoded.  The certificate is
+    :func:`split_square`'s, ``(1, 4)`` of ``f``'s.  The restriction to
+    ``x2 = 0`` returns ``h`` and the pair satisfies the Cauchy-Riemann
+    equations through the certified degree.
     """
     if h.nvars != 1:
         raise ValueError("expected a univariate series")
@@ -380,13 +382,13 @@ def holomorphic_extension(h: Series) -> ComplexExtension:
             "series must be normalized to the x^2 + x^3 profile "
             "(apply normalize_cubic first)")
     n2 = h.trunc
+    _check_room(n2)
     arg = Series.variable(1, 2, n2) + Series.variable(2, 2, n2)
-    _, g0, g1, gd = _halves(h.compose([arg]), 2)
+    F0, F1 = _halves(h._compose([arg]), 2, 2, n2 - 1)
     square = Series.monomial((0, 2, 0), 3, n2, -1)
-    u = _descend(g0, 2, square, 2)
-    s1 = _descend(Series(2, n2 - 1, g1.terms, g1.guaranteed_degree), 2,
-                  square, 1)
-    v = Series(2, n2, {(a, b + 1): c for (a, b), c in s1.terms.items()}, gd)
+    gd = _certified(h.guaranteed_degree, n2, (1, 4))
+    u = _descend(F0, 2, square, 2)
+    v = _raised(_descend(F1, 2, square, 1), 2, gd)
     return ComplexExtension(u.with_guarantee(gd), v, gd)
 
 

@@ -12,32 +12,38 @@ key.  No other module reads a key.  :class:`_Keys` is its one way in
 (:meth:`_Keys.pack`, which keeps only the terms below the truncation) and
 its one way out (:meth:`_Keys.series`, which decodes a list of packed
 tables with disjoint keys to exponent tuples and ``Fraction``
-coefficients, each over its own table's denominator).  A solve returns
-its nonempty grades as such a list, each over its own denominator, and
+coefficients, each over its own table's denominator).  A packed series
+is the triple ``(keys, table, gd)``, a packed table over its keys and its
+certificate: :func:`_packed` makes one from a series, and
+:meth:`Series._compose` returns one.  A solve returns its nonempty grades
+as a list of packed tables, each over its own denominator, and
 :func:`_flatten` joins one into a single table only where a table is
 needed whole.  The decoder sets the term order: every table it returns (the
 results of ``*``, :meth:`Series.inverse`, :meth:`Series.compose` and
 ``**``, Weierstrass division and preparation, and implicit solving) lists
 its terms in key order, by total degree and then by exponent tuple, so
 ``x2^2`` precedes ``x1*x2`` precedes ``x1^2``.  Weierstrass division and
-preparation stay packed from input to output: :func:`_division_loop` packs
-their inputs once, splits and solves on packed tables, each division by a
-unit is one :func:`_over`, which checks that its divisor is a unit, and
-each series they return is decoded once.  :func:`_solve` works along an
-axis, given by the place value of the x_k digit in a key, and an order; its
-docstring states the one axis rule.  The division loop splits ``f`` and
-solves along x_k at order ``d``, and :func:`_over` solves along no axis at
-order 0.  Implicit solving divides nothing: :func:`_horner` solves
-``f(x', phi) = 0`` by a Horner recurrence in the ``n - 1`` remaining
-variables, one total degree at a time, from the packed parts of the rows
-of ``-f/c``, and decodes ``phi`` once.  :func:`_implicit` builds the parts
-from a series; :func:`_square_parts` builds them from the packed
-remainder of the division loop, key by key, so the square descent of
-``pipelines`` runs from its division to its solution with no decode.
-``*`` calls the product kernel :func:`_products` directly.
-:meth:`Series.compose` is packed too: it keeps the powers of its
-substituends packed, scales each by its coefficient in integers instead of
-multiplying by a constant series, and decodes once; ``**`` is one
+preparation stay packed from input to output: each caller packs its
+operands once, :func:`_division_loop` splits and solves on packed tables,
+each division by a unit is one :func:`_over`, which checks that its
+divisor is a unit, and each series they return is decoded once.
+:func:`_solve` works along an axis, given by the place value of the x_k
+digit in a key, and an order; its docstring states the one axis rule.  The
+division loop splits ``f`` and solves along x_k at order ``d``, and
+:func:`_over` solves along no axis at order 0.  Implicit solving divides
+nothing: :func:`_horner` solves ``f(x', phi) = 0`` by a Horner recurrence
+in the ``n - 1`` remaining variables, one total degree at a time, from the
+packed parts of the rows of ``-f/c``, and decodes ``phi`` once.
+:func:`_implicit` builds the parts from a series; :func:`_square_parts`
+builds them from the packed remainder of the division loop, key by key.
+So the square descent of ``pipelines`` is packed from its input to its
+solution: :func:`_halves` splits a packed series by the parity of its
+x_k digit into the two series ``F`` that the descent divides by, dividing
+the odd half by x_k and adjoining ``t`` on the keys, and only the
+solutions are decoded.  ``*`` calls the product kernel :func:`_products`
+directly.  :meth:`Series.compose` is packed too: its core keeps the
+powers of its substituends packed and scales each by its coefficient in
+integers instead of multiplying by a constant series; ``**`` is one
 composition.  ``_remap``, :func:`_sum` and negation still work on the
 decoded tables.
 
@@ -413,16 +419,23 @@ class Series:
         is well defined.  The certified degree is the minimum over all
         inputs: an unknown coefficient of ``self`` beyond its bound, or of
         some ``g``, can only disturb the result above that degree because
-        each ``g`` has positive order.
+        each ``g`` has positive order.  :meth:`_compose` forms the result
+        packed, and it is decoded once, in key order.
+        """
+        keys, table, gd = self._compose(gs)
+        return keys.series([table], gd)
 
-        Works on packed tables: each ``g`` is packed once, with one
-        :class:`_Keys` at the least truncation, and its powers are formed
-        once by :func:`_products`, kept sorted by key and never decoded.  A
-        term scales its first power (or the constant 1) by its coefficient
-        in integers and multiplies by the rest; a term whose degree,
-        weighted by the orders of the ``g``, lies past the truncation is
-        zero and forms no product.  The parts are summed over the lcm of
-        their denominators and decoded once, in key order.
+    def _compose(self, gs: Sequence["Series"]) -> tuple:
+        """The packed core of :meth:`compose`: ``(keys, table, gd)``, the
+        composition as one packed table over ``keys`` and its certificate.
+
+        Each ``g`` is packed once, with one :class:`_Keys` at the least
+        truncation, and its powers are formed once by :func:`_products`,
+        kept sorted by key and never decoded.  A term scales its first
+        power (or the constant 1) by its coefficient in integers and
+        multiplies by the rest; a term whose degree, weighted by the orders
+        of the ``g``, lies past the truncation is zero and forms no
+        product.  The parts are summed over the lcm of their denominators.
         """
         if len(gs) != self.nvars:
             raise ValueError(f"expected {self.nvars} substituends, got {len(gs)}")
@@ -464,7 +477,7 @@ class Series:
         for items, d in parts:
             for k, v in items:
                 acc[k] = acc.get(k, 0) + v * (den // d)
-        return keys.series([([(k, v) for k, v in acc.items() if v], den)], gd)
+        return keys, ([(k, v) for k, v in acc.items() if v], den), gd
 
     def derivative(self, k: int) -> "Series":
         """Partial derivative in ``x_k``; certainty drops by one degree."""
@@ -497,14 +510,6 @@ class Series:
         xs = [Series.variable(i, s.nvars, s.trunc)
               for i in range(1, self.nvars)]
         return self.compose(xs[:k - 1] + [s] + xs[k - 1:])
-
-    def embed_variable(self, k: int) -> "Series":
-        """Insert a fresh variable at 1-based position ``k``; existing
-        variables at or above ``k`` shift up by one."""
-        if (i := _index(k)) is None or not 1 <= i <= self.nvars + 1:
-            raise ValueError(f"insert position {k} out of range")
-        return self._remap(lambda e, c: (e[:i - 1] + (0,) + e[i - 1:], c),
-                           self.nvars + 1)
 
 
 class _Record:
@@ -643,10 +648,10 @@ class _Keys:
     Both go digit by digit with the radix alone and keep no place
     values."""
 
-    __slots__ = ("nvars", "radix", "top", "limit")
+    __slots__ = ("nvars", "trunc", "radix", "top", "limit")
 
     def __init__(self, nvars: int, trunc: int):
-        self.nvars, self.radix = nvars, trunc + 1
+        self.nvars, self.trunc, self.radix = nvars, trunc, trunc + 1
         self.top = self.radix ** nvars
         self.limit = self.radix * self.top
 
@@ -666,10 +671,38 @@ class _Keys:
         return [(key, c.numerator * (den // c.denominator))
                 for key, c in kept], den
 
+    def order_in(self, items: list, k: int):
+        """:meth:`Series.order_in` of the packed ``items``: the least x_k
+        digit of an item on the x_k axis, whose x_k digit is its degree
+        digit, or :data:`FLAT` when no item lies on the axis."""
+        place = self.radix ** (self.nvars - k)
+        axis = [e for key, _ in items
+                if (e := key // place % self.radix) == key // self.top]
+        return min(axis) if axis else FLAT
+
+    def adjoined(self, items: list, source: "_Keys") -> list:
+        """The packed ``items`` over ``source`` as items over these keys,
+        which have one variable more, last, at exponent 0, and their own
+        radix: the digits ``(deg, e_1, ..., e_n)`` of each key are folded
+        again with a ``t`` digit of 0, and a term past this truncation is
+        dropped.  At one radix that is a product by it."""
+        r, out = source.radix, []
+        if self.radix == r:
+            return [(key * r, v) for key, v in items]
+        for key, v in items:
+            new, place = 0, 1
+            for _ in range(source.nvars + 1):
+                key, digit = divmod(key, r)
+                place *= self.radix
+                new += digit * place
+            if new < self.limit:
+                out.append((new, v))
+        return out
+
     def series(self, grades: list, gd: int) -> Series:
         """The :class:`Series` of the packed tables ``grades``, whose keys
         are disjoint (a whole table is a one-element list), in key order,
-        truncated at ``radix - 1`` and certified through ``gd``: each item
+        truncated at ``trunc`` and certified through ``gd``: each item
         ``(key, v)`` of a table ``(items, D)`` becomes the exponent of
         ``key``, its digits peeled from the last variable up, and
         ``Fraction(v, D)``, over its own table's denominator."""
@@ -680,8 +713,58 @@ class _Keys:
             digits.append([k % r for k in keys])
             keys = [k // r for k in keys]
         expos = zip(*reversed(digits)) if digits else [()] * len(items)
-        return Series._make(self.nvars, r - 1,
+        return Series._make(self.nvars, self.trunc,
                             dict(zip(expos, [c for _, c in items])), gd)
+
+
+def _packed(s: Series, trunc: int | None = None) -> tuple:
+    """``(keys, table, gd)``, the packed series of ``s``: its table packed
+    by :meth:`_Keys.pack` over ``keys`` at ``trunc`` (default: ``s``'s),
+    certified through ``s``'s certificate, capped at that truncation.
+    :meth:`Series._compose` returns the same shape, and the square descent
+    passes it from its input to its division loop."""
+    keys = _Keys(s.nvars, s.trunc if trunc is None else trunc)
+    return (keys, keys.pack(s.terms),
+            _certified(s.guaranteed_degree, keys.trunc))
+
+
+def _halves(f: tuple, k: int, weight: int, odd_trunc: int) -> tuple:
+    """``(F0, F1)`` for the packed series ``f = (keys, (items, D), gd)``
+    in ``n`` variables, ``f = g0 + x_k * g1`` split by the parity of the
+    x_k exponent: ``F0 = g0 - t^weight`` at ``f``'s truncation and ``F1 =
+    g1/x_k - t`` at ``odd_trunc``, each a packed series in ``n + 1``
+    variables with ``t`` last, over ``D``.  Each item goes straight to its
+    half by its x_k digit, with no decode: an odd one is divided by x_k
+    on its key (less ``top + place``, one off the degree digit and one off
+    the x_k digit, which is odd and so at least 1), and
+    :meth:`_Keys.adjoined` moves both halves to their keys.  ``F0`` keeps
+    ``f``'s certificate, and ``F1`` reads ``f`` by the map ``(1, 1)``,
+    one degree up."""
+    keys, (items, den), gd = f
+    r, place = keys.radix, keys.radix ** (keys.nvars - k)
+    even, odd = [], []
+    for key, v in items:
+        if key // place % r % 2:
+            odd.append((key - keys.top - place, v))
+        else:
+            even.append((key, v))
+    out = []
+    for part, trunc, power, read in ((even, keys.trunc, weight, (1, 0)),
+                                     (odd, odd_trunc, 1, (1, 1))):
+        new = _Keys(keys.nvars + 1, trunc)
+        out.append((new, (new.adjoined(part, keys)
+                          + [(power * (new.top + 1), -den)], den),
+                    _certified(gd, trunc, read)))
+    return tuple(out)
+
+
+def _raised(s: Series, k: int, gd: int) -> Series:
+    """``x_k * s`` at truncation ``s.trunc + 1``, certified through ``gd``:
+    one ``x_k`` on each term of ``s``'s table, in its order (which is key
+    order when ``s``'s is), with no product."""
+    terms = {e[:k - 1] + (e[k - 1] + 1,) + e[k:]: c
+             for e, c in s.terms.items()}
+    return Series._make(s.nvars, s.trunc + 1, terms, gd)
 
 
 def _products(acc: dict, xs: list, ys: list, limit: int, scale: int) -> dict:
@@ -832,7 +915,7 @@ def _square_parts(rem: list, keys: _Keys, k: int, weight: int,
     or a nonzero constant, raises :class:`PreconditionError`, as
     :func:`localring.solve_implicit` does."""
     r, n, top = keys.radix, keys.nvars - 1, keys.top
-    out, at_k = _Keys(n, r - 1), r ** (n + 1 - k)
+    out, at_k = _Keys(n, keys.trunc), r ** (n + 1 - k)
     parts = {}
     for items, den in rem:
         for key, v in items:
@@ -860,8 +943,8 @@ def _square_parts(rem: list, keys: _Keys, k: int, weight: int,
     scale = Fraction(-d_v, v)
     h = [{} for _ in range(max([j for j, _ in parts], default=0) + 2)]
     for (j, e), (items, den) in parts.items():
-        h[j][e] = (sorted((x, v * scale.numerator) for x, v in items),
-                   den * scale.denominator)
+        items = [(x, v * scale.numerator) for x, v in items]
+        h[j][e] = sorted(items) if j else items, den * scale.denominator
     return h, out
 
 
@@ -869,7 +952,9 @@ def _horner(h: list, keys: _Keys, gd: int) -> Series:
     """The solution ``phi = H_0`` of ``H_j = R_j + phi*H_(j+1)``, ``H_(J+1)
     = 0``, ``J = len(h) - 2``, certified through ``gd``, for the parts
     ``h[j][e] = (items, D)`` of ``R_j``: for each ``j``, its degree-``e``
-    part as a packed table over ``keys``, sorted by key.  This is the
+    part as a packed table over ``keys``, sorted by key for ``j >= 1`` (a
+    part of ``phi`` is never a kernel's ``ys``, and the decoder sorts
+    ``phi``).  This is the
     Horner recurrence of ``phi = sum_j R_j * phi^j`` in the variables of
     ``keys`` (Brent & Kung, J. ACM 1978), which :func:`_implicit` and
     :func:`_square_parts` set up; ``R_0`` has no constant term, and ``R_1``
@@ -883,7 +968,11 @@ def _horner(h: list, keys: _Keys, gd: int) -> Series:
     reaches, a read being a part of ``phi`` times one of an ``H_(j+1)``;
     each new part queues the steps its reads reach, as :func:`_solve`
     queues its reads, so the walk visits only those steps and its cost
-    follows the parts that hold terms, not the truncation.
+    follows the parts that hold terms, not the truncation.  A part of
+    ``H_i`` at degree ``c``, ``i >= 1``, meets the part of ``phi`` at
+    degree ``a`` at step ``a + c + i - 1``, so the steps are kept as the
+    distinct offsets ``c + i - 1`` of the rows, added to each degree of
+    ``phi``.
 
     Let ``omega`` be the least degree of ``R_0``, at least 1.  Then ``phi
     = sum_j R_j * phi^j`` has order ``omega`` at least: below it ``R_0``
@@ -899,12 +988,12 @@ def _horner(h: list, keys: _Keys, gd: int) -> Series:
 
     A formed part is summed as int numerators over the lcm of its own and
     its reads' denominators, one :func:`_products` call per read, and
-    reduced by the gcd of its numerators as in :func:`_solve`.  The parts
-    of ``phi`` are decoded once."""
-    trunc, last = keys.radix - 1, len(h) - 2
+    reduced by the gcd of its numerators as in :func:`_solve` when that is
+    not 1.  The parts of ``phi`` are decoded once."""
+    trunc, last = keys.trunc, len(h) - 2
     omega = min(h[0], default=1)
-    todo = {a + c + i - 1 for a in h[0] for i in range(1, last + 2)
-            for c in h[i]}
+    offsets = {c + i - 1 for i in range(1, last + 2) for c in h[i]}
+    todo = {a + o for a in h[0] for o in offsets}
     while todo and (deg := min(todo)) <= trunc:
         for j in range(min(last, deg), -1, -1):
             e, above = deg - j, h[j + 1]
@@ -918,14 +1007,19 @@ def _horner(h: list, keys: _Keys, gd: int) -> Series:
                 acc = {key: n * (den // d0) for key, n in items}
                 for x, y, d in reads:
                     _products(acc, x, y, keys.limit, den // d)
-                if part := sorted((key, v) for key, v in acc.items() if v):
-                    g = gcd(den, *[v for _, v in part])
-                    h[j][e] = [(key, v // g) for key, v in part], den // g
-                    if not items:  # a new part: queue the steps it reaches
-                        todo.update(
-                            [a + e + j - 1 for a in h[0]] if j else
-                            [e + c + i - 1 for i in range(1, last + 2)
-                             for c in h[i]])
+                if part := [(key, v) for key, v in acc.items() if v]:
+                    if j:  # a read's ys; phi's parts go to the decoder
+                        part.sort()
+                    if (g := gcd(den, *[v for _, v in part])) != 1:
+                        part = [(key, v // g) for key, v in part]
+                    h[j][e] = part, den // g
+                    if items:
+                        continue  # a part of R_j: its steps are queued
+                    if j:  # a new part: queue the steps its reads reach
+                        offsets.add(e + j - 1)
+                        todo.update(a + e + j - 1 for a in h[0])
+                    else:
+                        todo.update(e + o for o in offsets)
         todo.discard(deg)
     return keys.series(list(h[0].values()), gd)
 
@@ -954,14 +1048,16 @@ def _over(keys: _Keys, a, x) -> list:
                   ([(k, -n) for k, n in xs if k], c), keys, keys.limit, 0)[0]
 
 
-def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
-    """``(quot, rem, high, keys)`` with ``g = (quot/high) * f + rem``,
-    ``deg_{x_k}(rem) < d``, for ``f = low + x_k^d * high`` of order ``d`` in
-    x_k.  ``quot`` and ``rem`` are lists of solved grades and the unit
-    ``high`` is a packed table, all over ``keys``, which packs ``f`` and
-    ``g`` at the smaller truncation; each caller decodes and certifies what
-    it reads.  Weierstrass division and preparation call it; implicit
-    solving, which needs no quotient, is :func:`_implicit`.
+def _division_loop(keys: _Keys, g: tuple, f: tuple, k: int,
+                   d: int) -> tuple:
+    """``(quot, rem, high)`` with ``g = (quot/high) * f + rem``,
+    ``deg_{x_k}(rem) < d``, for the packed tables ``g`` and ``f = low +
+    x_k^d * high`` over ``keys``, ``f`` of order ``d`` in x_k.  ``quot``
+    and ``rem`` are lists of solved grades and the unit ``high`` is a
+    packed table over ``f``'s denominator; each caller packs its operands
+    once and decodes and certifies what it reads.  Weierstrass division
+    and preparation and the square descent of ``pipelines`` call it;
+    implicit solving, which needs no quotient, is :func:`_implicit`.
 
     Both the split of ``f`` and the solve follow :func:`_solve`'s axis rule
     at x_k's place value and ``order = d``: a term of ``f`` whose x_k digit
@@ -972,9 +1068,8 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
     positive on ``low``, as ``f`` has no axis term below ``x_k^d``.  Total
     degree can stall: ``f = x2^2 + x1*x2`` gives ``b = -x1*x2``, of degree
     ``d``, which ``fold`` takes back."""
-    keys = _Keys(g.nvars, min(g.trunc, f.trunc))
-    place = keys.radix ** (g.nvars - k)
-    items, den = keys.pack(f.terms)
+    place = keys.radix ** (keys.nvars - k)
+    items, den = f
     low, high = [], []
     for key, n in items:
         if key // place % keys.radix < d:
@@ -982,5 +1077,5 @@ def _division_loop(g: Series, f: Series, k: int, d: int) -> tuple:
         else:
             high.append((key - d * (place + keys.top), n))
     b = _flatten(_over(keys, (low, 1), (high, 1)))
-    quot, rem = _solve(keys.pack(g.terms), b, keys, place, d)
-    return quot, rem, (high, den), keys
+    quot, rem = _solve(g, b, keys, place, d)
+    return quot, rem, (high, den)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
 from .series import (FLAT, Series, _axis, _certified, _check_index,
-                     _division_loop, _over, _Record, _size, _sum)
+                     _division_loop, _over, _packed, _Record, _size, _sum)
 
 
 @dataclass(frozen=True)
@@ -104,53 +104,59 @@ class PreparationResult(_Record):
 
 
 def weierstrass_divide(g: Series, f: Series, k: int) -> DivisionResult:
-    """Divide ``g`` by ``f``, distinguished in variable ``k``: the
-    quotient against ``f`` is ``q = Q/high`` for the loop's quotient ``Q``,
-    one packed :func:`_over`, at the smaller of the two truncations."""
+    """Divide ``g`` by ``f``, distinguished in variable ``k``: both are
+    packed once at the smaller of the two truncations, and the quotient
+    against ``f`` is ``q = Q/high`` for the loop's quotient ``Q``, one
+    packed :func:`_over`."""
     g._check_space(f)
-    k, d = _certified_order(f, k, "divisor", "division")
+    k = _check_index(k, f.nvars)
+    d = _certified_order(f.order_in(k), f.guaranteed_degree, k, "divisor",
+                         "division")
     certified = _certified(min(g.guaranteed_degree, f.guaranteed_degree),
                            min(g.trunc, f.trunc), (1, d))
     if certified < 0:
         raise PreconditionError(
             f"dividend is certified below the order {d} in x{k}: "
             "division undefined")
-    quot, rem, high, keys = _division_loop(g, f, k, d)
+    keys, table, _ = _packed(f, min(g.trunc, f.trunc))
+    quot, rem, high = _division_loop(keys, keys.pack(g.terms), table, k, d)
     return DivisionResult(keys.series(_over(keys, quot, high), certified),
                           keys.series(rem, certified), d, k, certified)
 
 
-def _certified_order(f: Series, k: int, noun: str, operation: str) -> tuple:
-    """``(k, d)``: the index ``k`` as :func:`_check_index` returns it and
-    the order ``d`` of ``f`` on the x_k axis.  The order must be finite and
-    certified: a ``d`` above the certified degree of ``f`` is read from
-    coefficients that the inputs do not determine."""
-    k = _check_index(k, f.nvars)
-    d = f.order_in(k)
+def _certified_order(d, gd: int, k: int, noun: str, operation: str) -> int:
+    """The order ``d`` on the x_k axis of a series certified through
+    ``gd``, checked: it must be finite and certified, as a ``d`` above the
+    certified degree is read from coefficients that the inputs do not
+    determine."""
     if d is FLAT:
         raise PreconditionError(
             f"{noun} is flat in x{k}: no finite order, {operation} undefined")
-    if d > f.guaranteed_degree:
+    if d > gd:
         raise PreconditionError(
             f"{noun} has order {d} in x{k}, above its certified degree "
-            f"{f.guaranteed_degree}: {operation} undefined")
-    return k, d
+            f"{gd}: {operation} undefined")
+    return d
 
 
-def _distinguished(f: Series, k: int) -> tuple:
-    """``(k, d, loop)`` for ``f`` of certified order ``d`` in x_k, checked
-    here once for every preparation: ``k`` as :func:`_check_index` returns
-    it, and ``loop`` the packed result of the division loop that divides
-    ``x_k^d`` by ``f``, whose remainder is ``x_k^d - P`` and whose
-    ``quot/high`` is ``U^-1``, so ``U = high/quot``.  Nothing is decoded
-    here: :func:`weierstrass_prepare` decodes ``P`` by :func:`_polynomial`,
-    and the square descent of ``pipelines`` reads the remainder packed.  At
-    ``d = 0`` the loop divides 1 by ``f``: ``low`` and ``b`` are empty,
-    ``quot`` is 1 and the remainder is empty, so ``P = 1``."""
-    k, d = _certified_order(f, k, "series", "preparation")
-    n = f.nvars
-    return k, d, _division_loop(Series.monomial(_axis(n, k, d), n, f.trunc),
-                                f, k, d)
+def _distinguished(f: tuple, k: int) -> tuple:
+    """``(k, d, loop)`` for the packed series ``f = (keys, table, gd)`` of
+    certified order ``d`` in x_k, checked here once for every preparation,
+    :func:`weierstrass_prepare`'s and each of the square descent's: ``k``
+    as :func:`_check_index` returns it, and ``loop`` the packed result of
+    the division loop that divides ``x_k^d``, packed here as one item, by
+    ``f``.  Its remainder is ``x_k^d - P`` and its ``quot/high`` is
+    ``U^-1``, so ``U = high/quot``.  Nothing is decoded here:
+    :func:`weierstrass_prepare` decodes ``P`` by :func:`_polynomial`, and
+    the square descent reads the remainder packed.  At ``d = 0`` the loop
+    divides 1 by ``f``: ``low`` and ``b`` are empty, ``quot`` is 1 and the
+    remainder is empty, so ``P = 1``."""
+    keys, table, gd = f
+    k = _check_index(k, keys.nvars)
+    d = _certified_order(keys.order_in(table[0], k), gd, k, "series",
+                         "preparation")
+    x_k = keys.pack({_axis(keys.nvars, k, d): 1})
+    return k, d, _division_loop(keys, x_k, table, k, d)
 
 
 def _polynomial(f: Series, k: int, d: int, rem: list,
@@ -172,14 +178,16 @@ def _polynomial(f: Series, k: int, d: int, rem: list,
 
 def weierstrass_prepare(f: Series, k: int) -> PreparationResult:
     """Factor ``f = U * P`` with ``U`` a unit and ``P`` distinguished in
-    variable ``k``: :func:`_distinguished` divides ``x_k^d`` by ``f``,
-    :func:`_polynomial` decodes ``P`` from the remainder, and as the
-    quotient against ``f`` is ``Q/high`` for the loop's ``Q``, ``U =
-    high/Q``, one packed :func:`_over` (which checks that ``Q`` is a unit)
-    decoded once.  A unit ``f`` (order
-    0) prepares through the same division: ``P = 1``, ``Q = 1`` and ``U =
-    high = f`` in table, truncation and certificate, listed in key order."""
-    k, d, (quot, rem, high, keys) = _distinguished(f, k)
+    variable ``k``: ``f`` is packed once, :func:`_distinguished` divides
+    ``x_k^d`` by it, :func:`_polynomial` decodes ``P`` from the remainder,
+    and as the quotient against ``f`` is ``Q/high`` for the loop's ``Q``,
+    ``U = high/Q``, one packed :func:`_over` (which checks that ``Q`` is a
+    unit) decoded once.  A unit ``f`` (order 0) prepares through the same
+    division: ``P = 1``, ``Q = 1`` and ``U = high = f`` in table,
+    truncation and certificate, listed in key order."""
+    packed = _packed(f)
+    k, d, (quot, rem, high) = _distinguished(packed, k)
+    keys = packed[0]
     poly = _polynomial(f, k, d, rem, keys)
     certified = _certified(f.guaranteed_degree, f.trunc, (1, d))
     return PreparationResult(keys.series(_over(keys, high, quot), certified),

@@ -164,16 +164,20 @@ def record_calls(module, name):
 
 def descent_polynomials(run, *args):
     """``run(*args)`` and the ``(F, P)`` pair of every square descent it
-    made: the series ``F = part - t`` (``part - t^2`` for the even half of
-    a holomorphic extension) that the descent divides by, as recorded at
-    its call of ``_distinguished``, and the distinguished polynomial
-    decoded from that call's own division loop by the decoder that
-    ``weierstrass_prepare`` uses.  ``F`` is not prepared again."""
+    made, both decoded from the descent's own division loop: the series
+    ``F = part - t`` (``part - t^2`` for the even half of a holomorphic
+    extension) that the descent divides by, decoded from the packed series
+    ``(keys, table, gd)`` it passed to its checked entry
+    ``_distinguished``, and the distinguished polynomial decoded from that
+    call's remainder by the decoder that ``weierstrass_prepare`` uses.
+    ``F`` is not prepared again."""
     with record_calls(pipelines, "_distinguished") as calls:
         result = run(*args)
-    return result, tuple(
-        (F, weierstrass._polynomial(F, k, d, loop[1], loop[3]))
-        for (F, _), (k, d, loop) in calls)
+    pairs = []
+    for ((keys, table, gd), _), (k, d, loop) in calls:
+        F = keys.series([table], gd)
+        pairs.append((F, weierstrass._polynomial(F, k, d, loop[1], keys)))
+    return result, tuple(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +255,36 @@ def split_in_variable(s, k, d):
     )
 
 
+def embedded(s, k):
+    """``s`` with a fresh variable inserted at position ``k`` (1-based),
+    the variables at or above ``k`` shifted up, table and certificate
+    kept: the oracle of the square descent's adjoined ``t``."""
+    return Series(s.nvars + 1, s.trunc,
+                  {e[:k - 1] + (0,) + e[k - 1:]: c
+                   for e, c in s.terms.items()},
+                  s.guaranteed_degree)
+
+
+def halves(f, k, weight, odd_trunc):
+    """The square descent's ``F0 = g0 - t^weight`` and ``F1 = g1/x_k - t``
+    of ``f = g0 + x_k * g1``, formed on keys by ``series._halves`` from
+    ``f`` packed, and decoded."""
+    return [keys.series([table], gd) for keys, table, gd in
+            series._halves(series._packed(f), k, weight, odd_trunc)]
+
+
+def over_variable(s, k):
+    """``s / x_k`` for ``s`` whose every term holds ``x_k``: the oracle of
+    the square descent's odd half.  A result term of degree ``D`` reads
+    the source's at ``D + 1``, so it is certified one degree below
+    ``s``."""
+    assert all(e[k - 1] for e in s.terms), s
+    return Series(s.nvars, s.trunc,
+                  {e[:k - 1] + (e[k - 1] - 1,) + e[k:]: c
+                   for e, c in s.terms.items()},
+                  series._certified(s.guaranteed_degree, s.trunc, (1, 1)))
+
+
 def truncated(s, trunc):
     """``s`` with the terms past ``trunc`` dropped, certified through at
     most ``trunc``."""
@@ -299,9 +333,10 @@ def reference_implicit(f, k):
     the solution (put ``x_k = phi``).  The division loop forms the whole
     quotient in all ``n`` variables; its remainder, free of x_k, is exact
     through the truncation and certified as far as ``f``."""
-    loop = series._division_loop(Series.variable(k, f.nvars, f.trunc), f,
-                                 k, 1)
-    rem = loop[3].series(loop[1], f.guaranteed_degree)
+    keys, table, _ = series._packed(f)
+    x_k = keys.pack(Series.variable(k, f.nvars, f.trunc).terms)
+    rem = keys.series(series._division_loop(keys, x_k, table, k, 1)[1],
+                      f.guaranteed_degree)
     assert not any(e[k - 1] for e in rem.terms), rem
     return rem.coefficient_series(k, 0)
 

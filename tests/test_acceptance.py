@@ -19,11 +19,11 @@ import time
 from functools import lru_cache
 
 from support import (S, agree_through, descent_polynomials, halved,
-                     random_even_order2, random_implicit_input,
+                     over_variable, random_even_order2, random_implicit_input,
                      random_lemma_input, random_normalized_h, random_order_d,
                      random_series, square_window, witness_is_valid)
 from wseries import (Series, cauchy_riemann_check, direct_complexification,
-                     divide_by_variable, even_odd_split,
+                     even_odd_split,
                      holomorphic_extension, parse_series, reconstruct_split,
                      semigroup_check, solve_implicit, split_square,
                      weierstrass_divide, weierstrass_prepare)
@@ -142,7 +142,7 @@ def test_criterion_3_square_descent_suite():
         assert diff.vanishes_through(8)
         g0, g1 = even_odd_split(f, nvars)
         oracle0 = halved(g0, nvars)
-        oracle1 = halved(divide_by_variable(g1, nvars), nvars)
+        oracle1 = halved(over_variable(g1, nvars), nvars)
         assert square_window(sp.f0, 8) == square_window(oracle0, 8)
         assert square_window(sp.f1, 8) == square_window(oracle1, 8)
     print("criterion 3: 50 descents reconstruct to degree 8 and agree "

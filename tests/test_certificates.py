@@ -10,15 +10,14 @@ from itertools import product
 
 import pytest
 
-from support import (S, agree_through, nonzero_rational, random_exponent,
-                     random_implicit_input, random_lemma_input,
-                     random_normalized_h, random_order_d, random_series,
-                     random_unit)
+from support import (S, agree_through, halves, nonzero_rational,
+                     random_exponent, random_implicit_input,
+                     random_lemma_input, random_normalized_h, random_order_d,
+                     random_series, random_unit)
 from wseries import (PreconditionError, Series, cauchy_riemann_check,
-                     divide_by_variable, even_odd_split,
-                     holomorphic_extension, reconstruct_split,
-                     solve_implicit, split_square, weierstrass_divide,
-                     weierstrass_prepare)
+                     even_odd_split, holomorphic_extension,
+                     reconstruct_split, solve_implicit, split_square,
+                     weierstrass_divide, weierstrass_prepare)
 
 #: perturbed copies compared against each input
 TRIALS = 4
@@ -202,15 +201,14 @@ REWRITES = {
     "coefficient_series": (
         lambda f, k: [f.coefficient_series(k, j) for j in (2, 1, 0)], None,
         (1, 2)),
-    "divide_by_variable": (lambda f, k: [divide_by_variable(f, k)],
-                           lambda e, k: e[k - 1] > 0, (1, 1)),
     "even_odd_split": (lambda f, k: [*even_odd_split(f, k)], None, (1, 0)),
     "coefficient_series_x_k_free": (
         lambda f, k: [f.coefficient_series(k, 0)],
         lambda e, k: e[k - 1] == 0, (1, 0)),
-    "embed_variable": (
-        lambda f, k: [f.embed_variable(k), f.embed_variable(f.nvars + 1)],
-        None, (1, 0)),
+    "halves_even_weight_2": (
+        lambda f, k: halves(f, k, 2, f.trunc - 1), None, (1, 0)),
+    "halves_odd_over_x_k": (
+        lambda f, k: halves(f, k, 1, f.trunc)[::-1], None, (1, 1)),
 }
 
 

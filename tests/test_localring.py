@@ -7,8 +7,7 @@ import pytest
 from support import (S, identical, in_key_order, kernel_spaces,
                      kernel_table, random_exponent, random_implicit_input,
                      random_series, reference_implicit, wide_coeff)
-from wseries import (PreconditionError, Series, divide_by_variable,
-                     even_odd_split, solve_implicit)
+from wseries import PreconditionError, Series, even_odd_split, solve_implicit
 
 
 # ----------------------------------------------------------------------
@@ -131,34 +130,6 @@ def test_solve_at_a_huge_truncation_visits_only_the_degrees_it_reaches():
     # degree up to the truncation, which would not finish here
     f = S("x2 + x1 + x1^1000*x3", 3, 10 ** 9)
     assert solve_implicit(f, 2).same_data(S("-1*x1 - x1^1000*x2", 2, 10 ** 9))
-
-
-# ----------------------------------------------------------------------
-# division by a variable
-# ----------------------------------------------------------------------
-
-def test_divide_by_variable_examples():
-    assert divide_by_variable(S("x1*x2 + x2^3", 2, 6), 2) == S("x1 + x2^2", 2, 6)
-    assert divide_by_variable(S("x2", 2, 6), 2) == S("1", 2, 6)
-    assert (divide_by_variable(S("2*x2 + 3*x1^2*x2^2", 2, 6), 2)
-            == S("2 + 3*x1^2*x2", 2, 6))
-
-
-def test_divide_by_variable_requires_divisibility():
-    with pytest.raises(PreconditionError):
-        divide_by_variable(S("x1 + x2", 2, 6), 2)
-
-
-def test_divide_by_variable_multiplies_back_exactly():
-    rng = random.Random(67)
-    for _ in range(15):
-        nvars = rng.choice((2, 3))
-        k = rng.randint(1, nvars)
-        base = random_series(rng, nvars, 9, nterms=8)
-        f = base * Series.variable(k, nvars, 9)
-        g = divide_by_variable(f, k)
-        assert (g * Series.variable(k, nvars, 9)).same_data(f)
-        assert g.guaranteed_degree == f.guaranteed_degree - 1
 
 
 # ----------------------------------------------------------------------

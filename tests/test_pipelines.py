@@ -7,14 +7,15 @@ import signal
 
 import pytest
 
-from support import (S, agree_through, descent_polynomials, exported,
-                     halved, naive_member, random_lemma_input,
-                     random_normalized_h, random_order_d, square_window,
-                     witness_is_valid)
+from support import (S, agree_through, descent_polynomials, embedded,
+                     exported, halved, halves, identical, in_key_order,
+                     naive_member, over_variable, random_lemma_input,
+                     random_normalized_h, random_order_d, random_series,
+                     square_window, truncated, witness_is_valid)
 from wseries import (InternalInvariantError, PreconditionError, Series,
                      cauchy_riemann_check, check_membership,
-                     direct_complexification, divide_by_variable,
-                     even_odd_split, holomorphic_extension,
+                     direct_complexification, even_odd_split,
+                     holomorphic_extension,
                      normalize_cubic, reconstruct_split, semigroup_check,
                      series, split_square, weierstrass_prepare)
 from wseries import weierstrass as wmod
@@ -61,7 +62,7 @@ def test_descent_reconstruction_and_oracle_random():
         assert diff.vanishes_through(8)
         g0, g1 = even_odd_split(f, nvars)
         oracle0 = halved(g0, nvars)
-        oracle1 = halved(divide_by_variable(g1, nvars), nvars)
+        oracle1 = halved(over_variable(g1, nvars), nvars)
         assert square_window(sp.f0, 8) == square_window(oracle0, 8)
         assert square_window(sp.f1, 8) == square_window(oracle1, 8)
 
@@ -85,18 +86,60 @@ def test_descent_flags_surviving_odd_coefficient(monkeypatch):
 
     def fake_distinguished(F, k):
         # the loop of F + x1*x_k, which is not even in x_k: a1 survives
+        keys, table, gd = F
+        F = keys.series([table], gd)
         odd = tuple(int(i in (0, k - 1)) for i in range(F.nvars))
-        return real(F + Series.monomial(odd, F.nvars, F.trunc), k)
+        return real(series._packed(F + Series.monomial(odd, F.nvars,
+                                                       F.trunc)), k)
 
     monkeypatch.setattr(pmod, "_distinguished", fake_distinguished)
     with pytest.raises(InternalInvariantError):
         split_square(S("x2^2 + x2^3", 2, 8), 2)
 
 
+def test_halves_send_each_term_to_its_half_on_keys():
+    f = S("(x1+x2)^2 + (x1+x2)^3", 2, 6).with_guarantee(5)
+    F0, F1 = halves(f, 2, 2, 5)
+    assert F0.same_data(S("x1^2 + x2^2 + x1^3 + 3*x1*x2^2 - x3^2", 3, 6))
+    assert F1.same_data(S("2*x1 + 3*x1^2 + x2^2 - x3", 3, 5))
+    assert [(F.trunc, F.guaranteed_degree) for F in (F0, F1)] == [(6, 5),
+                                                                  (5, 4)]
+    F0, F1 = halves(S("x1*x2 + 2*x2 + x1^2", 2, 6), 1, 1, 6)
+    assert F0.same_data(S("2*x2 + x1^2 - x3", 3, 6))
+    assert F1.same_data(S("x2 - x3", 3, 6))
+
+
+def test_halves_match_the_parity_split_oracles():
+    """Each half formed on keys is the parity split's half, divided by
+    ``x_k`` when odd, with ``t`` adjoined last and ``t^weight`` (``t``
+    for the odd half) subtracted, truncated at its own truncation: table,
+    truncation and certificate alike, and listed in key order once
+    decoded.  ``F1`` times ``x_k`` gives back the odd part exactly,
+    through ``F1``'s truncation."""
+    rng = random.Random(3301)
+    for _ in range(60):
+        nvars, trunc = rng.randint(1, 3), rng.randint(2, 9)
+        k, weight = rng.randint(1, nvars), rng.choice((1, 2))
+        odd_trunc = trunc - rng.randint(0, 1)
+        f = random_series(rng, nvars, trunc, nterms=12).with_guarantee(
+            rng.randint(-1, trunc))
+        g0, g1 = even_odd_split(f, k)
+        t = Series.variable(nvars + 1, nvars + 1, trunc)
+        F0, F1 = halves(f, k, weight, odd_trunc)
+        assert identical(F0, embedded(g0, nvars + 1) - t ** weight), f
+        assert identical(F1, truncated(
+            embedded(over_variable(g1, k), nvars + 1) - t, odd_trunc)), f
+        assert in_key_order(F0) and in_key_order(F1)
+        xk = Series.variable(k, nvars + 1, trunc)
+        assert ((F1 + t) * xk).same_data(
+            truncated(embedded(g1, nvars + 1), odd_trunc)), f
+
+
 def _descent_loop(text):
     """The packed remainder and keys of the loop that divides ``x2^2`` by
     ``F`` in ``(x1, x2, t)``, ``P = x2^2 + a2(x1, t)``."""
-    k, d, (_, rem, _, keys) = wmod._distinguished(S(text, 3, 8), 2)
+    keys, table, gd = series._packed(S(text, 3, 8))
+    k, d, (_, rem, _) = wmod._distinguished((keys, table, gd), 2)
     assert (k, d) == (2, 2)
     return rem, keys
 
@@ -445,8 +488,7 @@ def test_extension_exposes_its_preparations():
     assert len(pairs) == 2
     g0, g1 = even_odd_split(h.compose([S("x1 + x2", 2, 10)]), 2)
     t = Series.variable(3, 3, 10)
-    wanted = (g0.embed_variable(3) - t * t,
-              divide_by_variable(g1, 2).embed_variable(3) - t)
+    wanted = (embedded(g0, 3) - t * t, embedded(over_variable(g1, 2), 3) - t)
     for (F, P), want in zip(pairs, wanted, strict=True):
         assert F.same_data(want)
         assert P.d == 2

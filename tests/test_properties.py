@@ -1,18 +1,23 @@
-"""Property tests of the square descent, drawn by ``hypothesis``.
+"""Property tests of the core and of the square descent, drawn by
+``hypothesis``.
 
-Two identities hold for every admitted input: the split of ``f`` into
-``f0(x', x_k^2) + x_k * f1(x', x_k^2)`` reassembles to ``f`` through the
-certificate, and the holomorphic extension of a normalized ``h`` stores
-exactly the table of its binomial complexification.  The draws are
-derandomized and no example database is kept, so every run checks the same
-examples; a failure prints the input that falsified the property."""
+An identity holds for every admitted input of each operation, through the
+certificate it returns: Weierstrass division gives ``g = q*f + r`` with
+``deg_{x_k} r < d``; preparation gives ``U*P = f`` with ``U(0) != 0`` and
+``P`` distinguished; implicit solving gives ``f(x', phi) = 0``; the split
+of ``f`` into ``f0(x', x_k^2) + x_k * f1(x', x_k^2)`` reassembles to
+``f``; and the holomorphic extension of a normalized ``h`` stores exactly
+the table of its binomial complexification.  The draws are derandomized
+and no example database is kept, so every run checks the same examples; a
+failure prints the input that falsified the property."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from wseries import (Series, direct_complexification, holomorphic_extension,
-                     reconstruct_split, split_square)
+                     reconstruct_split, solve_implicit, split_square,
+                     weierstrass_divide, weierstrass_prepare)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=100)
@@ -20,6 +25,39 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 #: small nonzero rationals, as the seeded suites draw them
 COEFFS = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1),
                    st.integers(1, 6))
+
+
+def exponents(nvars, trunc):
+    """Exponents in ``nvars`` variables of total degree at most
+    ``trunc``."""
+    return st.lists(st.integers(0, nvars - 1), max_size=trunc).map(
+        lambda picks: tuple(picks.count(i) for i in range(nvars)))
+
+
+@st.composite
+def of_order(draw, orders=st.integers(0, 3)):
+    """``(f, k, d)``: ``f`` in 1-3 variables at truncation ``d``-8 (1 at
+    least), certified through ``d`` or more, of order ``d`` on the ``x_k``
+    axis: a nonzero ``x_k^d`` term, no axis term below it, and up to 8
+    further terms."""
+    nvars, d = draw(st.integers(1, 3)), draw(orders)
+    k, trunc = draw(st.integers(1, nvars)), draw(st.integers(max(d, 1), 8))
+    below = {tuple(j * (i == k - 1) for i in range(nvars)) for j in range(d)}
+    terms = draw(st.dictionaries(
+        exponents(nvars, trunc).filter(lambda e: e not in below), COEFFS,
+        max_size=8))
+    terms[tuple(d * (i == k - 1) for i in range(nvars))] = draw(COEFFS)
+    return Series(nvars, trunc, terms, draw(st.integers(d, trunc))), k, d
+
+
+@st.composite
+def dividends(draw, nvars, d):
+    """A series in ``nvars`` variables at truncation ``d``-8 (1 at least),
+    certified through ``d`` or more, with up to 10 terms."""
+    trunc = draw(st.integers(max(d, 1), 8))
+    terms = draw(st.dictionaries(exponents(nvars, trunc), COEFFS,
+                                 max_size=10))
+    return Series(nvars, trunc, terms, draw(st.integers(d, trunc)))
 
 
 @st.composite
@@ -62,3 +100,37 @@ def test_a_split_reassembles_to_its_input(case):
 def test_the_extension_stores_the_binomial_complexification(h):
     ext, direct = holomorphic_extension(h), direct_complexification(h)
     assert ext.u.same_data(direct.u) and ext.v.same_data(direct.v)
+
+
+@PROPERTY
+@given(of_order().flatmap(
+    lambda case: st.tuples(st.just(case), dividends(case[0].nvars, case[2]))))
+def test_a_division_multiplies_back_with_a_low_remainder(cases):
+    (f, k, d), g = cases
+    div = weierstrass_divide(g, f, k)
+    residual = g - (div.quotient * f + div.remainder)
+    assert residual.vanishes_through(div.guaranteed_degree)
+    assert all(e[k - 1] < d for e in div.remainder.terms)
+
+
+@PROPERTY
+@given(of_order())
+def test_a_preparation_multiplies_back_to_a_unit_times_a_distinguished_poly(
+        case):
+    f, k, d = case
+    prep = weierstrass_prepare(f, k)
+    P = prep.poly.expand()
+    assert (prep.unit * P - f).vanishes_through(prep.guaranteed_degree)
+    assert prep.unit.constant_term() != 0
+    assert (prep.poly.d, prep.poly.k) == (d, k)
+    assert all(a.constant_term() == 0 for a in prep.poly.coeffs)
+    assert P.coefficient(tuple(d * (i == k - 1) for i in range(f.nvars))) == 1
+    assert all(e[k - 1] <= d for e in P.terms)
+
+
+@PROPERTY
+@given(of_order(st.just(1)))
+def test_an_implicit_solution_is_a_root(case):
+    f, k, _ = case
+    phi = solve_implicit(f, k)
+    assert f.substitute(k, phi).vanishes_through(phi.guaranteed_degree)

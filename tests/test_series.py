@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from support import (S, agree_through, identical, in_key_order, kernel_table,
-                     nonzero_rational, random_series, random_unit,
-                     split_in_variable)
+from support import (S, agree_through, embedded, identical, in_key_order,
+                     kernel_table, nonzero_rational, random_series,
+                     random_unit, split_in_variable)
 from wseries import (FLAT, InternalInvariantError, PreconditionError, Series,
                      series, term_sort_key, weierstrass_divide,
                      weierstrass_prepare)
@@ -180,22 +180,13 @@ def test_index_arguments_fail_before_any_rewrite():
     from inside the exponent rewrite."""
     s = S("x1 + 2*x2 + x1*x2^2", 2, 4)
     for make, message in [
-            (lambda: s.embed_variable(1.0), "insert position 1.0 out of range"),
-            (lambda: s.embed_variable(4), "insert position 4 out of range"),
+            (lambda: s.coefficient_series(1.0, 0),
+             "variable index 1.0 out of range 1..2"),
             (lambda: s.derivative(1.0),
              "variable index 1.0 out of range 1..2")]:
         with pytest.raises(ValueError) as err:
             make()
         assert str(err.value) == message
-
-
-def test_insert_positions_follow_the_index_rule():
-    """``embed_variable`` takes positions by the index rule ``derivative``
-    follows: an in-range numpy integer used to be refused as out of
-    range."""
-    s = S("x1 + 2*x2 + x1*x2^2", 2, 4)
-    numpy = pytest.importorskip("numpy")
-    assert s.embed_variable(numpy.int64(1)).same_data(s.embed_variable(1))
 
 
 def test_index_arguments_follow_the_index_rule():
@@ -683,29 +674,19 @@ def test_split_in_variable_reconstructs():
         assert all(e[1] < d for e in low.support())
 
 
-def test_variable_plumbing():
-    f = S("x1 + x2^2", 2, 5)
-    g = f.embed_variable(3)
-    assert g.nvars == 3 and g.coefficient((0, 2, 0)) == 1
-    h = f.embed_variable(1)
-    assert h.coefficient((0, 1, 0)) == 1 and h.coefficient((0, 0, 2)) == 1
-    with pytest.raises(ValueError, match="insert position 4 out of range"):
-        f.embed_variable(4)
-    assert g.coefficient_series(3, 0).same_data(f)
-
-
 def test_the_x_k_free_part_undoes_embedding_at_every_position():
     """``coefficient_series(k, 0)`` of a series with no ``x_k`` term is
-    the series in the other variables: it takes back ``embed_variable(k)``
-    at every position, table, truncation and certificate alike, and the
-    other coefficients of ``x_k`` are zero."""
+    the series in the other variables: it takes back the insertion of a
+    fresh variable at position ``k`` (:func:`support.embedded`) at every
+    position, table, truncation and certificate alike, and the other
+    coefficients of ``x_k`` are zero."""
     rng = random.Random(31)
     for _ in range(20):
         nvars, trunc = rng.randint(1, 3), rng.randint(0, 6)
         f = random_series(rng, nvars, trunc).with_guarantee(
             rng.randint(-1, trunc))
         for k in range(1, nvars + 2):
-            g = f.embed_variable(k)
+            g = embedded(f, k)
             assert identical(g.coefficient_series(k, 0), f), (f, k)
             assert all(not g.coefficient_series(k, j).terms
                        for j in (1, 2))
@@ -721,7 +702,7 @@ def assert_clean(s):
 
 
 def test_every_operation_keeps_the_table_invariant():
-    from wseries.localring import divide_by_variable, even_odd_split
+    from wseries.localring import even_odd_split
 
     rng = random.Random(211)
     for nvars in (1, 2, 3, 4):
@@ -734,15 +715,12 @@ def test_every_operation_keeps_the_table_invariant():
             k, j = rng.randint(1, nvars), rng.randint(0, 3)
             zs = [random_series(rng, nvars, trunc, nterms=4, min_degree=1)
                   for _ in range(nvars)]
-            xk = Series.variable(k, nvars, trunc)
             outputs = [
                 f + g, g + f, f - g, -f, f * g, f * Fraction(-2, 3), f * 0,
                 f / 3, 2 - f, f ** 3, u.inverse(), f.compose(zs),
                 f.with_guarantee(trunc + 5), f.with_guarantee(-1),
                 f.derivative(k), f.coefficient_series(k, j),
-                *split_in_variable(f, k, j), f.embed_variable(k),
-                f.embed_variable(nvars + 1), divide_by_variable(f * xk, k),
-                *even_odd_split(f, k)]
+                *split_in_variable(f, k, j), *even_odd_split(f, k)]
             if nvars > 1:
                 phi = random_series(rng, nvars - 1, trunc, nterms=4,
                                     min_degree=1)

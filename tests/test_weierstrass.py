@@ -10,10 +10,12 @@ import wseries.weierstrass as wmod
 from support import (S, exported, identical, in_key_order, kernel_spaces,
                      kernel_table, random_even_order2, random_implicit_input,
                      random_normalized_h, random_order_d, random_series,
-                     reference_division_loop, truncated, wide_coeff)
+                     record_calls, reference_division_loop, truncated,
+                     wide_coeff)
 from wseries import (DistinguishedPoly, InternalInvariantError,
                      PreconditionError, Series, holomorphic_extension, series,
-                     solve_implicit, weierstrass_divide, weierstrass_prepare)
+                     solve_implicit, split_square, weierstrass_divide,
+                     weierstrass_prepare)
 
 
 def divides_back(g, f, result):
@@ -156,7 +158,9 @@ def test_division_loop_matches_fixpoint_reference():
                 for size in (0, 1, 6):
                     g = kernel_table(rng, nvars, trunc, size)
                     g = g.with_guarantee(rng.randint(d, trunc))
-                    *loop, high, keys = series._division_loop(g, f, k, d)
+                    keys, table, _ = series._packed(f)
+                    *loop, high = series._division_loop(
+                        keys, keys.pack(g.terms), table, k, d)
                     new = [keys.series(t, 0)  # uncertified
                            for t in (*loop, [high])]
                     quot, rem, unit_inv = reference_division_loop(g, f, k, d)
@@ -268,15 +272,36 @@ def test_kernel_pairs_of_one_implicit_solve_and_one_extension(monkeypatch):
 
 def test_extension_reaches_the_kernel_through_compose_and_its_solves(
         monkeypatch):
-    """``holomorphic_extension`` multiplies only in the packed
-    ``compose`` of ``h(x1 + x2)`` and in its descents' solves: ``v`` puts
+    """``holomorphic_extension`` multiplies only in the packed core
+    ``_compose`` of ``h(x1 + x2)`` and in its descents' solves: ``v`` puts
     ``x2`` on each term of ``s1``, and no ``Series.__mul__`` is called."""
     calls = _kernel_callers(monkeypatch)
     rng = random.Random(3102)
     for trunc in (4, 8, 12):
         holomorphic_extension(random_normalized_h(rng, trunc, density=0.8))
-    assert calls and {name for name, _ in calls} <= {"compose", "_solve",
+    assert calls and {name for name, _ in calls} <= {"_compose", "_solve",
                                                      "_horner"}
+
+
+def test_the_square_descent_decodes_and_remaps_nothing():
+    """A conversion gate beside the work gates: one
+    ``holomorphic_extension`` at N = 12 decodes only its two solutions
+    (``_Keys.series`` twice; ``h(x1 + x2)`` stays packed from ``compose``
+    to the division loops) and rewrites no exponent table by
+    ``Series._remap``, nor does one ``split_square``: the parity split,
+    the division of the odd half by ``x_k`` and the adjoined ``t`` act on
+    keys.  Decoding ``h(x1 + x2)`` and rewriting it five times made these
+    3, 5 and 5."""
+    h = S("x1^2 + x1^3 - 2*x1^4 + 1/3*x1^5 + x1^7 - 3/4*x1^9 + 5*x1^12",
+          1, 12)
+    f = S("x1^2 + x2^2 + x2^3 + x1*x2 - 2*x1^2*x2^3 + x1^3*x2", 2, 12)
+    with record_calls(series._Keys, "series") as decodes, \
+            record_calls(Series, "_remap") as remaps:
+        holomorphic_extension(h)
+    assert (len(decodes), len(remaps)) == (2, 0)
+    with record_calls(Series, "_remap") as remaps:
+        split_square(f, 2)
+    assert not remaps
 
 
 def test_division_is_deterministic():
@@ -479,8 +504,8 @@ def test_internal_error_when_quotient_degenerates(monkeypatch):
 
     def zero_quotient(f, k):
         # the empty list of solved grades is zero
-        k, d, (_, rem, high, keys) = real(f, k)
-        return k, d, ([], rem, high, keys)
+        k, d, (_, rem, high) = real(f, k)
+        return k, d, ([], rem, high)
 
     monkeypatch.setattr(wmod, "_distinguished", zero_quotient)
     with pytest.raises(InternalInvariantError):
