@@ -685,10 +685,8 @@ class _Keys:
         which have one variable more, last, at exponent 0, and their own
         radix: the digits ``(deg, e_1, ..., e_n)`` of each key are folded
         again with a ``t`` digit of 0, and a term past this truncation is
-        dropped.  At one radix that is a product by it."""
+        dropped."""
         r, out = source.radix, []
-        if self.radix == r:
-            return [(key * r, v) for key, v in items]
         for key, v in items:
             new, place = 0, 1
             for _ in range(source.nvars + 1):
@@ -943,8 +941,8 @@ def _square_parts(rem: list, keys: _Keys, k: int, weight: int,
     scale = Fraction(-d_v, v)
     h = [{} for _ in range(max([j for j, _ in parts], default=0) + 2)]
     for (j, e), (items, den) in parts.items():
-        items = [(x, v * scale.numerator) for x, v in items]
-        h[j][e] = sorted(items) if j else items, den * scale.denominator
+        h[j][e] = (sorted((x, v * scale.numerator) for x, v in items),
+                   den * scale.denominator)
     return h, out
 
 
@@ -952,9 +950,7 @@ def _horner(h: list, keys: _Keys, gd: int) -> Series:
     """The solution ``phi = H_0`` of ``H_j = R_j + phi*H_(j+1)``, ``H_(J+1)
     = 0``, ``J = len(h) - 2``, certified through ``gd``, for the parts
     ``h[j][e] = (items, D)`` of ``R_j``: for each ``j``, its degree-``e``
-    part as a packed table over ``keys``, sorted by key for ``j >= 1`` (a
-    part of ``phi`` is never a kernel's ``ys``, and the decoder sorts
-    ``phi``).  This is the
+    part as a packed table over ``keys``, sorted by key.  This is the
     Horner recurrence of ``phi = sum_j R_j * phi^j`` in the variables of
     ``keys`` (Brent & Kung, J. ACM 1978), which :func:`_implicit` and
     :func:`_square_parts` set up; ``R_0`` has no constant term, and ``R_1``
@@ -968,11 +964,7 @@ def _horner(h: list, keys: _Keys, gd: int) -> Series:
     reaches, a read being a part of ``phi`` times one of an ``H_(j+1)``;
     each new part queues the steps its reads reach, as :func:`_solve`
     queues its reads, so the walk visits only those steps and its cost
-    follows the parts that hold terms, not the truncation.  A part of
-    ``H_i`` at degree ``c``, ``i >= 1``, meets the part of ``phi`` at
-    degree ``a`` at step ``a + c + i - 1``, so the steps are kept as the
-    distinct offsets ``c + i - 1`` of the rows, added to each degree of
-    ``phi``.
+    follows the parts that hold terms, not the truncation.
 
     Let ``omega`` be the least degree of ``R_0``, at least 1.  Then ``phi
     = sum_j R_j * phi^j`` has order ``omega`` at least: below it ``R_0``
@@ -988,12 +980,12 @@ def _horner(h: list, keys: _Keys, gd: int) -> Series:
 
     A formed part is summed as int numerators over the lcm of its own and
     its reads' denominators, one :func:`_products` call per read, and
-    reduced by the gcd of its numerators as in :func:`_solve` when that is
-    not 1.  The parts of ``phi`` are decoded once."""
+    reduced by the gcd of its numerators as in :func:`_solve`.  The parts
+    of ``phi`` are decoded once."""
     trunc, last = keys.trunc, len(h) - 2
     omega = min(h[0], default=1)
-    offsets = {c + i - 1 for i in range(1, last + 2) for c in h[i]}
-    todo = {a + o for a in h[0] for o in offsets}
+    todo = {a + c + i - 1 for a in h[0] for i in range(1, last + 2)
+            for c in h[i]}
     while todo and (deg := min(todo)) <= trunc:
         for j in range(min(last, deg), -1, -1):
             e, above = deg - j, h[j + 1]
@@ -1007,19 +999,14 @@ def _horner(h: list, keys: _Keys, gd: int) -> Series:
                 acc = {key: n * (den // d0) for key, n in items}
                 for x, y, d in reads:
                     _products(acc, x, y, keys.limit, den // d)
-                if part := [(key, v) for key, v in acc.items() if v]:
-                    if j:  # a read's ys; phi's parts go to the decoder
-                        part.sort()
-                    if (g := gcd(den, *[v for _, v in part])) != 1:
-                        part = [(key, v // g) for key, v in part]
-                    h[j][e] = part, den // g
-                    if items:
-                        continue  # a part of R_j: its steps are queued
-                    if j:  # a new part: queue the steps its reads reach
-                        offsets.add(e + j - 1)
-                        todo.update(a + e + j - 1 for a in h[0])
-                    else:
-                        todo.update(e + o for o in offsets)
+                if part := sorted((key, v) for key, v in acc.items() if v):
+                    g = gcd(den, *[v for _, v in part])
+                    h[j][e] = [(key, v // g) for key, v in part], den // g
+                    if not items:  # a new part: queue the steps it reaches
+                        todo.update(
+                            [a + e + j - 1 for a in h[0]] if j else
+                            [e + c + i - 1 for i in range(1, last + 2)
+                             for c in h[i]])
         todo.discard(deg)
     return keys.series(list(h[0].values()), gd)
 

@@ -7,7 +7,10 @@ certificate it returns: Weierstrass division gives ``g = q*f + r`` with
 ``P`` distinguished; implicit solving gives ``f(x', phi) = 0``; the split
 of ``f`` into ``f0(x', x_k^2) + x_k * f1(x', x_k^2)`` reassembles to
 ``f``; and the holomorphic extension of a normalized ``h`` stores exactly
-the table of its binomial complexification.  The draws are derandomized
+the table of its binomial complexification.  The order rule on packed
+keys (:meth:`_Keys.order_in`, which the checked entry of every preparation
+applies) agrees with :meth:`Series.order_in` (which division applies) on
+every axis.  The draws are derandomized
 and no example database is kept, so every run checks the same examples; a
 failure prints the input that falsified the property."""
 
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from wseries import (Series, direct_complexification, holomorphic_extension,
                      reconstruct_split, solve_implicit, split_square,
                      weierstrass_divide, weierstrass_prepare)
+from wseries.series import FLAT, _Keys
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=100)
@@ -78,6 +82,21 @@ def lemma_inputs(draw):
 
 
 @st.composite
+def on_some_axis(draw):
+    """A series in 1-3 variables at truncation 0-8 with up to 8 terms
+    anywhere (the constant term among them) and up to 3 more on one
+    ``x_k`` axis, or none: constants, flat and empty series included."""
+    nvars, trunc = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    k = draw(st.integers(1, nvars))
+    terms = draw(st.dictionaries(exponents(nvars, trunc), COEFFS,
+                                 max_size=8))
+    for j, c in draw(st.dictionaries(st.integers(0, trunc), COEFFS,
+                                     max_size=3)).items():
+        terms[tuple(j * (i == k - 1) for i in range(nvars))] = c
+    return Series(nvars, trunc, terms)
+
+
+@st.composite
 def normalized_h(draw):
     """A univariate ``h = x^2 + x^3 + ...`` at truncation 4-14, certified
     through 3 or more."""
@@ -86,6 +105,17 @@ def normalized_h(draw):
                                  COEFFS, max_size=trunc - 3))
     terms.update({(2,): 1, (3,): 1})
     return Series(1, trunc, terms, draw(st.integers(3, trunc)))
+
+
+@PROPERTY
+@given(on_some_axis())
+def test_the_packed_order_rule_agrees_with_the_series_one(f):
+    keys = _Keys(f.nvars, f.trunc)
+    items, _ = keys.pack(f.terms)
+    orders = [f.order_in(k) for k in range(1, f.nvars + 1)]
+    assert [keys.order_in(items, k) for k in range(1, f.nvars + 1)] == orders
+    if not f.terms:
+        assert orders == [FLAT] * f.nvars
 
 
 @PROPERTY
