@@ -39,13 +39,16 @@ builds them from the packed remainder of the division loop, key by key.
 So the square descent of ``pipelines`` is packed from its input to its
 solution: :func:`_halves` splits a packed series by the parity of its
 x_k digit into the two series ``F`` that the descent divides by, dividing
-the odd half by x_k and adjoining ``t`` on the keys, and only the
-solutions are decoded.  ``*`` calls the product kernel :func:`_products`
-directly.  :meth:`Series.compose` is packed too: its core keeps the
-powers of its substituends packed and scales each by its coefficient in
-integers instead of multiplying by a constant series; ``**`` is one
-composition.  ``_remap``, :func:`_sum` and negation still work on the
-decoded tables.
+the odd half by x_k and adjoining ``t`` by a shift of each key, and only
+the solutions are decoded.  There is one radix per descent: a fresh pack
+takes ``trunc + 1``, and keys derived from a packed series (both halves,
+though the odd one may sit at a lower truncation, and the keys of the
+Horner walk) keep its radix.  ``*`` calls the product kernel
+:func:`_products` directly.  :meth:`Series.compose` is packed too: its
+core keeps the powers of its substituends packed and scales each by its
+coefficient in integers instead of multiplying by a constant series;
+``**`` is one composition.  ``_remap``, :func:`_sum` and negation still
+work on the decoded tables.
 
 Alongside the truncation bound each value carries a ``guaranteed_degree``:
 the total degree up to which its coefficients are certified to agree with
@@ -625,12 +628,16 @@ def _sum(parts: Sequence[Series]) -> Series:
 class _Keys:
     """Kronecker packing of exponents (Monagan & Pearce, CASC 2007): for
     ``nvars`` variables at truncation ``trunc`` the exponent ``e`` of total
-    degree ``deg`` packs to the int ``deg*R^n + sum_i e_i*R^(n-i)`` with
-    radix ``R = trunc + 1``.  The degree is the top digit and ``e_1`` the
+    degree ``deg`` packs to the int ``deg*R^n + sum_i e_i*R^(n-i)`` with a
+    radix ``R`` above ``trunc``.  Fresh keys take ``R = trunc + 1``; keys
+    derived from a ``source`` (the halves of :func:`_halves`, the keys
+    :func:`_square_parts` builds), whose truncation is at most the
+    source's, keep the source's radix, so a key moves to them by a shift
+    and no digit is refolded.  The degree is the top digit and ``e_1`` the
     next, so ordering by key is ordering by degree, then by the exponent
-    tuple.  That key order is the one term order of the packed route:
-    :meth:`series` sorts the items it decodes by key, and nothing else
-    sorts a table for its order.
+    tuple, whatever the radix.  That key order is the one term order of the
+    packed route: :meth:`series` sorts the items it decodes by key, and
+    nothing else sorts a table for its order.
 
     Adding keys adds exponents: when ``deg(x) + deg(y) <= trunc``, every
     digit sum ``e_i + e'_i`` is at most ``deg(x) + deg(y) < R``, so no digit
@@ -650,10 +657,11 @@ class _Keys:
 
     __slots__ = ("nvars", "trunc", "radix", "top", "limit")
 
-    def __init__(self, nvars: int, trunc: int):
-        self.nvars, self.trunc, self.radix = nvars, trunc, trunc + 1
+    def __init__(self, nvars: int, trunc: int, source: _Keys | None = None):
+        self.nvars, self.trunc = nvars, trunc
+        self.radix = trunc + 1 if source is None else source.radix
         self.top = self.radix ** nvars
-        self.limit = self.radix * self.top
+        self.limit = (trunc + 1) * self.top
 
     def pack(self, terms: dict) -> tuple:
         """``(items, D)``: the ``(key, numerator)`` pairs of the terms of a
@@ -679,23 +687,6 @@ class _Keys:
         axis = [e for key, _ in items
                 if (e := key // place % self.radix) == key // self.top]
         return min(axis) if axis else FLAT
-
-    def adjoined(self, items: list, source: "_Keys") -> list:
-        """The packed ``items`` over ``source`` as items over these keys,
-        which have one variable more, last, at exponent 0, and their own
-        radix: the digits ``(deg, e_1, ..., e_n)`` of each key are folded
-        again with a ``t`` digit of 0, and a term past this truncation is
-        dropped."""
-        r, out = source.radix, []
-        for key, v in items:
-            new, place = 0, 1
-            for _ in range(source.nvars + 1):
-                key, digit = divmod(key, r)
-                place *= self.radix
-                new += digit * place
-            if new < self.limit:
-                out.append((new, v))
-        return out
 
     def series(self, grades: list, gd: int) -> Series:
         """The :class:`Series` of the packed tables ``grades``, whose keys
@@ -730,14 +721,15 @@ def _halves(f: tuple, k: int, weight: int, odd_trunc: int) -> tuple:
     """``(F0, F1)`` for the packed series ``f = (keys, (items, D), gd)``
     in ``n`` variables, ``f = g0 + x_k * g1`` split by the parity of the
     x_k exponent: ``F0 = g0 - t^weight`` at ``f``'s truncation and ``F1 =
-    g1/x_k - t`` at ``odd_trunc``, each a packed series in ``n + 1``
-    variables with ``t`` last, over ``D``.  Each item goes straight to its
-    half by its x_k digit, with no decode: an odd one is divided by x_k
-    on its key (less ``top + place``, one off the degree digit and one off
-    the x_k digit, which is odd and so at least 1), and
-    :meth:`_Keys.adjoined` moves both halves to their keys.  ``F0`` keeps
-    ``f``'s certificate, and ``F1`` reads ``f`` by the map ``(1, 1)``,
-    one degree up."""
+    g1/x_k - t`` at ``odd_trunc``, at most ``f``'s, each a packed series
+    in ``n + 1`` variables with ``t`` last, over ``D``, whose keys keep
+    ``f``'s radix.  Each item goes straight to its half by its x_k digit,
+    with no decode: an odd one is divided by x_k on its key (less ``top +
+    place``, one off the degree digit and one off the x_k digit, which is
+    odd and so at least 1), and a key moves to its half's keys as ``key *
+    R``, a ``t`` digit of 0 appended, dropped when it is past the half's
+    limit.  ``F0`` keeps ``f``'s certificate, and ``F1`` reads ``f`` by the
+    map ``(1, 1)``, one degree up."""
     keys, (items, den), gd = f
     r, place = keys.radix, keys.radix ** (keys.nvars - k)
     even, odd = [], []
@@ -749,8 +741,9 @@ def _halves(f: tuple, k: int, weight: int, odd_trunc: int) -> tuple:
     out = []
     for part, trunc, power, read in ((even, keys.trunc, weight, (1, 0)),
                                      (odd, odd_trunc, 1, (1, 1))):
-        new = _Keys(keys.nvars + 1, trunc)
-        out.append((new, (new.adjoined(part, keys)
+        new = _Keys(keys.nvars + 1, trunc, keys)
+        out.append((new, ([(s, v) for key, v in part
+                           if (s := key * r) < new.limit]
                           + [(power * (new.top + 1), -den)], den),
                     _certified(gd, trunc, read)))
     return tuple(out)
@@ -811,7 +804,7 @@ def _solve(a: tuple, b: tuple, keys: _Keys, place: int, order: int) -> tuple:
     below ``keys.limit``, so every read forms a term and no kernel call is
     empty: the grade can stay below the truncation while the total degree
     passes it.  As a key sum below ``keys.limit`` has a total degree of at
-    most ``keys.radix - 1``, no grade past that is queued.  The walk visits
+    most ``keys.trunc``, no grade past that is queued.  The walk visits
     only the grades of ``a`` and the queued ones, so its cost follows the
     grades that hold terms, not the truncation.
 
@@ -888,11 +881,12 @@ def _square_parts(rem: list, keys: _Keys, k: int, weight: int,
                   square: Series) -> tuple:
     """``(h, out)``: the parts of :func:`_horner` for ``square + a2(x', t)
     = 0``, solved for ``t``, and the keys ``out`` of its ``n`` variables
-    ``(x', slot)``, built from the division loop's remainder ``rem`` of
-    ``x_k^2`` by ``F = g - t^weight`` (over ``keys``, ``n + 1`` variables
-    with ``t`` last), which is ``-a1*x_k - a2(x', t^weight)``.  ``square``
-    is a series in ``(x', slot, t)`` whose terms each hold the slot and no
-    ``t``, so no term of it meets one of ``a2``.
+    ``(x', slot)`` at ``keys``' radix, built from the division loop's
+    remainder ``rem`` of ``x_k^2`` by ``F = g - t^weight`` (over ``keys``,
+    ``n + 1`` variables with ``t`` last), which is ``-a1*x_k - a2(x',
+    t^weight)``.  ``square`` is a series in ``(x', slot, t)`` whose terms
+    each hold the slot and no ``t``, so no term of it meets one of
+    ``a2``.
 
     Each item of ``rem`` goes straight to its part, with no decode: its
     x_k digit must be 0, as ``a1`` of an even series vanishes (a 1 raises
@@ -913,7 +907,7 @@ def _square_parts(rem: list, keys: _Keys, k: int, weight: int,
     or a nonzero constant, raises :class:`PreconditionError`, as
     :func:`localring.solve_implicit` does."""
     r, n, top = keys.radix, keys.nvars - 1, keys.top
-    out, at_k = _Keys(n, keys.trunc), r ** (n + 1 - k)
+    out, at_k = _Keys(n, keys.trunc, keys), r ** (n + 1 - k)
     parts = {}
     for items, den in rem:
         for key, v in items:

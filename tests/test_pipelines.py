@@ -58,6 +58,7 @@ def test_descent_reconstruction_and_oracle_random():
         nvars = rng.choice((2, 3))
         f = random_lemma_input(rng, nvars, 12, nvars, nterms=6)
         sp = split_square(f, nvars)
+        assert in_key_order(sp.f0) and in_key_order(sp.f1), f
         diff = reconstruct_split(sp, nvars) - f
         assert diff.vanishes_through(8)
         g0, g1 = even_odd_split(f, nvars)
@@ -114,8 +115,9 @@ def test_halves_match_the_parity_split_oracles():
     ``x_k`` when odd, with ``t`` adjoined last and ``t^weight`` (``t``
     for the odd half) subtracted, truncated at its own truncation: table,
     truncation and certificate alike, and listed in key order once
-    decoded.  ``F1`` times ``x_k`` gives back the odd part exactly,
-    through ``F1``'s truncation."""
+    decoded.  Both halves' keys keep the radix of ``f``'s, though the odd
+    half may sit one truncation lower.  ``F1`` times ``x_k`` gives back
+    the odd part exactly, through ``F1``'s truncation."""
     rng = random.Random(3301)
     for _ in range(60):
         nvars, trunc = rng.randint(1, 3), rng.randint(2, 9)
@@ -125,7 +127,10 @@ def test_halves_match_the_parity_split_oracles():
             rng.randint(-1, trunc))
         g0, g1 = even_odd_split(f, k)
         t = Series.variable(nvars + 1, nvars + 1, trunc)
-        F0, F1 = halves(f, k, weight, odd_trunc)
+        packed = series._packed(f)
+        formed = series._halves(packed, k, weight, odd_trunc)
+        assert [keys.radix for keys, _, _ in formed] == [packed[0].radix] * 2
+        F0, F1 = (keys.series([table], gd) for keys, table, gd in formed)
         assert identical(F0, embedded(g0, nvars + 1) - t ** weight), f
         assert identical(F1, truncated(
             embedded(over_variable(g1, k), nvars + 1) - t, odd_trunc)), f
@@ -463,6 +468,7 @@ def test_extension_matches_binomial_route_on_every_stored_term():
         direct = direct_complexification(h)
         assert ext.u.same_data(direct.u), h
         assert ext.v.same_data(direct.v), h
+        assert in_key_order(ext.u) and in_key_order(ext.v), h
 
 
 def test_extension_with_the_odd_half_at_n_minus_1_matches_binomial_route():

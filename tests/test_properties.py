@@ -10,7 +10,9 @@ of ``f`` into ``f0(x', x_k^2) + x_k * f1(x', x_k^2)`` reassembles to
 the table of its binomial complexification.  The order rule on packed
 keys (:meth:`_Keys.order_in`, which the checked entry of every preparation
 applies) agrees with :meth:`Series.order_in` (which division applies) on
-every axis.  The draws are derandomized
+every axis, and keys derived from keys of a higher truncation, whose radix
+is larger, pack, multiply, decode and read orders as fresh keys do.  The
+draws are derandomized
 and no example database is kept, so every run checks the same examples; a
 failure prints the input that falsified the property."""
 
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from wseries import (Series, direct_complexification, holomorphic_extension,
                      reconstruct_split, solve_implicit, split_square,
                      weierstrass_divide, weierstrass_prepare)
-from wseries.series import FLAT, _Keys
+from wseries.series import FLAT, _Keys, _products
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=100)
@@ -116,6 +118,43 @@ def test_the_packed_order_rule_agrees_with_the_series_one(f):
     assert [keys.order_in(items, k) for k in range(1, f.nvars + 1)] == orders
     if not f.terms:
         assert orders == [FLAT] * f.nvars
+
+
+@st.composite
+def derived_keys(draw):
+    """``(terms, f, g, keys)``: a table in 1-3 variables with degrees up to
+    two past a truncation of 0-8, the two series at that truncation with up
+    to 8 terms each, the first holding the table's terms through it, and
+    keys for them derived from keys of a truncation 1-4 higher, so their
+    radix exceeds ``trunc + 1``."""
+    nvars, trunc = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    terms = draw(st.dictionaries(exponents(nvars, trunc + 2), COEFFS,
+                                 max_size=8))
+    g = draw(st.dictionaries(exponents(nvars, trunc), COEFFS, max_size=8))
+    source = _Keys(draw(st.integers(1, 3)), trunc + draw(st.integers(1, 4)))
+    return (terms, Series(nvars, trunc, terms), Series(nvars, trunc, g),
+            _Keys(nvars, trunc, source))
+
+
+@PROPERTY
+@given(derived_keys())
+def test_derived_keys_pack_and_multiply_as_fresh_keys_do(case):
+    terms, f, g, keys = case
+    fresh = _Keys(f.nvars, f.trunc)
+    assert keys.radix > fresh.radix
+    decoded = [k.series([k.pack(terms)], f.trunc) for k in (keys, fresh)]
+    assert decoded[0].same_data(f) and decoded[1].same_data(f)
+    assert decoded[0].trunc == decoded[1].trunc == f.trunc
+    assert list(decoded[0].terms) == list(decoded[1].terms)
+    (xs, dx), (ys, dy) = keys.pack(f.terms), keys.pack(g.terms)
+    acc = _products({}, xs, sorted(ys), keys.limit, 1).items()
+    product = keys.series([([(k, v) for k, v in acc if v], dx * dy)],
+                          f.trunc)
+    assert product.same_data(f * g)
+    assert list(product.terms) == list((f * g).terms)
+    for k in range(1, f.nvars + 1):
+        assert keys.order_in(xs, k) == fresh.order_in(
+            fresh.pack(f.terms)[0], k) == f.order_in(k)
 
 
 @PROPERTY
